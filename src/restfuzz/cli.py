@@ -24,6 +24,7 @@ import numpy as np
 from . import autoencoder as ae
 from . import mutation as mu
 from .coverage import (
+    BugDeduplicator,
     CorpusEntry,
     CoverageAccumulator,
     CoverageBitmap,
@@ -39,10 +40,9 @@ from .execution import (
     execute_test_case,
     replay_transcript,
     reset_target_state,
-    write_transcript,
 )
 from .grammar import load_grammar, packaged_reference_grammar
-from .parsing import TestCase, render
+from .parsing import TestCase
 from .seedgen import generate_seeds, load_corpus, write_corpus
 
 STRATEGIES = ("byte", "tree", "learned")
@@ -231,32 +231,33 @@ def cmd_train(args) -> int:
 # -- fuzz -------------------------------------------------------------------
 
 
-def _byte_case_stream(seeds, g, rng):
-    """Cycle seeds forever; each visit plans one single-byte flip over
-    the rendered request text."""
-    blocks_per_seed = [render(tc, g).strip("\n").split("\n\n") for _, tc in seeds]
+def _byte_flip(plan, req_idx, rng):
+    """Request-text transform flipping one byte of request ``req_idx``
+    as sent, with ``mutate_bytes``, and recording the flip on ``plan``."""
+    before = 0  # sent bytes of the requests ahead of the flipped one
+
+    def transform(text, idx):
+        nonlocal before
+        if idx != req_idx:
+            before += len(text)
+            return text
+        out = mu.mutate_bytes(text, rng)
+        pos = next(k for k in range(len(text)) if out[k] != text[k])
+        plan.byte_noise = [(before + pos, ord(out[pos]))]
+        return out
+
+    return transform
+
+
+def _byte_case_stream(seeds, rng):
+    """Cycle seeds forever; each visit picks one request whose text is
+    byte-flipped after dependency resolution, just before it is sent."""
     i = 0
     while True:
         seed_id, tc = seeds[i % len(seeds)]
-        blocks = blocks_per_seed[i % len(seeds)]
-        lengths = [len(b) for b in blocks]
-        flat = int(rng.integers(0, sum(lengths)))
-        req_idx = 0
-        while flat >= lengths[req_idx]:
-            flat -= lengths[req_idx]
-            req_idx += 1
-        bump = 1 + int(rng.integers(0, 255))
-
-        def transform(text, idx, _r=req_idx, _o=flat, _b=bump):
-            if idx != _r or not text:
-                return text
-            pos = min(_o, len(text) - 1)
-            buf = bytearray(text.encode("latin-1"))
-            buf[pos] = (buf[pos] + _b) % 256
-            return buf.decode("latin-1")
-
-        desc = "%s\t-1\tbyte\t-1\t%d:%d" % (seed_id, req_idx, flat)
-        yield seed_id, tc, transform, desc
+        plan = mu.MutationPlan(seed_id, -1, -1, mu.CASE_BYTE)
+        req_idx = int(rng.integers(0, len(tc.requests)))
+        yield seed_id, tc, _byte_flip(plan, req_idx, rng), plan
         i += 1
 
 
@@ -267,8 +268,7 @@ def _tree_case_stream(seeds, g, rng, mutate_dependencies):
         mutant, plan = mu.mutate_tree_random(
             tc.seq, g, rng, seed_id, mutate_dependencies=mutate_dependencies
         )
-        desc = "%s\t%d\t%s\t%d\t-" % (seed_id, plan.target_leaf, plan.case, plan.new_rule)
-        yield seed_id, TestCase.from_sequence(mutant, g), None, desc
+        yield seed_id, TestCase.from_sequence(mutant, g), None, plan
         i += 1
 
 
@@ -287,15 +287,37 @@ def _learned_case_stream(seeds, g, model, rng, n_scales, noise_norm, mutate_depe
         )
         for plan in plans:
             mutant = mu.apply_plan(tc.seq, plan, g)
-            offsets = ",".join(str(off) for off, _ in plan.byte_noise) or "-"
-            desc = "%s\t%d\t%s\t%d\t%s" % (
-                seed_id,
-                plan.target_leaf,
-                plan.case,
-                plan.new_rule,
-                offsets,
-            )
-            yield seed_id, TestCase.from_sequence(mutant, g), None, desc
+            yield seed_id, TestCase.from_sequence(mutant, g), None, plan
+
+
+def _connect(target) -> int:
+    """Reset the target's state and return its coverage width."""
+    try:
+        reset_target_state(target)
+        return len(fetch_manifest(target))
+    except (TransportError, OSError) as exc:
+        raise CliError("target unreachable at %s (%s)" % (target.base_url, exc)) from None
+
+
+def _run_case(tc, g, target, width, case_id, transform=None):
+    """Reset target state and coverage, then execute ``tc`` with one
+    coverage window per answered request.  Returns the result and the
+    union of its windows."""
+    reset_target_state(target)
+    reset_coverage(target)
+    result = execute_test_case(
+        tc,
+        g,
+        target,
+        case_id=case_id,
+        request_text_transform=transform,
+        per_request_bitmaps=lambda: fetch_and_reset_coverage(target),
+    )
+    bitmap = CoverageBitmap.empty(width)
+    for rec in result.records:
+        if rec.bitmap is not None:
+            bitmap = bitmap | rec.bitmap
+    return result, bitmap
 
 
 def cmd_fuzz(args) -> int:
@@ -338,15 +360,11 @@ def cmd_fuzz(args) -> int:
             raise CliError("checkpoint %s was trained on a different grammar" % checkpoint)
 
     target = _target_config(cfg, args)
-    try:
-        reset_target_state(target)
-        width = len(fetch_manifest(target))
-    except (TransportError, OSError) as exc:
-        raise CliError("target unreachable at %s (%s)" % (target.base_url, exc)) from None
+    width = _connect(target)
 
     rng = np.random.default_rng(rng_seed)
     if strategy == "byte":
-        stream = _byte_case_stream(seeds, g, rng)
+        stream = _byte_case_stream(seeds, rng)
     elif strategy == "tree":
         stream = _tree_case_stream(seeds, g, rng, mutate_dependencies)
     else:
@@ -358,8 +376,8 @@ def cmd_fuzz(args) -> int:
     bug_dir = os.path.join(out_dir, BUG_DIR)
     os.makedirs(bug_dir, exist_ok=True)
     acc = CoverageAccumulator(width)
+    dedup = BugDeduplicator()
     bugs: list[dict] = []
-    seen_bug_bitmaps: set[str] = set()
     rows: list[tuple[float, int, int, int]] = []
     tests = 0
     t0 = time.monotonic()
@@ -373,49 +391,30 @@ def cmd_fuzz(args) -> int:
                 break
             if max_cases and tests >= max_cases:
                 break
-            seed_id, tc, transform, desc = next(stream)
-            reset_target_state(target)
-            reset_coverage(target)
+            seed_id, tc, transform, plan = next(stream)
             case_id = "%s-%06d" % (strategy, tests)
-            result = execute_test_case(
-                tc,
-                g,
-                target,
-                case_id=case_id,
-                request_text_transform=transform,
-                per_request_bitmaps=lambda: fetch_and_reset_coverage(target),
-            )
-            bitmap = CoverageBitmap.empty(width)
-            for rec in result.records:
-                if rec.bitmap is not None:
-                    bitmap = bitmap | rec.bitmap
+            result, bitmap = _run_case(tc, g, target, width, case_id, transform)
             acc.add(bitmap)
             tests += 1
             status = result.statuses[-1] if result.records else 0
-            log_fh.write("%s\t%d\n" % (desc, status))
-            if result.verdict == "bug_500":
-                # deduplicate on the crashing request's own coverage
-                # window: the same fault reached from different seeds
-                # shares it, while whole-case bitmaps differ
-                crash = next(r for r in result.records if r.status == 500)
-                crash_hex = crash.bitmap.hex()
-                if crash_hex not in seen_bug_bitmaps:
-                    seen_bug_bitmaps.add(crash_hex)
-                    bug_id = "bug-%03d" % len(seen_bug_bitmaps)
-                    transcript_path = os.path.join(bug_dir, bug_id + ".txt")
-                    with open(transcript_path, "w", encoding="latin-1") as fh:
-                        fh.write(write_transcript(result))
-                    bugs.append(
-                        {
-                            "bug_id": bug_id,
-                            "bitmap": crash_hex,
-                            "statuses": result.statuses,
-                            "seed": seed_id,
-                            "case": case_id,
-                            "mutation": desc.replace("\t", " "),
-                            "transcript": transcript_path,
-                        }
-                    )
+            log_fh.write(mu.format_mutation_log(plan, status) + "\n")
+            report = dedup.add(result)
+            if report is not None:
+                bug_id = "bug-%03d" % len(dedup.reports)
+                transcript_path = os.path.join(bug_dir, bug_id + ".txt")
+                with open(transcript_path, "w", encoding="latin-1") as fh:
+                    fh.write(report.transcript)
+                bugs.append(
+                    {
+                        "bug_id": bug_id,
+                        "bitmap": report.bitmap.hex(),
+                        "statuses": report.statuses,
+                        "seed": seed_id,
+                        "case": report.first_case_id,
+                        "mutation": mu.format_mutation_log(plan).replace("\t", " "),
+                        "transcript": transcript_path,
+                    }
+                )
             rows.append((time.monotonic() - t0, acc.count(), tests, len(bugs)))
 
     with open(os.path.join(out_dir, EVENTS_CSV), "w", encoding="utf-8") as fh:
@@ -460,27 +459,21 @@ def cmd_distill(args) -> int:
     if not seeds:
         raise CliError("no seeds found in %s" % _seeds_dir(cfg, args))
     target = _target_config(cfg, args)
-    try:
-        reset_target_state(target)
-    except (TransportError, OSError) as exc:
-        raise CliError("target unreachable at %s (%s)" % (target.base_url, exc)) from None
+    width = _connect(target)
+    acc = CoverageAccumulator(width)
     entries = []
     for seed_id, tc in seeds:
-        reset_target_state(target)
-        reset_coverage(target)
-        execute_test_case(tc, g, target, case_id=seed_id)
-        entries.append(CorpusEntry(case_id=seed_id, bitmap=fetch_and_reset_coverage(target)))
+        _result, bitmap = _run_case(tc, g, target, width, seed_id)
+        acc.add(bitmap)
+        entries.append(CorpusEntry(case_id=seed_id, bitmap=bitmap))
     kept = distill(entries)
     out_path = args.out or os.path.join(_seeds_dir(cfg, args), "distilled.txt")
     with open(out_path, "w", encoding="utf-8") as fh:
         for e in kept:
             fh.write(e.case_id + "\n")
-    union = entries[0].bitmap
-    for e in entries[1:]:
-        union = union | e.bitmap
     print(
         "distilled %d seeds to %d (union %d blocks) -> %s"
-        % (len(entries), len(kept), union.count(), out_path)
+        % (len(entries), len(kept), acc.count(), out_path)
     )
     return 0
 
@@ -540,31 +533,31 @@ def cmd_report(args) -> int:
         if os.path.exists(bugs_path):
             with open(bugs_path, "r", encoding="utf-8") as fh:
                 for bug in json.load(fh):
-                    bug_rows.append((meta["strategy"], bug))
+                    bug_rows.append((meta, bug))
     bugs_csv = os.path.join(out_dir, "report_bugs.csv")
     with open(bugs_csv, "w", encoding="utf-8") as fh:
         fh.write("strategy,bug_id,statuses,seed,mutation,bitmap_blocks,transcript\n")
-        for strategy, bug in bug_rows:
+        for meta, bug in bug_rows:
             fh.write(
                 "%s,%s,%s,%s,%s,%d,%s\n"
                 % (
-                    strategy,
+                    meta["strategy"],
                     bug["bug_id"],
                     "|".join(str(s) for s in bug["statuses"]),
                     bug["seed"],
                     bug["mutation"].replace(",", ";"),
-                    _hex_popcount(bug["bitmap"]),
+                    CoverageBitmap.from_hex(meta["block_count"], bug["bitmap"]).count(),
                     bug["transcript"],
                 )
             )
 
     print("coverage series: %s" % coverage_path)
     print("bug table:       %s (%d rows)" % (bugs_csv, len(bug_rows)))
-    for strategy, bug in bug_rows:
+    for meta, bug in bug_rows:
         print(
             "  %-8s %s statuses=%s seed=%s %s"
             % (
-                strategy,
+                meta["strategy"],
                 bug["bug_id"],
                 "|".join(str(s) for s in bug["statuses"]),
                 bug["seed"],
@@ -572,10 +565,6 @@ def cmd_report(args) -> int:
             )
         )
     return 0
-
-
-def _hex_popcount(hex_text: str) -> int:
-    return bin(int(hex_text, 16)).count("1") if hex_text else 0
 
 
 # -- argument parsing -------------------------------------------------------

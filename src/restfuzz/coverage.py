@@ -1,10 +1,13 @@
 """Coverage bitmaps, corpus distillation and bug deduplication.
 
 The instrumented target exposes a fixed-width bitmap over its declared
-basic blocks via a ``/__coverage__`` side channel.  Each executed test
-case is attributed the bitmap accumulated since the previous fetch.
-Path identity is exact bitmap equality; distillation greedily keeps the
-first test case contributing each new block.
+basic blocks via a ``/__coverage__`` side channel.  The executor reads
+and clears it after every answered request, so each request carries its
+own coverage window and a test case's coverage is the union of its
+windows.  Distillation greedily keeps the first test case contributing
+each new block.  Bugs are deduplicated on the crash window: the window
+of the first request answered 500, which the same fault reached from
+different seeds shares.
 """
 
 from __future__ import annotations
@@ -120,7 +123,6 @@ class CorpusEntry:
 
     case_id: str
     bitmap: CoverageBitmap
-    payload: object = None  # opaque: seed text, sequence, path on disk ...
 
 
 def distill(entries: list[CorpusEntry]) -> list[CorpusEntry]:
@@ -139,7 +141,8 @@ def distill(entries: list[CorpusEntry]) -> list[CorpusEntry]:
 
 @dataclass
 class BugReport:
-    """One deduplicated 500-class failure."""
+    """One deduplicated 500-class failure: its crash window, how many
+    results fell into it, and the first of them with its transcript."""
 
     bitmap: CoverageBitmap
     count: int
@@ -148,32 +151,39 @@ class BugReport:
     transcript: str | None = None
 
 
-def dedup_bugs(results) -> list[BugReport]:
-    """One report per distinct coverage bitmap among bug_500 results.
+class BugDeduplicator:
+    """Incremental bug dedup: one report per distinct crash window, in
+    first-seen order."""
 
-    ``results`` is an iterable of objects with ``verdict``, ``bitmap``,
-    ``case_id``, ``statuses`` and optionally ``transcript`` attributes.
-    Reports keep the first-seen representative, in first-seen order."""
-    reports: dict[bytes, BugReport] = {}
-    order: list[bytes] = []
-    for r in results:
-        if r.verdict != "bug_500":
-            continue
-        if r.bitmap is None:
-            raise ValueError("bug result %r has no bitmap" % (r.case_id,))
-        key = r.bitmap.bits
-        if key not in reports:
-            reports[key] = BugReport(
-                bitmap=r.bitmap,
-                count=1,
-                first_case_id=r.case_id,
-                statuses=list(r.statuses),
-                transcript=getattr(r, "transcript", None),
-            )
-            order.append(key)
-        else:
-            reports[key].count += 1
-    return [reports[k] for k in order]
+    def __init__(self):
+        self.reports: list[BugReport] = []
+        self._by_window: dict[bytes, BugReport] = {}
+
+    def add(self, result) -> BugReport | None:
+        """Fold one ``ExecutionResult`` in; returns the report it opens,
+        or None when it is no bug or repeats a known crash window (whose
+        count then grows).  A new report keeps the result's transcript."""
+        if result.verdict != "bug_500":
+            return None
+        crash = next(r for r in result.records if r.status == 500)
+        if crash.bitmap is None:
+            raise ValueError("bug result %r has no bitmap" % (result.case_id,))
+        report = self._by_window.get(crash.bitmap.bits)
+        if report is not None:
+            report.count += 1
+            return None
+        from .execution import write_transcript
+
+        report = BugReport(
+            bitmap=crash.bitmap,
+            count=1,
+            first_case_id=result.case_id,
+            statuses=list(result.statuses),
+            transcript=write_transcript(result),
+        )
+        self._by_window[crash.bitmap.bits] = report
+        self.reports.append(report)
+        return report
 
 
 # --- side-channel client -------------------------------------------------
@@ -204,9 +214,9 @@ def reset_coverage(cfg) -> None:
 def fetch_and_reset_coverage(cfg) -> CoverageBitmap:
     """Read the bitmap accumulated since the last reset, then clear it.
 
-    The reference target serves requests strictly one connection at a
-    time, so the read + clear pair is atomic with respect to any other
-    traffic from this process."""
+    The read and the clear are two requests.  No block is hit between
+    them because the fuzzer is the target's only client and sends its
+    requests in order: the case's next request waits for this call."""
     from .execution import http_request
 
     status, body = http_request(cfg, "GET", COVERAGE_PATH)

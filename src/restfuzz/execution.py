@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
 from .grammar import Grammar, escape, unescape
-from .parsing import RuleSequence, TestCase, HTTP_VERSION, canonicalize, marker_text
+from .parsing import (
+    HTTP_VERSION, RuleSequence, TestCase, canonicalize, marker_text, render_request
+)
 
 DEFAULT_TIMEOUT_MS = 5000.0
 DEFAULT_AUTH_HEADER = "PRIVATE-TOKEN"
@@ -88,7 +90,6 @@ class ExecutionResult:
     records: list[RequestRecord]
     resolved_bindings: dict[str, str]
     verdict: str  # pass | bug_500 | transport_error
-    coverage: object = None  # CoverageBitmap, attached by the caller
 
     @property
     def statuses(self) -> list[int]:
@@ -305,17 +306,6 @@ class _Resolver:
         return rule.value
 
 
-def _render_request(tc: TestCase, view, g: Grammar, value_of) -> str:
-    method = value_of(view.method)
-    path = "".join(value_of(i) for i in view.path)
-    lines = ["%s %s %s" % (method, path, HTTP_VERSION)]
-    for key_ord, val_ord in view.headers:
-        lines.append(value_of(key_ord) + value_of(val_ord))
-    if view.body:
-        lines.append("".join(value_of(i) for i in view.body))
-    return "\n".join(lines)
-
-
 # -- the executor -----------------------------------------------------------
 
 
@@ -347,7 +337,7 @@ def execute_test_case(
     try:
         for idx, view in enumerate(tc.requests):
             resolver.sent_producer_values = {}
-            text = _render_request(tc, view, g, resolver.value_of)
+            text = render_request(view, resolver.value_of)
             if request_text_transform is not None:
                 text = request_text_transform(text, idx)
             wire = request_wire(text, cfg.host)

@@ -10,7 +10,7 @@ Three mutant families over seed test cases:
   byte-noise pollution applied to the replacement value's rendered
   text; the rest stay purely structural so the mutant remains a clean
   grammar derivation.
-* byte baseline: flip exactly one byte of the rendered request text.
+* byte baseline: flip exactly one byte of one request's text as sent.
 * tree baseline: flip one random leaf of the derivation to one random
   terminal rule.
 
@@ -65,6 +65,7 @@ SPECIAL_BYTES = (
 CASE_UNSEEN_RULE = "case1"  # common leaf, rule absent from the seed
 CASE_DECODE_RULE = "case2"  # differing leaf, rule taken from the decode
 CASE_TREE = "tree"  # random single-leaf baseline
+CASE_BYTE = "byte"  # single-byte flip of the sent text
 
 
 @dataclass
@@ -87,7 +88,10 @@ class MutationPlan:
     """One planned single-leaf mutation of a seed.
 
     ``byte_noise`` holds (offset, byte) pollution pairs applied to the
-    replacement value's text; offsets index into that text.
+    replacement value's text; offsets index into that text.  A byte
+    baseline case (``case="byte"``) has leaf and rule -1 and one pair:
+    the flipped offset into the case's sent request texts laid end to
+    end, and the byte written there.
     """
 
     seed_id: str
@@ -322,22 +326,16 @@ def mutant_space_size(x: RuleSequence, g: Grammar) -> int:
     return x.n_leaves() * len(terminal_rules(g))
 
 
-def augment_random_bytes(
-    value: str, rng: np.random.Generator, k_max: int = DEFAULT_K_MAX
-) -> str:
-    """Pollute a value with 1..k_max random byte writes, length kept."""
-    return apply_byte_noise(value, draw_byte_noise(len(value), rng, k_max))
-
-
-def format_mutation_log(plan: MutationPlan, status: int) -> str:
+def format_mutation_log(plan: MutationPlan, status: int | None = None) -> str:
     """One tab-delimited log line: seed, leaf ordinal, case, rule id,
-    pollution offsets, response status."""
+    pollution offsets, then the response status unless ``status`` is
+    None."""
     offsets = ",".join(str(off) for off, _ in plan.byte_noise) or "-"
-    return "%s\t%d\t%s\t%d\t%s\t%d" % (
+    line = "%s\t%d\t%s\t%d\t%s" % (
         plan.seed_id,
         plan.target_leaf,
         plan.case,
         plan.new_rule,
         offsets,
-        status,
     )
+    return line if status is None else "%s\t%d" % (line, status)

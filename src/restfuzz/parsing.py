@@ -361,21 +361,23 @@ def canonicalize(text: str) -> str:
     return "\n".join(out) + "\n" if out else ""
 
 
+def render_request(view: RequestView, value_of) -> str:
+    """Render one request block; ``value_of(ordinal)`` gives each leaf's
+    text (placeholder values here, live bindings in the executor)."""
+    path = "".join(value_of(i) for i in view.path)
+    lines = ["%s %s %s" % (value_of(view.method), path, HTTP_VERSION)]
+    for key_ord, val_ord in view.headers:
+        lines.append(value_of(key_ord) + value_of(val_ord))
+    if view.body:
+        lines.append("".join(value_of(i) for i in view.body))
+    return "\n".join(lines)
+
+
 def render(x: RuleSequence | TestCase, g: Grammar) -> str:
     """Render a rule sequence to seed-file text (placeholder mode:
     unresolved dependency slots keep their ``{{producer:...}}`` marker)."""
     tc = x if isinstance(x, TestCase) else TestCase.from_sequence(x, g)
-    rs = tc.seq
-    blocks = []
-    for view in tc.requests:
-        method = rs.leaf_value(view.method, g)
-        path = "".join(rs.leaf_value(i, g) for i in view.path)
-        lines = ["%s %s %s" % (method, path, HTTP_VERSION)]
-        for key_ord, val_ord in view.headers:
-            lines.append(rs.leaf_value(key_ord, g) + rs.leaf_value(val_ord, g))
-        if view.body:
-            lines.append("".join(rs.leaf_value(i, g) for i in view.body))
-        blocks.append("\n".join(lines))
+    blocks = [render_request(view, lambda i: tc.seq.leaf_value(i, g)) for view in tc.requests]
     return "\n\n".join(blocks) + "\n"
 
 

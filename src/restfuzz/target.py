@@ -122,7 +122,8 @@ _REASONS = {
 
 
 class ReferenceTarget:
-    """Single-threaded socket server around the instrumented API."""
+    """Socket server around the instrumented API: one accept thread and
+    one worker thread per connection; request handling takes no lock."""
 
     def __init__(self, host="127.0.0.1", port=0, token=DEFAULT_TOKEN):
         self.host = host

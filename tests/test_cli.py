@@ -4,15 +4,29 @@ through ``main(argv)`` against the live reference service."""
 import json
 import os
 
+import numpy as np
 import pytest
 
 from restfuzz import cli
-from restfuzz.execution import execute_test_case, write_transcript
+from restfuzz.execution import execute_test_case, reset_target_state, write_transcript
 from restfuzz.seedgen import build_case
 
-from .conftest import chain_by_names
+from .conftest import TESTS_DIR, chain_by_names
 
 DEAD_URL = "http://127.0.0.1:9"  # discard port; nothing listens there
+# names the benchmark's tracer and case counter patch in ``cli``; the
+# fuzz loop must keep calling them through the module's globals
+BENCHMARK_HOOKS = (
+    "execute_test_case",
+    "fetch_and_reset_coverage",
+    "reset_coverage",
+    "reset_target_state",
+    "load_grammar",
+    "load_corpus",
+    "_byte_case_stream",
+    "_tree_case_stream",
+    "_learned_case_stream",
+)
 
 
 # ----------------------------------------------------------- config file
@@ -48,6 +62,16 @@ def test_load_config_rejects_bad_input(tmp_path):
     bad_line.write_text("just words\n")
     with pytest.raises(cli.CliError, match="key=value"):
         cli.load_config(str(bad_line))
+
+
+def test_readme_config_example_loads(tmp_path):
+    with open(os.path.join(os.path.dirname(TESTS_DIR), "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "fuzz.cfg"
+    path.write_text(block)
+    cfg = cli.load_config(str(path))
+    assert cfg["target.base_url"] == "http://127.0.0.1:8642"
+    assert cfg["fuzz.strategy"] == "learned"
 
 
 def test_get_precedence_and_casts():
@@ -243,6 +267,56 @@ def test_fuzz_session_artifacts(pipeline, live_target, strategy, tmp_path):
     assert len(bugs) == meta["bugs_found"]
     for bug in bugs:
         assert os.path.exists(bug["transcript"])
+
+
+def test_fuzz_calls_benchmark_hooks_through_cli(pipeline, live_target, tmp_path, monkeypatch):
+    calls = dict.fromkeys(BENCHMARK_HOOKS, 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in BENCHMARK_HOOKS:
+        assert callable(cli.__dict__.get(name)), name
+        monkeypatch.setattr(cli, name, counting(name, cli.__dict__[name]))
+    out = str(tmp_path / "s")
+    assert _fuzz(pipeline, live_target, "byte", out, extra=["--max-cases", "7"]) == 0
+    assert calls["execute_test_case"] == 7
+    assert calls["reset_coverage"] == 7
+    assert calls["reset_target_state"] == 8  # plus the reachability check
+    assert calls["fetch_and_reset_coverage"] >= 7
+    assert calls["load_grammar"] == calls["load_corpus"] == calls["_byte_case_stream"] == 1
+
+
+def test_byte_flips_land_on_the_sent_text(ref_grammar, target_cfg):
+    g = ref_grammar
+    chain = chain_by_names(g, 2, ("create-project", "create-branch"))
+    tc = build_case(g, chain, [["testString"], ["master"]])
+    reset_target_state(target_cfg)
+    sent = [r.request_text for r in execute_test_case(tc, g, target_cfg).records]
+    assert len(sent) == 2 and "{{producer:" not in sent[1]  # consumer slot resolved
+    stream = cli._byte_case_stream([("seed-0", tc)], np.random.default_rng(0))
+    n = 2000
+    last_byte = 0
+    for _ in range(n):
+        _seed_id, _tc, transform, plan = next(stream)
+        flipped = [transform(text, idx) for idx, text in enumerate(sent)]
+        assert [len(t) for t in flipped] == [len(t) for t in sent]
+        diffs = [
+            (idx, k)
+            for idx, (old, new) in enumerate(zip(sent, flipped))
+            for k in range(len(old))
+            if old[k] != new[k]
+        ]
+        assert len(diffs) == 1
+        idx, k = diffs[0]
+        flat = sum(len(t) for t in sent[:idx]) + k
+        assert plan.byte_noise == [(flat, ord(flipped[idx][k]))]
+        last_byte += k == len(sent[idx]) - 1
+    assert last_byte <= 0.05 * n
 
 
 def test_fuzz_repeat_runs_agree_modulo_time(pipeline, live_target, tmp_path):

@@ -2,13 +2,12 @@
 target's coverage side channels."""
 
 import itertools
-import types
 
 import numpy as np
 import pytest
 
 from restfuzz import coverage as cov
-from restfuzz.execution import http_request
+from restfuzz.execution import ExecutionResult, RequestRecord, http_request, write_transcript
 
 
 def bm(width, *indices):
@@ -147,36 +146,60 @@ def test_distill_exactly_minimal_on_disjoint_groups():
 # ------------------------------------------------------------ bug dedup
 
 
-def _result(verdict, bitmap, case_id, statuses=(201, 500), transcript=None):
-    return types.SimpleNamespace(
-        verdict=verdict,
-        bitmap=bitmap,
-        case_id=case_id,
-        statuses=list(statuses),
-        transcript=transcript,
+def _result(verdict, crash_window, case_id, statuses=(201, 500), earlier_window=None):
+    """An execution result whose 500 request carries ``crash_window``
+    and whose other requests carry ``earlier_window``."""
+    records = [
+        RequestRecord(
+            request_text="GET /%s/%d HTTP/1.1" % (case_id, i),
+            status=status,
+            reason="",
+            response_body="",
+            latency_s=0.0,
+            bitmap=crash_window if status == 500 else earlier_window,
+        )
+        for i, status in enumerate(statuses)
+    ]
+    return ExecutionResult(
+        case_id=case_id, records=records, resolved_bindings={}, verdict=verdict
     )
 
 
 def test_dedup_bugs_buckets_by_bitmap():
     b1, b2 = bm(8, 1), bm(8, 2)
-    reports = cov.dedup_bugs(
-        [
-            _result("bug_500", b1, "first", transcript="t1"),
-            _result("pass", bm(8, 3), "ok"),
+    first = _result("bug_500", b1, "first")
+    dedup = cov.BugDeduplicator()
+    opened = [
+        dedup.add(r)
+        for r in (
+            first,
+            _result("pass", bm(8, 3), "ok", statuses=(201,)),
             _result("bug_500", b1, "again"),
             _result("bug_500", b2, "other"),
-            _result("transport_error", None, "dead"),
-        ]
-    )
+            _result("transport_error", None, "dead", statuses=(0,)),
+        )
+    ]
+    reports = dedup.reports
+    assert opened == [reports[0], None, None, reports[1], None]
     assert [(r.first_case_id, r.count) for r in reports] == [("first", 2), ("other", 1)]
-    assert reports[0].transcript == "t1"
+    assert reports[0].transcript == write_transcript(first)
     assert reports[0].bitmap == b1 and reports[1].bitmap == b2
     assert reports[0].statuses == [201, 500]
 
 
 def test_dedup_bugs_requires_bitmap_on_bugs():
     with pytest.raises(ValueError, match="no bitmap"):
-        cov.dedup_bugs([_result("bug_500", None, "x")])
+        cov.BugDeduplicator().add(_result("bug_500", None, "x"))
+
+
+def test_dedup_bugs_keys_on_the_crash_window_only():
+    crash = bm(8, 5)
+    dedup = cov.BugDeduplicator()
+    dedup.add(_result("bug_500", crash, "a", earlier_window=bm(8, 0)))
+    dedup.add(_result("bug_500", crash, "b", earlier_window=bm(8, 1)))
+    assert [(r.first_case_id, r.count) for r in dedup.reports] == [("a", 2)]
+    dedup.add(_result("bug_500", bm(8, 6), "c", earlier_window=bm(8, 0)))
+    assert [(r.first_case_id, r.count) for r in dedup.reports] == [("a", 2), ("c", 1)]
 
 
 # --------------------------------------------------------- side channels

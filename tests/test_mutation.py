@@ -486,18 +486,9 @@ def test_apply_byte_noise_semantics():
         mut.apply_byte_noise("ab", [(2, 0x20)])
 
 
-def test_augment_random_bytes_preserves_length():
-    rng = np.random.default_rng(12)
-    for _ in range(100):
-        out = mut.augment_random_bytes("payload", rng, k_max=2)
-        assert len(out) == len("payload")
-        assert sum(a != b for a, b in zip("payload", out)) <= 2
-    with pytest.raises(ValueError, match="empty"):
-        mut.augment_random_bytes("", rng)
-
-
 def test_format_mutation_log():
     plan = mut.MutationPlan("seed-1", 4, 17, "case1", byte_noise=[(3, 7), (0, 255)])
     assert mut.format_mutation_log(plan, 500) == "seed-1\t4\tcase1\t17\t3,0\t500"
     bare = mut.MutationPlan("s", 0, 2, "tree")
     assert mut.format_mutation_log(bare, 201) == "s\t0\ttree\t2\t-\t201"
+    assert mut.format_mutation_log(bare) == "s\t0\ttree\t2\t-"
