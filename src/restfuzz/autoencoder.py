@@ -20,6 +20,17 @@ GRU cell (single matrix per side, gates stacked [update|reset|cand]):
 
 The decoder sees the embedding summary both as its initial state and —
 when ``z_per_step`` is on — concatenated to every input embedding.
+
+Training runs each time loop on packed positions.  The batch rows are
+sorted by length (stable) and only the positions inside a sequence are
+kept, time-major, so step t runs ``_gru_step`` on the prefix of rows
+still inside their sequence; padded positions, which carry weight 0,
+are skipped rather than masked.  Everything that does not depend on h
+is a batched GEMM: the input projections ``x @ W + b`` of all steps
+(the decoder's z columns once per batch), the logits, and after the
+backward loop, which stacks each step's gate gradients, ``dW``, ``dU``,
+``db``, the output layer and the embedding gradients.  Encode and
+decode run one sequence step by step.
 """
 
 from __future__ import annotations
@@ -102,38 +113,72 @@ def _init_params(hp: Hyperparams, vocab_size: int, rng: np.random.Generator):
     }
 
 
-def _gru_step(x, h, W, U, b, hidden_dim):
-    """One forward step; returns new h and the cache for backward."""
-    xW = x @ W + b
+def _gru_step(xW, h, U, hidden_dim):
+    """One forward step on the input projection ``xW = x @ W + b``;
+    returns new h and the cache for backward."""
     hU = h @ U
     H = hidden_dim
     u = _sigmoid(xW[:, :H] + hU[:, :H])
     r = _sigmoid(xW[:, H : 2 * H] + hU[:, H : 2 * H])
-    c = np.tanh(xW[:, 2 * H :] + r * hU[:, 2 * H :])
+    hU_c = hU[:, 2 * H :].copy()  # a view would keep all of hU cached
+    c = np.tanh(xW[:, 2 * H :] + r * hU_c)
     h_new = (1.0 - u) * c + u * h
-    return h_new, (x, h, hU, u, r, c)
+    return h_new, (u, r, c, hU_c)
 
 
-def _gru_backstep(dh_new, cache, W, U, hidden_dim):
-    """Backward through one step.  Returns (dx, dh_prev, dW, dU, db)."""
-    x, h_prev, hU, u, r, c = cache
-    H = hidden_dim
-    du = dh_new * (h_prev - c)
-    dc = dh_new * (1.0 - u)
-    dh_prev = dh_new * u
-    dc_pre = dc * (1.0 - c * c)
-    dr = dc_pre * hU[:, 2 * H :]
-    dhU_c = dc_pre * r
-    du_pre = du * u * (1.0 - u)
-    dr_pre = dr * r * (1.0 - r)
-    dxW = np.concatenate([du_pre, dr_pre, dc_pre], axis=1)
-    dhU = np.concatenate([du_pre, dr_pre, dhU_c], axis=1)
-    dW = x.T @ dxW
-    db = dxW.sum(axis=0)
-    dx = dxW @ W.T
-    dU = h_prev.T @ dhU
-    dh_prev = dh_prev + dhU @ U.T
-    return dx, dh_prev, dW, dU, db
+def _gru_forward(xW, h0, U, hidden_dim, off, base):
+    """Run one side over packed input projections.  Returns the stacked
+    states S (the initial state, then each step's output) and the caches;
+    step t reads its h_prev at ``S[base[t]:]`` and writes ``S[B + off[t]:]``."""
+    B = h0.shape[0]
+    S = np.empty((B + xW.shape[0], hidden_dim), dtype=h0.dtype)
+    S[:B] = h0
+    caches = []
+    for t in range(len(off) - 1):
+        a, b = off[t], off[t + 1]
+        h_prev = S[base[t] : base[t] + b - a]
+        S[B + a : B + b], cache = _gru_step(xW[a:b], h_prev, U, hidden_dim)
+        caches.append(cache)
+    return S, caches
+
+
+def _gru_backward(dh, dS, S, caches, U, off, base, G, Gc):
+    """Backward through one side's time loop, in place: ``dh`` enters with
+    the gradient at each row's final state (plus ``dS``, each position's
+    output gradient, if given) and leaves with the initial state's; ``G``
+    receives d(xW) and ``Gc`` the candidate slice of d(hU) per position."""
+    H = Gc.shape[1]
+    for t in range(len(caches) - 1, -1, -1):
+        a, b = off[t], off[t + 1]
+        n = b - a
+        if dS is not None:
+            dh[:n] += dS[a:b]
+        u, r, c, hU_c = caches[t]
+        d = dh[:n]
+        dc_pre = d * (1.0 - u) * (1.0 - c * c)
+        G[a:b, :H] = d * (S[base[t] : base[t] + n] - c) * u * (1.0 - u)
+        G[a:b, H : 2 * H] = dc_pre * hU_c * r * (1.0 - r)
+        G[a:b, 2 * H :] = dc_pre
+        Gc[a:b] = dc_pre * r
+        dh[:n] = d * u + G[a:b, : 2 * H] @ U[:, : 2 * H].T + Gc[a:b] @ U[:, 2 * H :].T
+
+
+def _onehot(idx, n, dtype):
+    """(n, len(idx)) selection matrix: ``_onehot(idx, n) @ X`` sums X's
+    rows by index."""
+    return (idx == np.arange(n)[:, None]).astype(dtype)
+
+
+def _weight_grads(grads, p, side, x, ids, S, prev, G, Gc):
+    """One side's weight and embedding gradients from its stacked gate
+    gradients, one GEMM or reduction each."""
+    H, E = Gc.shape[1], x.shape[1]
+    h_prev = S[prev]
+    grads[side + "_U"] = np.concatenate([h_prev.T @ G[:, : 2 * H], h_prev.T @ Gc], axis=1)
+    grads[side + "_W"] = x.T @ G
+    grads[side + "_b"] = G.sum(axis=0)
+    emb = p[side + "_emb"]
+    grads[side + "_emb"] = _onehot(ids, emb.shape[0], emb.dtype) @ (G @ p[side + "_W"][:E].T)
 
 
 def _prepare_batch(token_lists, max_seq_len, dtype):
@@ -167,102 +212,69 @@ def _prepare_batch(token_lists, max_seq_len, dtype):
 
 
 def _forward_backward(params, hp: Hyperparams, batch, compute_grads=True):
-    """Weighted cross-entropy loss over a batch; optionally gradients."""
+    """Weighted cross-entropy loss over a batch; optionally gradients.
+    Only positions inside each row's ``enc_mask`` length are computed:
+    the rest must carry weight 0, as ``_prepare_batch`` gives them."""
     enc_ids, enc_mask, dec_ids, targets, weights = batch
-    H = hp.hidden_dim
+    p, H, E = params, hp.hidden_dim, hp.embedding_dim
     dt = hp.np_dtype()
     B, T = enc_ids.shape
+    # pack the positions inside each sequence time-major, rows sorted by
+    # length: step t covers sorted rows [:n_t] at positions off[t]:off[t+1]
+    lens = enc_mask.sum(axis=1).astype(np.int64)
+    order = np.argsort(-lens, kind="stable")
+    lens = lens[order]
+    off = np.concatenate([[0], np.cumsum((lens[:, None] > np.arange(T)).sum(axis=0))])
+    tt = np.repeat(np.arange(T), np.diff(off))
+    rr = np.arange(off[-1]) - off[tt]  # sorted row of each position
+    rows = order[rr]
+    base = np.concatenate([[0], B + off[:-2]])
+    enc_tok, dec_tok = enc_ids[rows, tt], dec_ids[rows, tt]
+    tgt, w = targets[rows, tt], weights[rows, tt]
 
-    # encoder
-    h = np.zeros((B, H), dtype=dt)
-    enc_caches = []
-    for t in range(T):
-        x = params["enc_emb"][enc_ids[:, t]]
-        h_new, cache = _gru_step(
-            x, h, params["enc_W"], params["enc_U"], params["enc_b"], H
-        )
-        m = enc_mask[:, t : t + 1]
-        h_next = m * h_new + (1.0 - m) * h
-        enc_caches.append((cache, m, h))
-        h = h_next
-    z = h
+    enc_x = p["enc_emb"][enc_tok]
+    S_enc, enc_caches = _gru_forward(
+        enc_x @ p["enc_W"] + p["enc_b"], np.zeros((B, H), dtype=dt), p["enc_U"], H, off, base
+    )
+    z = S_enc[B + off[lens - 1] + np.arange(B)]
 
-    # decoder (teacher forcing)
-    h = z
-    dec_caches = []
-    logits_all = []
-    for t in range(T):
-        emb = params["dec_emb"][dec_ids[:, t]]
-        x = np.concatenate([emb, z], axis=1) if hp.z_per_step else emb
-        h, cache = _gru_step(
-            x, h, params["dec_W"], params["dec_U"], params["dec_b"], H
-        )
-        dec_caches.append((cache, h))
-        logits_all.append(h @ params["out_W"] + params["out_b"])
+    # decoder (teacher forcing); z's input columns are projected once
+    dec_x = p["dec_emb"][dec_tok]
+    xW = dec_x @ p["dec_W"][:E] + p["dec_b"]
+    if hp.z_per_step:
+        xW += (z @ p["dec_W"][E:])[rr]
+    S_dec, dec_caches = _gru_forward(xW, z, p["dec_U"], H, off, base)
+    del xW  # not needed by the backward pass: free it before that peaks
 
-    # weighted cross-entropy (stable log-softmax)
+    # weighted cross-entropy (stable log-softmax) at the packed positions
+    logits = S_dec[B:] @ p["out_W"] + p["out_b"]
+    pos = np.arange(len(tgt))
+    m = logits.max(axis=1)
+    ex = np.exp(logits - m[:, None])
+    sumex = ex.sum(axis=1)
     total_w = float(weights.sum())
-    loss = 0.0
-    dlogits_all = [] if compute_grads else None
-    n_correct = 0
-    n_counted = 0
-    for t in range(T):
-        logits = logits_all[t]
-        m = logits.max(axis=1, keepdims=True)
-        ex = np.exp(logits - m)
-        sumex = ex.sum(axis=1, keepdims=True)
-        logp = (logits - m) - np.log(sumex)
-        w = weights[:, t]
-        tgt = targets[:, t]
-        loss -= float((logp[np.arange(B), tgt] * w).sum())
-        pred = logits.argmax(axis=1)
-        n_correct += int(((pred == tgt) * (w > 0)).sum())
-        n_counted += int((w > 0).sum())
-        if compute_grads:
-            dl = ex / sumex
-            dl[np.arange(B), tgt] -= 1.0
-            dl *= (w / total_w)[:, None]
-            dlogits_all.append(dl)
-    loss /= total_w
-    acc = n_correct / max(n_counted, 1)
+    loss = -float((((logits[pos, tgt] - m) - np.log(sumex)) * w).sum()) / total_w
+    counted = w > 0
+    acc = int((counted & (logits.argmax(axis=1) == tgt)).sum()) / max(int(counted.sum()), 1)
     if not compute_grads:
         return loss, acc, None
 
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
-    dz = np.zeros((B, H), dtype=dt)
-    dh = np.zeros((B, H), dtype=dt)
-    for t in range(T - 1, -1, -1):
-        cache, h_t = dec_caches[t]
-        dlog = dlogits_all[t]
-        grads["out_W"] += h_t.T @ dlog
-        grads["out_b"] += dlog.sum(axis=0)
-        dh = dh + dlog @ params["out_W"].T
-        dx, dh, dW, dU, db = _gru_backstep(
-            dh, cache, params["dec_W"], params["dec_U"], H
-        )
-        grads["dec_W"] += dW
-        grads["dec_U"] += dU
-        grads["dec_b"] += db
-        E = hp.embedding_dim
-        demb = dx[:, :E]
-        if hp.z_per_step:
-            dz += dx[:, E:]
-        np.add.at(grads["dec_emb"], dec_ids[:, t], demb)
-    dz += dh  # decoder initial state was z
-
-    dh = dz
-    for t in range(T - 1, -1, -1):
-        cache, m, h_prev = enc_caches[t]
-        dh_new = dh * m
-        dh_skip = dh * (1.0 - m)
-        dx, dh, dW, dU, db = _gru_backstep(
-            dh_new, cache, params["enc_W"], params["enc_U"], H
-        )
-        grads["enc_W"] += dW
-        grads["enc_U"] += dU
-        grads["enc_b"] += db
-        dh = dh + dh_skip
-        np.add.at(grads["enc_emb"], enc_ids[:, t], dx)
+    dl = ex / sumex[:, None]
+    dl[pos, tgt] -= 1.0
+    dl *= (w / total_w)[:, None]
+    grads = {"out_W": S_dec[B:].T @ dl, "out_b": dl.sum(axis=0)}
+    prev = base[tt] + rr  # each position's h_prev in S
+    G = np.empty((len(tgt), 3 * H), dtype=dt)  # d(xW), decoder then encoder
+    Gc = np.empty((len(tgt), H), dtype=dt)
+    dz = np.zeros((B, H), dtype=dt)  # decoder initial state was z
+    _gru_backward(dz, dl @ p["out_W"].T, S_dec, dec_caches, p["dec_U"], off, base, G, Gc)
+    _weight_grads(grads, p, "dec", dec_x, dec_tok, S_dec, prev, G, Gc)
+    if hp.z_per_step:
+        Gz = _onehot(rr, B, dt) @ G
+        grads["dec_W"] = np.concatenate([grads["dec_W"], z.T @ Gz])
+        dz += Gz @ p["dec_W"][E:].T
+    _gru_backward(dz, None, S_enc, enc_caches, p["enc_U"], off, base, G, Gc)
+    _weight_grads(grads, p, "enc", enc_x, enc_tok, S_enc, prev, G, Gc)
     return loss, acc, grads
 
 
@@ -364,10 +376,8 @@ def encode(m: Model, x) -> Embedding:
     ids = np.asarray([t + N_SPECIALS for t in toks] + [EOS], dtype=np.int64)
     h = np.zeros((1, hp.hidden_dim), dtype=hp.np_dtype())
     for t in range(ids.shape[0]):
-        x_t = m.params["enc_emb"][ids[t : t + 1]]
-        h, _ = _gru_step(
-            x_t, h, m.params["enc_W"], m.params["enc_U"], m.params["enc_b"], hp.hidden_dim
-        )
+        xW = m.params["enc_emb"][ids[t : t + 1]] @ m.params["enc_W"] + m.params["enc_b"]
+        h, _ = _gru_step(xW, h, m.params["enc_U"], hp.hidden_dim)
     return Embedding(vector=h[0].copy())
 
 
@@ -382,9 +392,8 @@ def decode(m: Model, z) -> list[int]:
     for _ in range(hp.max_seq_len):
         emb = m.params["dec_emb"][np.asarray([prev])]
         x = np.concatenate([emb, z_row], axis=1) if hp.z_per_step else emb
-        h, _ = _gru_step(
-            x, h, m.params["dec_W"], m.params["dec_U"], m.params["dec_b"], hp.hidden_dim
-        )
+        xW = x @ m.params["dec_W"] + m.params["dec_b"]
+        h, _ = _gru_step(xW, h, m.params["dec_U"], hp.hidden_dim)
         logits = h @ m.params["out_W"] + m.params["out_b"]
         prev = int(logits[0].argmax())
         if prev == EOS:
@@ -445,9 +454,10 @@ def numeric_gradient_check(
     m: Model, x, n_samples: int = 60, h: float = 1e-4, rng_seed: int = 0
 ) -> float:
     """Max relative error between analytic and central-difference
-    gradients over sampled parameter coordinates."""
-    toks = x.tokens if hasattr(x, "tokens") else list(x)
-    batch = _prepare_batch([list(toks)], m.hp.max_seq_len, m.hp.np_dtype())
+    gradients over sampled parameter coordinates.  ``x`` is one sequence,
+    or a list of sequences checked as one padded batch."""
+    single = hasattr(x, "tokens") or not x or np.isscalar(x[0])
+    batch = _prepare_batch(_corpus_tokens([x] if single else x), m.hp.max_seq_len, m.hp.np_dtype())
     _, _, grads = _forward_backward(m.params, m.hp, batch)
 
     def loss_only():

@@ -107,16 +107,41 @@ def _open_connection(cfg: TargetConfig) -> socket.socket:
 
 
 def _recv_response(sock: socket.socket):
-    """Read one HTTP response; returns (status, reason, headers, body_text)."""
-    buf = b""
-    while b"\r\n\r\n" not in buf:
+    """Read one HTTP response; returns (status, reason, body_text, closing).
+
+    The body is framed as RFC 9112 section 6.3 says: none for 1xx, 204 and
+    304; chunked; Content-Length; else up to EOF (close-delimited, and
+    ``closing`` is then True)."""
+
+    def more(where):
+        """The next bytes; at EOF b"" if ``where`` is None, else an error."""
         try:
             chunk = sock.recv(65536)
         except OSError as exc:
             raise TransportError("recv failed: %s" % exc) from exc
-        if not chunk:
-            raise TransportError("connection closed before response head")
-        buf += chunk
+        if not chunk and where is not None:
+            raise TransportError("connection closed %s" % where)
+        return chunk
+
+    def line():  # one CRLF-terminated line of a chunked body
+        nonlocal rest
+        while b"\r\n" not in rest:
+            rest += more("mid-body")
+        out, rest = rest.split(b"\r\n", 1)
+        return out
+
+    def size(text, base, what):
+        try:
+            n = int(text, base)
+        except ValueError:
+            n = -1
+        if n < 0:
+            raise TransportError("bad %s %r" % (what, text))
+        return n
+
+    buf = b""
+    while b"\r\n\r\n" not in buf:
+        buf += more("before response head")
     head, rest = buf.split(b"\r\n\r\n", 1)
     lines = head.decode("latin-1").split("\r\n")
     first = lines[0].split(" ", 2)
@@ -128,18 +153,28 @@ def _recv_response(sock: socket.socket):
     for ln in lines[1:]:
         key, _, val = ln.partition(":")
         headers[key.strip().lower()] = val.strip()
-    length = int(headers.get("content-length", "0") or "0")
-    while len(rest) < length:
-        try:
-            chunk = sock.recv(65536)
-        except OSError as exc:
-            raise TransportError("recv failed: %s" % exc) from exc
-        if not chunk:
-            raise TransportError("connection closed mid-body")
-        rest += chunk
-    body = rest[:length].decode("latin-1")
     closing = headers.get("connection", "").lower() == "close"
-    return status, reason, body, closing
+    body = b""
+    if status < 200 or status in (204, 304):
+        pass
+    elif "chunked" in headers.get("transfer-encoding", "").lower():
+        while n := size(line().split(b";", 1)[0].strip(), 16, "chunk size"):
+            while len(rest) < n + 2:
+                rest += more("mid-body")
+            body += rest[:n]
+            rest = rest[n + 2 :]
+        while line():  # trailer fields
+            pass
+    elif "content-length" in headers:
+        length = size(headers["content-length"], 10, "content-length")
+        while len(rest) < length:
+            rest += more("mid-body")
+        body = rest[:length]
+    else:
+        while chunk := more(None):
+            rest += chunk
+        body, closing = rest, True
+    return status, reason, body.decode("latin-1"), closing
 
 
 def request_wire(text: str, host: str) -> bytes:

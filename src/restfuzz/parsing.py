@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from .grammar import (
     DEPENDENCY_KINDS,
     EPSILON,
-    FUZZABLE_KINDS,
     STRUCTURAL,
     TERMINAL,
     Grammar,
@@ -28,7 +27,6 @@ from .grammar import (
 
 SECTION_SYMBOLS = ("path", "header", "body")
 MARKER_RE = re.compile(r"^\{\{producer:([A-Za-z0-9_.-]+)\}\}$")
-UUID_PLACEHOLDER = "<uuid>"
 HTTP_VERSION = "HTTP/1.1"
 
 
@@ -49,8 +47,6 @@ class ReplayInfo:
     leaf_sections: list[str | None]  # "method"/"path"/"header"/"body" per leaf
     leaf_requests: list[int]  # request ordinal per leaf
     request_boundaries: list[int]  # token positions opening each request
-    max_stack_depth: int
-    duplicate_pending: bool  # True if some nonterminal was pending twice
 
 
 def replay_tokens(tokens: list[int], g: Grammar) -> ReplayInfo:
@@ -59,13 +55,10 @@ def replay_tokens(tokens: list[int], g: Grammar) -> ReplayInfo:
     sequence is not a complete, valid derivation."""
     nts = g.nonterminals
     stack: list[tuple[str, str | None]] = [("sequence", None)]
-    pending_counts: dict[str, int] = {"sequence": 1}
     leaf_positions: list[int] = []
     leaf_sections: list[str | None] = []
     leaf_requests: list[int] = []
     request_boundaries: list[int] = []
-    max_depth = 1
-    duplicate = False
     req_idx = -1
 
     for pos, rid in enumerate(tokens):
@@ -75,7 +68,6 @@ def replay_tokens(tokens: list[int], g: Grammar) -> ReplayInfo:
         if not stack:
             raise ParseError("position %d: tokens continue after completion" % pos)
         sym, sect = stack.pop()
-        pending_counts[sym] -= 1
         if rule.lhs != sym:
             raise ParseError(
                 "position %d: expected %r, got rule %r" % (pos, sym, rule)
@@ -95,10 +87,6 @@ def replay_tokens(tokens: list[int], g: Grammar) -> ReplayInfo:
             for child in reversed(rule.rhs):
                 if child in nts:
                     stack.append((child, child_sect))
-                    pending_counts[child] = pending_counts.get(child, 0) + 1
-                    if pending_counts[child] > 1:
-                        duplicate = True
-        max_depth = max(max_depth, len(stack))
     if stack:
         raise ParseError(
             "derivation incomplete: %d symbols still pending (%r...)"
@@ -109,8 +97,6 @@ def replay_tokens(tokens: list[int], g: Grammar) -> ReplayInfo:
         leaf_sections=leaf_sections,
         leaf_requests=leaf_requests,
         request_boundaries=request_boundaries,
-        max_stack_depth=max_depth,
-        duplicate_pending=duplicate,
     )
 
 

@@ -123,7 +123,10 @@ _REASONS = {
 
 class ReferenceTarget:
     """Socket server around the instrumented API: one accept thread and
-    one worker thread per connection; request handling takes no lock."""
+    one worker thread per connection.  Each request reads its head and
+    body without a lock, then records its blocks and is routed (side
+    channels included) under one lock, so concurrent clients see requests
+    applied one at a time."""
 
     def __init__(self, host="127.0.0.1", port=0, token=DEFAULT_TOKEN):
         self.host = host
@@ -135,6 +138,7 @@ class ReferenceTarget:
         self._sock = None
         self._thread = None
         self._stopping = threading.Event()
+        self._lock = threading.Lock()
 
     # -- lifecycle --------------------------------------------------------
 
@@ -317,14 +321,33 @@ class ReferenceTarget:
         return None, buf, True
 
     def _handle_head(self, conn, head: bytes, buf: bytes):
-        hit = self.registry.hit
+        # blocks seen while reading are recorded with the routing, under the
+        # lock; no socket read holds it
+        hits: list[str] = []
+        request, resp, buf = self._read_request(conn, head, buf, hits.append)
+        with self._lock:
+            for block in hits:
+                self.registry.hit(block)
+            if request is not None:
+                try:
+                    resp = self._route(*request)
+                except FaultInjected as exc:
+                    resp = _Response(500, {"message": "internal server error: %s" % exc})
+                except Exception as exc:  # unplanned crash: still a 500, visible in tests
+                    resp = _Response(500, {"message": "unexpected error: %r" % exc})
+        return resp, buf
+
+    def _read_request(self, conn, head: bytes, buf: bytes, hit):
+        """Parse the head and read the body.  Returns ``(request, None,
+        rest)`` with request = (method, path, headers, body), or ``(None,
+        error response, b"")``."""
         text = head.decode("latin-1")
         lines = text.split("\r\n") if "\r\n" in text else text.split("\n")
         parts = lines[0].split(" ")
         if len(parts) < 2 or not parts[0]:
             hit("http.request_received")
             hit("http.request_line_bad")
-            return _Response(400, {"message": "malformed request line"}, close=True), b""
+            return None, _Response(400, {"message": "malformed request line"}, close=True), b""
         method = parts[0]
         raw_path = parts[1]
         # introspection traffic must leave the bitmap untouched, including
@@ -338,7 +361,7 @@ class ReferenceTarget:
                 continue
             if ":" not in ln:
                 hit("http.header_bad")
-                return _Response(400, {"message": "malformed header"}, close=True), b""
+                return None, _Response(400, {"message": "malformed header"}, close=True), b""
             key, _, val = ln.partition(":")
             headers[key.strip().lower()] = val.strip()
         hit("http.request_line_ok")
@@ -349,27 +372,21 @@ class ReferenceTarget:
             length = int(length_text)
         except ValueError:
             hit("http.header_bad")
-            return _Response(400, {"message": "bad content-length"}, close=True), b""
+            return None, _Response(400, {"message": "bad content-length"}, close=True), b""
         if length < 0 or length > MAX_BODY:
             hit("http.header_bad")
-            return _Response(400, {"message": "bad content-length"}, close=True), b""
+            return None, _Response(400, {"message": "bad content-length"}, close=True), b""
         while len(buf) < length:
             try:
                 chunk = conn.recv(65536)
             except (TimeoutError, OSError):
-                return _Response(400, {"message": "short body"}, close=True), b""
+                return None, _Response(400, {"message": "short body"}, close=True), b""
             if not chunk:
-                return _Response(400, {"message": "short body"}, close=True), b""
+                return None, _Response(400, {"message": "short body"}, close=True), b""
             buf += chunk
         body, buf = buf[:length], buf[length:]
         hit("http.body_read")
-        try:
-            resp = self._route(method, raw_path, headers, body)
-        except FaultInjected as exc:
-            resp = _Response(500, {"message": "internal server error: %s" % exc})
-        except Exception as exc:  # unplanned crash: still a 500, visible in tests
-            resp = _Response(500, {"message": "unexpected error: %r" % exc})
-        return resp, buf
+        return (method, raw_path, headers, body), None, buf
 
     def _send_response(self, conn, resp: _Response):
         payload = json.dumps(resp.payload).encode("utf-8")

@@ -66,6 +66,122 @@ def test_numeric_gradient_check(two_seed_sequences):
     assert err <= 1e-3, "max relative gradient error %.2e" % err
 
 
+@pytest.fixture(scope="module")
+def three_lengths(ref_grammar, two_seed_sequences):
+    """Sequences of three different lengths, shortest first."""
+    g = ref_grammar
+    chain = chain_by_names(g, 2, ("create-project", "list-branches"))
+    x3 = build_case(g, chain, [["testString"], []]).seq
+    seqs = sorted([*two_seed_sequences, x3], key=lambda x: len(x.tokens))
+    assert len({len(x.tokens) for x in seqs}) == 3
+    return seqs
+
+
+def test_numeric_gradient_check_padded_batch(three_lengths):
+    hp = tiny_hp(hidden_dim=4, embedding_dim=4, steps=5, batch_size=3, dtype="float64")
+    m = ae.train(three_lengths, hp)
+    err = ae.numeric_gradient_check(m, three_lengths[::-1], n_samples=80)
+    assert err <= 1e-3, "max relative gradient error %.2e" % err
+
+
+def _loss_grads(m, seqs):
+    batch = ae._prepare_batch([x.tokens for x in seqs], m.hp.max_seq_len, m.hp.np_dtype())
+    loss, _, grads = ae._forward_backward(m.params, m.hp, batch)
+    return loss, grads
+
+
+def test_batch_gradient_is_the_length_weighted_mean(three_lengths):
+    # a padded position that leaked into the sums, or a row un-sorted
+    # wrongly, would break the decomposition over sequences
+    a, b = three_lengths[0], three_lengths[2]
+    m = ae.train(three_lengths, tiny_hp(steps=5, dtype="float64"))
+    wa, wb = len(a.tokens) + 1, len(b.tokens) + 1
+    (la, ga), (lb, gb) = _loss_grads(m, [a]), _loss_grads(m, [b])
+    loss, grads = _loss_grads(m, [a, b])  # the row sort swaps them
+    assert loss == pytest.approx((wa * la + wb * lb) / (wa + wb), rel=1e-10)
+    for k, g in grads.items():
+        want = (wa * ga[k] + wb * gb[k]) / (wa + wb)
+        assert np.abs(g - want).max() <= 1e-10 * np.abs(want).max(), k
+
+
+def _reference_loss_grads(p, hp, batch):
+    """Per-step padded reference: every row runs every step, the encoder
+    masks padded steps and the loss weighs them 0."""
+    enc_ids, enc_mask, dec_ids, targets, weights = batch
+    H, E = hp.hidden_dim, hp.embedding_dim
+    B, T = enc_ids.shape
+    rows = np.arange(B)
+
+    def step(x, h, side):
+        xW, hU = x @ p[side + "_W"] + p[side + "_b"], h @ p[side + "_U"]
+        u = 1 / (1 + np.exp(-(xW[:, :H] + hU[:, :H])))
+        r = 1 / (1 + np.exp(-(xW[:, H : 2 * H] + hU[:, H : 2 * H])))
+        c = np.tanh(xW[:, 2 * H :] + r * hU[:, 2 * H :])
+        return (1 - u) * c + u * h, (x, h, hU, u, r, c)
+
+    def backstep(dh, cache, side):
+        x, h, hU, u, r, c = cache
+        dc = dh * (1 - u) * (1 - c * c)
+        dxW = np.concatenate([dh * (h - c) * u * (1 - u), dc * hU[:, 2 * H :] * r * (1 - r), dc], 1)
+        dhU = np.concatenate([dxW[:, : 2 * H], dc * r], 1)
+        g[side + "_W"] += x.T @ dxW
+        g[side + "_U"] += h.T @ dhU
+        g[side + "_b"] += dxW.sum(0)
+        return dxW @ p[side + "_W"].T, dh * u + dhU @ p[side + "_U"].T
+
+    g = {k: np.zeros_like(v) for k, v in p.items()}
+    h, enc = np.zeros((B, H)), []
+    for t in range(T):
+        h_new, cache = step(p["enc_emb"][enc_ids[:, t]], h, "enc")
+        m = enc_mask[:, t : t + 1]
+        enc.append((cache, m))
+        h = m * h_new + (1 - m) * h
+    z, dec = h, []
+    for t in range(T):
+        x = p["dec_emb"][dec_ids[:, t]]
+        h, cache = step(np.concatenate([x, z], 1) if hp.z_per_step else x, h, "dec")
+        dec.append((cache, h))
+    loss, dh, dz = 0.0, np.zeros((B, H)), np.zeros((B, H))
+    for t in reversed(range(T)):
+        cache, h_t = dec[t]
+        logp = h_t @ p["out_W"] + p["out_b"]
+        logp -= logp.max(1, keepdims=True)
+        logp -= np.log(np.exp(logp).sum(1, keepdims=True))
+        w = weights[:, t] / weights.sum()
+        loss -= (logp[rows, targets[:, t]] * w).sum()
+        dl = np.exp(logp)
+        dl[rows, targets[:, t]] -= 1
+        dl *= w[:, None]
+        g["out_W"] += h_t.T @ dl
+        g["out_b"] += dl.sum(0)
+        dx, dh = backstep(dh + dl @ p["out_W"].T, cache, "dec")
+        np.add.at(g["dec_emb"], dec_ids[:, t], dx[:, :E])
+        if hp.z_per_step:
+            dz += dx[:, E:]
+    dh = dh + dz
+    for t in reversed(range(T)):
+        cache, m = enc[t]
+        dx, dh_prev = backstep(dh * m, cache, "enc")
+        dh = dh_prev + dh * (1 - m)
+        np.add.at(g["enc_emb"], enc_ids[:, t], dx)
+    return loss, g
+
+
+@pytest.mark.parametrize("z_per_step", [True, False])
+def test_forward_backward_matches_per_step_reference(three_lengths, z_per_step):
+    hp = tiny_hp(steps=5, batch_size=3, dtype="float64", z_per_step=z_per_step)
+    m = ae.train(three_lengths, hp)
+    seqs = [three_lengths[i] for i in (1, 0, 2, 0)]
+    batch = ae._prepare_batch([x.tokens for x in seqs], hp.max_seq_len, hp.np_dtype())
+    loss, _, grads = ae._forward_backward(m.params, hp, batch)
+    ref_loss, ref_grads = _reference_loss_grads(m.params, hp, batch)
+    assert loss == pytest.approx(ref_loss, rel=1e-10)
+    assert sorted(grads) == sorted(ref_grads)
+    for k, g in grads.items():
+        assert g.shape == ref_grads[k].shape and g.dtype == ref_grads[k].dtype, k
+        assert np.abs(g - ref_grads[k]).max() <= 1e-10 * np.abs(ref_grads[k]).max(), k
+
+
 def test_checkpoint_round_trip(tmp_path, overfit_model, two_seed_sequences):
     path = str(tmp_path / "model.npz")
     ae.save_model(overfit_model, path)

@@ -2,6 +2,8 @@
 transcripts, and replay against the live reference service."""
 
 import socket
+import threading
+import time
 
 import pytest
 
@@ -241,6 +243,82 @@ def test_reset_raises_on_dead_target():
     cfg = ex.TargetConfig(base_url="http://127.0.0.1:%d" % _dead_port(), timeout_ms=500)
     with pytest.raises(ex.TransportError):
         ex.reset_target_state(cfg)
+
+
+def _canned_server(parts):
+    """Serve one connection on localhost: read a request head, send each of
+    ``parts`` separately, then close.  Returns the base URL and the thread."""
+    srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    srv.bind(("127.0.0.1", 0))
+    srv.listen(1)
+
+    def serve():
+        conn, _ = srv.accept()
+        with conn:
+            buf = b""
+            while b"\r\n\r\n" not in buf:
+                buf += conn.recv(4096)
+            for part in parts:
+                conn.sendall(part)
+                time.sleep(0.01)  # lands in a separate recv
+        srv.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return "http://127.0.0.1:%d" % srv.getsockname()[1], thread
+
+
+@pytest.mark.parametrize(
+    "parts, body",
+    [
+        (  # chunked, with a chunk extension and a trailer, split mid-chunk
+            [
+                b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5;x=1\r\nhel",
+                b"lo\r\n6\r\n world\r\n0\r\nX-Trailer: t\r\n\r\n",
+            ],
+            "hello world",
+        ),
+        (  # no Content-Length: the body runs to EOF
+            [b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\r\nfirst ", b"second"],
+            "first second",
+        ),
+        ([b"HTTP/1.1 204 No Content\r\n\r\n"], ""),
+    ],
+    ids=["chunked", "close-delimited", "no-content"],
+)
+def test_response_framing(parts, body):
+    url, thread = _canned_server(parts)
+    cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
+    assert ex.http_request(cfg, "GET", "/") == (int(parts[0][9:12]), body)
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_close_delimited_response_marks_the_connection_stale():
+    url, thread = _canned_server([b"HTTP/1.1 200 OK\r\n\r\nbye"])
+    conn = ex._CaseConnection(ex.TargetConfig(base_url=url, timeout_ms=2000))
+    assert conn.roundtrip(b"GET / HTTP/1.1\r\n\r\n") == (200, "OK", "bye")
+    assert conn.stale
+    conn.close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize(
+    "response, match",
+    [
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nab", "mid-body"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", "chunk size"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: -5\r\n\r\nabcdefgh", "content-length"),
+    ],
+    ids=["truncated-chunk", "bad-chunk-size", "negative-length"],
+)
+def test_malformed_framing_raises(response, match):
+    url, thread = _canned_server([response])
+    with pytest.raises(ex.TransportError, match=match):
+        ex.http_request(ex.TargetConfig(base_url=url, timeout_ms=2000), "GET", "/")
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 # ------------------------------------------------------------ transcripts

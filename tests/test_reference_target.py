@@ -4,12 +4,15 @@ injected crash bugs."""
 
 import json
 import socket
+import sys
+import threading
+import time
 
 import pytest
 
 from restfuzz import coverage as cov
-from restfuzz.execution import TargetConfig, http_request, reset_target_state
-from restfuzz.target import KNOWN_METHODS, injected_bug_catalog
+from restfuzz.execution import TargetConfig, _CaseConnection, http_request, reset_target_state
+from restfuzz.target import KNOWN_METHODS, ReferenceTarget, injected_bug_catalog
 
 
 def j(cfg, method, path, obj=None, raw_body=None):
@@ -122,6 +125,58 @@ def test_reset_restarts_ids(target_cfg):
         {"branch": "b1", "ref": "master"},
     )
     assert status == 201 and data["commit"]["id"] == "c000001"
+
+
+class _SlowIdTarget(ReferenceTarget):
+    """Sleeps while reading the next project id, so that handling two
+    requests at once would hand both the same id."""
+
+    @property
+    def _next_project_id(self):
+        time.sleep(0.002)
+        return self._next_id
+
+    @_next_project_id.setter
+    def _next_project_id(self, value):
+        self._next_id = value
+
+
+def test_concurrent_clients_get_distinct_project_ids():
+    # keep-alive clients, as the fuzzer's case and coverage connections,
+    # more of them than cores: the target must serialize per request, not
+    # per connection, and no two creates may read the same next id
+    srv = _SlowIdTarget().start()
+    cfg = TargetConfig(base_url=srv.base_url)
+    body = json.dumps({"name": "p"}).encode()
+    wire = (
+        "POST /api/projects HTTP/1.1\r\nHost: x\r\n%s: %s\r\nContent-Length: %d\r\n\r\n"
+        % (cfg.auth_header, cfg.auth_value, len(body))
+    ).encode() + body
+    replies = [[], [], []]
+
+    def client(out):
+        conn = _CaseConnection(cfg)
+        try:
+            for _ in range(15):
+                out.append(conn.roundtrip(wire))
+        finally:
+            conn.close()
+
+    threads = [threading.Thread(target=client, args=(out,)) for out in replies]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+        srv.stop()
+    assert not any(t.is_alive() for t in threads)
+    got = [r for out in replies for r in out]
+    assert [status for status, _, _ in got] == [201] * 45
+    assert sorted(json.loads(text)["id"] for _, _, text in got) == list(range(1, 46))
 
 
 def test_commit_action_matrix(target_cfg):
