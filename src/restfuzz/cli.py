@@ -172,6 +172,9 @@ def cmd_seeds(args) -> int:
             "seed validation needs a reachable target (%s); "
             "pass --no-validate to skip" % exc
         ) from None
+    finally:
+        if validate_cfg is not None:
+            validate_cfg.close()
     write_corpus(corpus, out_dir)
     print(
         "wrote %d seeds to %s (max_len=%d dict_values=%d%s)"
@@ -290,13 +293,17 @@ def _learned_case_stream(seeds, g, model, rng, n_scales, noise_norm, mutate_depe
             yield seed_id, TestCase.from_sequence(mutant, g), None, plan
 
 
+def _unreachable(target, exc) -> CliError:
+    return CliError("target unreachable at %s (%s)" % (target.base_url, exc))
+
+
 def _connect(target) -> int:
     """Reset the target's state and return its coverage width."""
     try:
         reset_target_state(target)
         return len(fetch_manifest(target))
     except (TransportError, OSError) as exc:
-        raise CliError("target unreachable at %s (%s)" % (target.base_url, exc)) from None
+        raise _unreachable(target, exc) from None
 
 
 def _run_case(tc, g, target, width, case_id, transform=None):
@@ -360,93 +367,103 @@ def cmd_fuzz(args) -> int:
             raise CliError("checkpoint %s was trained on a different grammar" % checkpoint)
 
     target = _target_config(cfg, args)
-    width = _connect(target)
+    try:
+        width = _connect(target)
 
-    rng = np.random.default_rng(rng_seed)
-    if strategy == "byte":
-        stream = _byte_case_stream(seeds, rng)
-    elif strategy == "tree":
-        stream = _tree_case_stream(seeds, g, rng, mutate_dependencies)
-    else:
-        stream = _learned_case_stream(
-            seeds, g, model, rng, n_scales, noise_norm, mutate_dependencies
+        rng = np.random.default_rng(rng_seed)
+        if strategy == "byte":
+            stream = _byte_case_stream(seeds, rng)
+        elif strategy == "tree":
+            stream = _tree_case_stream(seeds, g, rng, mutate_dependencies)
+        else:
+            stream = _learned_case_stream(
+                seeds, g, model, rng, n_scales, noise_norm, mutate_dependencies
+            )
+
+        os.makedirs(out_dir, exist_ok=True)
+        bug_dir = os.path.join(out_dir, BUG_DIR)
+        os.makedirs(bug_dir, exist_ok=True)
+        acc = CoverageAccumulator(width)
+        dedup = BugDeduplicator()
+        bugs: list[dict] = []
+        rows: list[tuple[float, int, int, int]] = []
+        tests = 0
+        lost = None
+        t0 = time.monotonic()
+
+        log_path = os.path.join(out_dir, MUTATION_LOG)
+        with open(log_path, "w", encoding="latin-1") as log_fh:
+            log_fh.write("# seed\tleaf\tcase\trule\tnoise\tstatus\n")
+            while True:
+                elapsed = time.monotonic() - t0
+                if elapsed >= budget_s:
+                    break
+                if max_cases and tests >= max_cases:
+                    break
+                seed_id, tc, transform, plan = next(stream)
+                case_id = "%s-%06d" % (strategy, tests)
+                try:
+                    result, bitmap = _run_case(tc, g, target, width, case_id, transform)
+                except (TransportError, OSError) as exc:
+                    lost = exc  # keep the artifacts of the cases already run
+                    break
+                acc.add(bitmap)
+                tests += 1
+                status = result.statuses[-1] if result.records else 0
+                log_fh.write(mu.format_mutation_log(plan, status) + "\n")
+                report = dedup.add(result)
+                if report is not None:
+                    bug_id = "bug-%03d" % len(dedup.reports)
+                    transcript_path = os.path.join(bug_dir, bug_id + ".txt")
+                    with open(transcript_path, "w", encoding="latin-1") as fh:
+                        fh.write(report.transcript)
+                    bugs.append(
+                        {
+                            "bug_id": bug_id,
+                            "bitmap": report.bitmap.hex(),
+                            "statuses": report.statuses,
+                            "seed": seed_id,
+                            "case": report.first_case_id,
+                            "mutation": mu.format_mutation_log(plan).replace("\t", " "),
+                            "transcript": transcript_path,
+                        }
+                    )
+                rows.append((time.monotonic() - t0, acc.count(), tests, len(bugs)))
+
+        with open(os.path.join(out_dir, EVENTS_CSV), "w", encoding="utf-8") as fh:
+            fh.write(CSV_HEADER + "\n")
+            for elapsed, blocks, n, nbugs in rows:
+                fh.write("%.3f,%d,%d,%d\n" % (elapsed, blocks, n, nbugs))
+        with open(os.path.join(out_dir, BUGS_JSON), "w", encoding="utf-8") as fh:
+            json.dump(bugs, fh, indent=2)
+            fh.write("\n")
+        session = {
+            "strategy": strategy,
+            "rng_seed": rng_seed,
+            "budget_s": budget_s,
+            "max_cases": max_cases,
+            "n_scales": n_scales,
+            "noise_norm": noise_norm,
+            "mutate_dependencies": mutate_dependencies,
+            "n_seeds": len(seeds),
+            "grammar_hash": g.grammar_hash(),
+            "block_count": width,
+            "tests_executed": tests,
+            "blocks_covered": acc.count(),
+            "bugs_found": len(bugs),
+        }
+        with open(os.path.join(out_dir, SESSION_JSON), "w", encoding="utf-8") as fh:
+            json.dump(session, fh, indent=2)
+            fh.write("\n")
+        if lost is not None:
+            raise _unreachable(target, lost)
+        print(
+            "%s: %d cases in %.1fs, %d/%d blocks, %d deduped bugs -> %s"
+            % (strategy, tests, time.monotonic() - t0, acc.count(), width, len(bugs), out_dir)
         )
-
-    os.makedirs(out_dir, exist_ok=True)
-    bug_dir = os.path.join(out_dir, BUG_DIR)
-    os.makedirs(bug_dir, exist_ok=True)
-    acc = CoverageAccumulator(width)
-    dedup = BugDeduplicator()
-    bugs: list[dict] = []
-    rows: list[tuple[float, int, int, int]] = []
-    tests = 0
-    t0 = time.monotonic()
-
-    log_path = os.path.join(out_dir, MUTATION_LOG)
-    with open(log_path, "w", encoding="latin-1") as log_fh:
-        log_fh.write("# seed\tleaf\tcase\trule\tnoise\tstatus\n")
-        while True:
-            elapsed = time.monotonic() - t0
-            if elapsed >= budget_s:
-                break
-            if max_cases and tests >= max_cases:
-                break
-            seed_id, tc, transform, plan = next(stream)
-            case_id = "%s-%06d" % (strategy, tests)
-            result, bitmap = _run_case(tc, g, target, width, case_id, transform)
-            acc.add(bitmap)
-            tests += 1
-            status = result.statuses[-1] if result.records else 0
-            log_fh.write(mu.format_mutation_log(plan, status) + "\n")
-            report = dedup.add(result)
-            if report is not None:
-                bug_id = "bug-%03d" % len(dedup.reports)
-                transcript_path = os.path.join(bug_dir, bug_id + ".txt")
-                with open(transcript_path, "w", encoding="latin-1") as fh:
-                    fh.write(report.transcript)
-                bugs.append(
-                    {
-                        "bug_id": bug_id,
-                        "bitmap": report.bitmap.hex(),
-                        "statuses": report.statuses,
-                        "seed": seed_id,
-                        "case": report.first_case_id,
-                        "mutation": mu.format_mutation_log(plan).replace("\t", " "),
-                        "transcript": transcript_path,
-                    }
-                )
-            rows.append((time.monotonic() - t0, acc.count(), tests, len(bugs)))
-
-    with open(os.path.join(out_dir, EVENTS_CSV), "w", encoding="utf-8") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for elapsed, blocks, n, nbugs in rows:
-            fh.write("%.3f,%d,%d,%d\n" % (elapsed, blocks, n, nbugs))
-    with open(os.path.join(out_dir, BUGS_JSON), "w", encoding="utf-8") as fh:
-        json.dump(bugs, fh, indent=2)
-        fh.write("\n")
-    session = {
-        "strategy": strategy,
-        "rng_seed": rng_seed,
-        "budget_s": budget_s,
-        "max_cases": max_cases,
-        "n_scales": n_scales,
-        "noise_norm": noise_norm,
-        "mutate_dependencies": mutate_dependencies,
-        "n_seeds": len(seeds),
-        "grammar_hash": g.grammar_hash(),
-        "block_count": width,
-        "tests_executed": tests,
-        "blocks_covered": acc.count(),
-        "bugs_found": len(bugs),
-    }
-    with open(os.path.join(out_dir, SESSION_JSON), "w", encoding="utf-8") as fh:
-        json.dump(session, fh, indent=2)
-        fh.write("\n")
-    print(
-        "%s: %d cases in %.1fs, %d/%d blocks, %d deduped bugs -> %s"
-        % (strategy, tests, time.monotonic() - t0, acc.count(), width, len(bugs), out_dir)
-    )
-    return 0
+        return 0
+    finally:
+        target.close()
 
 
 # -- distill ----------------------------------------------------------------
@@ -459,13 +476,18 @@ def cmd_distill(args) -> int:
     if not seeds:
         raise CliError("no seeds found in %s" % _seeds_dir(cfg, args))
     target = _target_config(cfg, args)
-    width = _connect(target)
-    acc = CoverageAccumulator(width)
-    entries = []
-    for seed_id, tc in seeds:
-        _result, bitmap = _run_case(tc, g, target, width, seed_id)
-        acc.add(bitmap)
-        entries.append(CorpusEntry(case_id=seed_id, bitmap=bitmap))
+    try:
+        width = _connect(target)
+        acc = CoverageAccumulator(width)
+        entries = []
+        for seed_id, tc in seeds:
+            _result, bitmap = _run_case(tc, g, target, width, seed_id)
+            acc.add(bitmap)
+            entries.append(CorpusEntry(case_id=seed_id, bitmap=bitmap))
+    except (TransportError, OSError) as exc:
+        raise _unreachable(target, exc) from None
+    finally:
+        target.close()
     kept = distill(entries)
     out_path = args.out or os.path.join(_seeds_dir(cfg, args), "distilled.txt")
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -493,7 +515,9 @@ def cmd_replay(args) -> int:
             reset_target_state(target)
         outcome = replay_transcript(text, target)
     except (TransportError, OSError) as exc:
-        raise CliError("target unreachable at %s (%s)" % (target.base_url, exc)) from None
+        raise _unreachable(target, exc) from None
+    finally:
+        target.close()
     for i, (want, got) in enumerate(zip(outcome.expected, outcome.actual)):
         print("request %d: expected %03d got %03d %s" % (i, want, got, "ok" if want == got else "MISMATCH"))
     print("reproduced" if outcome.reproduced else "NOT reproduced")

@@ -1,19 +1,21 @@
 """Coverage bitmaps, corpus distillation and bug deduplication.
 
 The instrumented target exposes a fixed-width bitmap over its declared
-basic blocks via a ``/__coverage__`` side channel.  The executor reads
-and clears it after every answered request, so each request carries its
-own coverage window and a test case's coverage is the union of its
-windows.  Distillation greedily keeps the first test case contributing
-each new block.  Bugs are deduplicated on the crash window: the window
-of the first request answered 500, which the same fault reached from
-different seeds shares.
+basic blocks via a ``/__coverage__`` side channel.  After every answered
+request the executor reads and clears it in one ``POST
+/__coverage__/reset``, so each request carries its own coverage window
+and a test case's coverage is the union of its windows.  Distillation
+greedily keeps the first test case contributing each new block.  Bugs
+are deduplicated on the crash window: the window of the first request
+answered 500, which the same fault reached from different seeds shares.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+
+from . import execution
 
 
 @dataclass(frozen=True)
@@ -172,14 +174,12 @@ class BugDeduplicator:
         if report is not None:
             report.count += 1
             return None
-        from .execution import write_transcript
-
         report = BugReport(
             bitmap=crash.bitmap,
             count=1,
             first_case_id=result.case_id,
             statuses=list(result.statuses),
-            transcript=write_transcript(result),
+            transcript=execution.write_transcript(result),
         )
         self._by_window[crash.bitmap.bits] = report
         self.reports.append(report)
@@ -187,42 +187,32 @@ class BugDeduplicator:
 
 
 # --- side-channel client -------------------------------------------------
+# Requests go through ``execution.http_request``, looked up at call time.
 
-COVERAGE_PATH = "/__coverage__"
 COVERAGE_RESET_PATH = "/__coverage__/reset"
 COVERAGE_MANIFEST_PATH = "/__coverage__/manifest"
 
 
+def _side_channel(cfg, method, path, what) -> str:
+    status, body = execution.http_request(cfg, method, path)
+    if status != 200:
+        raise execution.TransportError("%s returned %d" % (what, status))
+    return body
+
+
 def fetch_manifest(cfg) -> list[str]:
     """Ordered declared-block ids from the target's manifest endpoint."""
-    from .execution import http_request
-
-    status, body = http_request(cfg, "GET", COVERAGE_MANIFEST_PATH)
-    if status != 200:
-        raise RuntimeError("manifest fetch failed: %s" % status)
+    body = _side_channel(cfg, "GET", COVERAGE_MANIFEST_PATH, "manifest fetch")
     return json.loads(body)["blocks"]
 
 
 def reset_coverage(cfg) -> None:
-    from .execution import http_request
-
-    status, _ = http_request(cfg, "POST", COVERAGE_RESET_PATH)
-    if status != 200:
-        raise RuntimeError("coverage reset failed: %s" % status)
+    """Clear the target's coverage bitmap."""
+    _side_channel(cfg, "POST", COVERAGE_RESET_PATH, "coverage reset")
 
 
 def fetch_and_reset_coverage(cfg) -> CoverageBitmap:
-    """Read the bitmap accumulated since the last reset, then clear it.
-
-    The read and the clear are two requests.  No block is hit between
-    them because the fuzzer is the target's only client and sends its
-    requests in order: the case's next request waits for this call."""
-    from .execution import http_request
-
-    status, body = http_request(cfg, "GET", COVERAGE_PATH)
-    if status != 200:
-        raise RuntimeError("coverage fetch failed: %s" % status)
-    data = json.loads(body)
-    bm = CoverageBitmap.from_hex(data["block_count"], data["bitmap"])
-    reset_coverage(cfg)
-    return bm
+    """Read and clear the bitmap accumulated since the last reset, in one
+    request: the reset answers with the window it cleared."""
+    data = json.loads(_side_channel(cfg, "POST", COVERAGE_RESET_PATH, "coverage fetch"))
+    return CoverageBitmap.from_hex(data["block_count"], data["bitmap"])

@@ -6,11 +6,14 @@ responses.  Talks HTTP/1.1 over a raw socket: mutated requests must
 reach the wire byte-for-byte, which rules out high-level client
 libraries that normalise methods, paths and headers.
 
-A test case runs on one persistent connection (re-opened once if the
-server closed it after a malformed request); the connection is closed
-when the case ends.  Every request/response pair is recorded in a
-replayable transcript using the seed-file text format plus response
-status lines.
+A test case runs on one keep-alive connection, closed when the case
+ends.  Side-channel calls (state reset, coverage) share one more
+keep-alive connection, the control connection that ``TargetConfig``
+opens on first use and ``TargetConfig.close`` closes.  Both are a
+``_CaseConnection``: a request that fails on a reused socket is resent
+once on a fresh one; a failure on a fresh socket is final.  Every
+request/response pair is recorded in a replayable transcript using the
+seed-file text format plus response status lines.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ class TransportError(Exception):
 
 @dataclass
 class TargetConfig:
-    """Where and how to reach the service under test."""
+    """Where and how to reach the service under test.  Also holds the
+    control connection for side-channel calls, for one thread at a time."""
 
     base_url: str
     auth_header: str = DEFAULT_AUTH_HEADER
@@ -64,10 +68,15 @@ class TargetConfig:
             raise ValueError("timeout_ms must be positive")
         self.host = parts.hostname
         self.port = parts.port or 80
+        self._control = _CaseConnection(self)  # side channels; opened on first use
 
     @property
     def timeout_s(self) -> float:
         return self.timeout_ms / 1000.0
+
+    def close(self) -> None:
+        """Close the control connection (a later call reopens it)."""
+        self._control.close()
 
 
 @dataclass
@@ -202,33 +211,37 @@ def request_wire(text: str, host: str) -> bytes:
 
 
 class _CaseConnection:
-    """One logical connection for a test case; reconnects once when the
-    server dropped the previous one after a Connection: close response."""
+    """One keep-alive connection, opened on first use.  A request that
+    fails on a reused socket (the server may have dropped it) is resent
+    once on a fresh socket; a failure on a fresh socket is raised.  After
+    a ``Connection: close`` response the next request opens a new one."""
 
     def __init__(self, cfg: TargetConfig):
         self.cfg = cfg
         self.sock = None
         self.stale = False
 
-    def _ensure(self):
-        if self.sock is None or self.stale:
-            self.close()
-            self.sock = _open_connection(self.cfg)
-            self.stale = False
-
     def roundtrip(self, wire: bytes):
-        self._ensure()
+        if self.sock is not None and not self.stale:
+            try:
+                return self._exchange(wire)
+            except TransportError:
+                pass  # reused socket: resend once on a fresh one
+        self.close()
+        self.sock = _open_connection(self.cfg)
+        return self._exchange(wire)
+
+    def _exchange(self, wire: bytes):
         try:
             self.sock.sendall(wire)
             status, reason, body, closing = _recv_response(self.sock)
-        except TransportError:
-            # one retry on a fresh connection, then give up
+        except OSError as exc:
             self.close()
-            self.sock = _open_connection(self.cfg)
-            self.sock.sendall(wire)
-            status, reason, body, closing = _recv_response(self.sock)
-        if closing:
-            self.stale = True
+            raise TransportError("send failed: %s" % exc) from exc
+        except TransportError:
+            self.close()
+            raise
+        self.stale = closing
         return status, reason, body
 
     def close(self):
@@ -241,7 +254,8 @@ class _CaseConnection:
 
 
 def http_request(cfg: TargetConfig, method: str, path: str, body: str | None = None):
-    """One-shot request outside any test case (reset/coverage channels).
+    """One request outside any test case (reset/coverage channels), sent
+    on ``cfg``'s control connection.
 
     Returns (status, response_body_text).
     """
@@ -253,14 +267,7 @@ def http_request(cfg: TargetConfig, method: str, path: str, body: str | None = N
         "Content-Length: %d" % len(payload),
     ]
     wire = "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n" + payload
-    sock = _open_connection(cfg)
-    try:
-        sock.sendall(wire)
-        status, _reason, body_text, _closing = _recv_response(sock)
-    except OSError as exc:
-        raise TransportError("send failed: %s" % exc) from exc
-    finally:
-        sock.close()
+    status, _reason, body_text = cfg._control.roundtrip(wire)
     return status, body_text
 
 

@@ -126,7 +126,8 @@ class ReferenceTarget:
     one worker thread per connection.  Each request reads its head and
     body without a lock, then records its blocks and is routed (side
     channels included) under one lock, so concurrent clients see requests
-    applied one at a time."""
+    applied one at a time.  ``stop`` shuts down the connections still
+    open, so a kept-alive client gets no further response."""
 
     def __init__(self, host="127.0.0.1", port=0, token=DEFAULT_TOKEN):
         self.host = host
@@ -139,6 +140,8 @@ class ReferenceTarget:
         self._thread = None
         self._stopping = threading.Event()
         self._lock = threading.Lock()
+        self._conns: set[socket.socket] = set()  # accepted and still open
+        self._conns_lock = threading.Lock()
 
     # -- lifecycle --------------------------------------------------------
 
@@ -164,6 +167,13 @@ class ReferenceTarget:
             self._thread.join(timeout=5)
         if self._sock is not None:
             self._sock.close()
+        # a kept-alive client must get no further response
+        with self._conns_lock:
+            for conn in self._conns:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
 
     @property
     def base_url(self) -> str:
@@ -272,6 +282,8 @@ class ReferenceTarget:
             if self._stopping.is_set():
                 conn.close()
                 break
+            with self._conns_lock:
+                self._conns.add(conn)
             worker = threading.Thread(
                 target=self._conn_worker, args=(conn,), daemon=True
             )
@@ -283,6 +295,8 @@ class ReferenceTarget:
         except Exception:
             pass
         finally:
+            with self._conns_lock:
+                self._conns.discard(conn)
             try:
                 conn.close()
             except OSError:
@@ -410,17 +424,15 @@ class ReferenceTarget:
         path = raw_path.split("?", 1)[0]
 
         # side channels bypass auth and never touch the bitmap
-        if path == "/__coverage__" and method == "GET":
-            return _Response(
-                200,
-                {
-                    "bitmap": self.registry.bitmap_hex(),
-                    "block_count": self.registry.block_count,
-                },
-            )
-        if path == "/__coverage__/reset" and method == "POST":
-            self.registry.reset()
-            return _Response(200, {"ok": True})
+        # GET peeks at the window since the last reset; POST also clears it
+        if (path, method) in (("/__coverage__", "GET"), ("/__coverage__/reset", "POST")):
+            window = {
+                "bitmap": self.registry.bitmap_hex(),
+                "block_count": self.registry.block_count,
+            }
+            if method == "POST":
+                self.registry.reset()
+            return _Response(200, window)
         if path == "/__coverage__/manifest" and method == "GET":
             return _Response(200, {"blocks": self.registry.block_ids})
         if path == "/__reset__" and method == "POST":

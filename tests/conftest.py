@@ -30,7 +30,9 @@ def live_target():
 
 @pytest.fixture(scope="session")
 def target_cfg(live_target):
-    return TargetConfig(base_url=live_target.base_url)
+    cfg = TargetConfig(base_url=live_target.base_url)
+    yield cfg
+    cfg.close()
 
 
 def chain_by_names(g, max_len, names):

@@ -3,6 +3,7 @@ through ``main(argv)`` against the live reference service."""
 
 import json
 import os
+import socket
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from restfuzz import cli
 from restfuzz.execution import execute_test_case, reset_target_state, write_transcript
 from restfuzz.seedgen import build_case
+from restfuzz.target import serve
 
 from .conftest import TESTS_DIR, chain_by_names
 
@@ -289,6 +291,75 @@ def test_fuzz_calls_benchmark_hooks_through_cli(pipeline, live_target, tmp_path,
     assert calls["reset_target_state"] == 8  # plus the reachability check
     assert calls["fetch_and_reset_coverage"] >= 7
     assert calls["load_grammar"] == calls["load_corpus"] == calls["_byte_case_stream"] == 1
+
+
+def test_fuzz_session_reuses_its_connections(pipeline, live_target, tmp_path, monkeypatch):
+    # one control connection for the side channels and one per case, plus
+    # a reconnect after each response that closes the case connection
+    opened = []
+    connect = socket.create_connection
+
+    def counted(*args, **kwargs):
+        opened.append(args[0])
+        return connect(*args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", counted)
+    out = str(tmp_path / "s")
+    assert _fuzz(pipeline, live_target, "byte", out, extra=["--max-cases", "20"]) == 0
+    assert len(opened) <= 2 * 20 + 2
+
+
+def _stop_after(monkeypatch, srv, n):
+    """Stop ``srv`` once ``cli.execute_test_case`` has returned ``n`` times."""
+    calls = 0
+    execute = cli.execute_test_case
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        result = execute(*args, **kwargs)
+        calls += 1
+        if calls == n:
+            srv.stop()
+        return result
+
+    monkeypatch.setattr(cli, "execute_test_case", counted)
+
+
+def test_fuzz_keeps_artifacts_when_the_target_is_lost(pipeline, tmp_path, monkeypatch, capsys):
+    srv = serve()
+    _stop_after(monkeypatch, srv, 3)
+    out = tmp_path / "s"
+    try:
+        rc = cli.main(
+            [
+                "fuzz", "--target", srv.base_url, "--seeds-dir", pipeline["seeds_dir"],
+                "--strategy", "byte", "--max-cases", "10", "--seed", "1", "--out", str(out),
+            ]
+        )
+    finally:
+        srv.stop()
+    assert rc == 1
+    assert "error: target unreachable at %s" % srv.base_url in capsys.readouterr().err
+    meta = json.loads((out / cli.SESSION_JSON).read_text())
+    assert meta["tests_executed"] == 3
+    assert len((out / cli.EVENTS_CSV).read_text().splitlines()) == 1 + 3
+    assert len(json.loads((out / cli.BUGS_JSON).read_text())) == meta["bugs_found"]
+
+
+def test_distill_reports_a_lost_target(pipeline, tmp_path, monkeypatch, capsys):
+    srv = serve()
+    _stop_after(monkeypatch, srv, 2)
+    try:
+        rc = cli.main(
+            [
+                "distill", "--target", srv.base_url, "--seeds-dir", pipeline["seeds_dir"],
+                "--out", str(tmp_path / "kept.txt"),
+            ]
+        )
+    finally:
+        srv.stop()
+    assert rc == 1
+    assert "error: target unreachable at %s" % srv.base_url in capsys.readouterr().err
 
 
 def test_byte_flips_land_on_the_sent_text(ref_grammar, target_cfg):

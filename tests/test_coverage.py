@@ -2,6 +2,7 @@
 target's coverage side channels."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -239,3 +240,14 @@ def test_distinct_endpoints_cover_distinct_blocks(target_cfg):
     acc = cov.CoverageAccumulator(listing.width)
     assert acc.add(listing) > 0
     assert acc.add(creating) > 0
+
+
+def test_coverage_reset_answers_with_the_window_it_cleared(target_cfg):
+    cov.reset_coverage(target_cfg)
+    http_request(target_cfg, "GET", "/api/projects")
+    _, peek = http_request(target_cfg, "GET", "/__coverage__")
+    status, cleared = http_request(target_cfg, "POST", "/__coverage__/reset")
+    window = json.loads(peek)
+    assert status == 200 and json.loads(cleared) == window
+    assert cov.CoverageBitmap.from_hex(window["block_count"], window["bitmap"]).count() > 0
+    assert cov.fetch_and_reset_coverage(target_cfg).is_empty()

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from restfuzz import coverage as cov
 from restfuzz import execution as ex
 from restfuzz.parsing import marker_text
 from restfuzz.seedgen import build_case
@@ -317,6 +318,80 @@ def test_malformed_framing_raises(response, match):
     url, thread = _canned_server([response])
     with pytest.raises(ex.TransportError, match=match):
         ex.http_request(ex.TargetConfig(base_url=url, timeout_ms=2000), "GET", "/")
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def _count_connections(monkeypatch) -> list:
+    opened = []
+    connect = socket.create_connection
+
+    def counted(*args, **kwargs):
+        opened.append(args[0])
+        return connect(*args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", counted)
+    return opened
+
+
+def test_failure_on_a_fresh_socket_is_not_resent(monkeypatch):
+    url, thread = _canned_server(
+        [b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n"]
+    )
+    opened = _count_connections(monkeypatch)
+    conn = ex._CaseConnection(ex.TargetConfig(base_url=url, timeout_ms=2000))
+    with pytest.raises(ex.TransportError, match="chunk size"):
+        conn.roundtrip(b"GET / HTTP/1.1\r\n\r\n")
+    assert len(opened) == 1
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def _dropping_server(bodies_per_connection):
+    """Serve one connection per list of bodies, in turn: answer one request
+    per body with a keep-alive 200, then close without saying so."""
+    srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    srv.bind(("127.0.0.1", 0))
+    srv.listen(len(bodies_per_connection))
+
+    def serve():
+        for bodies in bodies_per_connection:
+            conn, _ = srv.accept()
+            with conn:
+                conn.settimeout(5)
+                for body in bodies:
+                    buf = b""
+                    while b"\r\n\r\n" not in buf:
+                        buf += conn.recv(4096)
+                    conn.sendall(
+                        b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+                    )
+        srv.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return "http://127.0.0.1:%d" % srv.getsockname()[1], thread
+
+
+def test_control_connection_is_kept_alive_and_reopened_once_when_dropped(monkeypatch):
+    url, thread = _dropping_server([[b"one", b"two"], [b"three"]])
+    opened = _count_connections(monkeypatch)
+    cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
+    try:
+        assert [ex.http_request(cfg, "GET", "/")[1] for _ in range(3)] == ["one", "two", "three"]
+    finally:
+        cfg.close()
+    assert len(opened) == 2
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_side_channel_error_status_is_a_transport_error():
+    url, thread = _canned_server([b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n"])
+    cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
+    with pytest.raises(ex.TransportError, match="coverage fetch returned 404"):
+        cov.fetch_and_reset_coverage(cfg)
+    cfg.close()
     thread.join(timeout=5)
     assert not thread.is_alive()
 

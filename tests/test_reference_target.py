@@ -11,7 +11,9 @@ import time
 import pytest
 
 from restfuzz import coverage as cov
-from restfuzz.execution import TargetConfig, _CaseConnection, http_request, reset_target_state
+from restfuzz.execution import (
+    TargetConfig, TransportError, _CaseConnection, http_request, reset_target_state
+)
 from restfuzz.target import KNOWN_METHODS, ReferenceTarget, injected_bug_catalog
 
 
@@ -177,6 +179,20 @@ def test_concurrent_clients_get_distinct_project_ids():
     got = [r for out in replies for r in out]
     assert [status for status, _, _ in got] == [201] * 45
     assert sorted(json.loads(text)["id"] for _, _, text in got) == list(range(1, 46))
+
+
+def test_stop_closes_kept_alive_connections():
+    srv = ReferenceTarget().start()
+    conn = _CaseConnection(TargetConfig(base_url=srv.base_url, timeout_ms=2000))
+    wire = b"POST /__reset__ HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"
+    try:
+        assert conn.roundtrip(wire)[0] == 200
+        srv.stop()
+        with pytest.raises(TransportError):
+            conn.roundtrip(wire)
+    finally:
+        conn.close()
+        srv.stop()
 
 
 def test_commit_action_matrix(target_cfg):
