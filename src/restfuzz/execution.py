@@ -6,14 +6,16 @@ responses.  Talks HTTP/1.1 over a raw socket: mutated requests must
 reach the wire byte-for-byte, which rules out high-level client
 libraries that normalise methods, paths and headers.
 
-A test case runs on one keep-alive connection, closed when the case
-ends.  Side-channel calls (state reset, coverage) share one more
-keep-alive connection, the control connection that ``TargetConfig``
-opens on first use and ``TargetConfig.close`` closes.  Both are a
-``_CaseConnection``: a request that fails on a reused socket is resent
-once on a fresh one; a failure on a fresh socket is final.  Every
-request/response pair is recorded in a replayable transcript using the
-seed-file text format plus response status lines.
+A ``TargetConfig`` owns two keep-alive connections, each opened on
+first use and closed by ``TargetConfig.close``: the case connection,
+which carries every test case, replay and seed validation sent with
+that config, and the control connection for side-channel calls (state
+reset, coverage).  They stay apart so that mutated case bytes can never
+misframe a coverage read.  Both are a ``_CaseConnection``: a request
+that fails on a reused socket is resent once on a fresh one; a failure
+on a fresh socket is final.  Every request/response pair is recorded in
+a replayable transcript using the seed-file text format plus response
+status lines.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ class TransportError(Exception):
 @dataclass
 class TargetConfig:
     """Where and how to reach the service under test.  Also holds the
-    control connection for side-channel calls, for one thread at a time."""
+    case connection and the control connection for side-channel calls,
+    for one thread at a time."""
 
     base_url: str
     auth_header: str = DEFAULT_AUTH_HEADER
@@ -68,14 +71,16 @@ class TargetConfig:
             raise ValueError("timeout_ms must be positive")
         self.host = parts.hostname
         self.port = parts.port or 80
-        self._control = _CaseConnection(self)  # side channels; opened on first use
+        self._case = _CaseConnection(self)  # both opened on first use
+        self._control = _CaseConnection(self)  # side channels
 
     @property
     def timeout_s(self) -> float:
         return self.timeout_ms / 1000.0
 
     def close(self) -> None:
-        """Close the control connection (a later call reopens it)."""
+        """Close both connections (a later call reopens them)."""
+        self._case.close()
         self._control.close()
 
 
@@ -118,9 +123,11 @@ def _open_connection(cfg: TargetConfig) -> socket.socket:
 def _recv_response(sock: socket.socket):
     """Read one HTTP response; returns (status, reason, body_text, closing).
 
-    The body is framed as RFC 9112 section 6.3 says: none for 1xx, 204 and
-    304; chunked; Content-Length; else up to EOF (close-delimited, and
-    ``closing`` is then True)."""
+    Interim 1xx responses other than 101 are skipped.  The body is framed
+    as RFC 9112 section 6.3 says: none for 1xx, 204 and 304; chunked;
+    Content-Length; else up to EOF (close-delimited).  ``closing`` is True
+    when the socket must not carry another request: ``Connection: close``,
+    a close-delimited body, a 101, or bytes read past the response."""
 
     def more(where):
         """The next bytes; at EOF b"" if ``where`` is None, else an error."""
@@ -148,21 +155,26 @@ def _recv_response(sock: socket.socket):
             raise TransportError("bad %s %r" % (what, text))
         return n
 
-    buf = b""
-    while b"\r\n\r\n" not in buf:
-        buf += more("before response head")
-    head, rest = buf.split(b"\r\n\r\n", 1)
-    lines = head.decode("latin-1").split("\r\n")
-    first = lines[0].split(" ", 2)
-    if len(first) < 2 or not first[1].isdigit():
-        raise TransportError("malformed status line %r" % lines[0])
-    status = int(first[1])
-    reason = first[2] if len(first) > 2 else ""
-    headers = {}
-    for ln in lines[1:]:
-        key, _, val = ln.partition(":")
-        headers[key.strip().lower()] = val.strip()
-    closing = headers.get("connection", "").lower() == "close"
+    def head():  # status, reason and headers of the next response
+        nonlocal rest
+        while b"\r\n\r\n" not in rest:
+            rest += more("before response head")
+        raw, rest = rest.split(b"\r\n\r\n", 1)
+        lines = raw.decode("latin-1").split("\r\n")
+        first = lines[0].split(" ", 2)
+        if len(first) < 2 or not first[1].isdigit():
+            raise TransportError("malformed status line %r" % lines[0])
+        headers = {}
+        for ln in lines[1:]:
+            key, _, val = ln.partition(":")
+            headers[key.strip().lower()] = val.strip()
+        return int(first[1]), first[2] if len(first) > 2 else "", headers
+
+    rest = b""
+    status, reason, headers = head()
+    while 100 <= status < 200 and status != 101:
+        status, reason, headers = head()
+    closing = headers.get("connection", "").lower() == "close" or status == 101
     body = b""
     if status < 200 or status in (204, 304):
         pass
@@ -178,12 +190,12 @@ def _recv_response(sock: socket.socket):
         length = size(headers["content-length"], 10, "content-length")
         while len(rest) < length:
             rest += more("mid-body")
-        body = rest[:length]
+        body, rest = rest[:length], rest[length:]
     else:
         while chunk := more(None):
             rest += chunk
         body, closing = rest, True
-    return status, reason, body.decode("latin-1"), closing
+    return status, reason, body.decode("latin-1"), closing or bool(rest)
 
 
 def request_wire(text: str, host: str) -> bytes:
@@ -213,8 +225,10 @@ def request_wire(text: str, host: str) -> bytes:
 class _CaseConnection:
     """One keep-alive connection, opened on first use.  A request that
     fails on a reused socket (the server may have dropped it) is resent
-    once on a fresh socket; a failure on a fresh socket is raised.  After
-    a ``Connection: close`` response the next request opens a new one."""
+    once on a fresh socket; a failure on a fresh socket is raised.  A
+    failed exchange closes the socket, and after a response that leaves
+    it unusable (see ``_recv_response``) the next request opens a new one,
+    so a request never reads an answer meant for another."""
 
     def __init__(self, cfg: TargetConfig):
         self.cfg = cfg
@@ -238,7 +252,7 @@ class _CaseConnection:
         except OSError as exc:
             self.close()
             raise TransportError("send failed: %s" % exc) from exc
-        except TransportError:
+        except BaseException:  # an interrupted exchange leaves its answer unread
             self.close()
             raise
         self.stale = closing
@@ -359,7 +373,8 @@ def execute_test_case(
     request_text_transform=None,
     per_request_bitmaps=None,
 ) -> ExecutionResult:
-    """Send every request of ``x`` in order, resolving dependencies.
+    """Send every request of ``x`` in order on ``cfg``'s case connection,
+    resolving dependencies.  The connection stays open for the next case.
 
     ``request_text_transform(text, request_index) -> text`` lets the
     byte-level strategy corrupt the rendered request just before the
@@ -374,48 +389,44 @@ def execute_test_case(
     bindings: dict[str, str] = {}
     resolver = _Resolver(tc.seq, g, bindings)
     records: list[RequestRecord] = []
-    conn = _CaseConnection(cfg)
     transport_failed = False
-    try:
-        for idx, view in enumerate(tc.requests):
-            resolver.sent_producer_values = {}
-            text = render_request(view, resolver.value_of)
-            if request_text_transform is not None:
-                text = request_text_transform(text, idx)
-            wire = request_wire(text, cfg.host)
-            t0 = time.monotonic()
-            try:
-                status, reason, body = conn.roundtrip(wire)
-            except (TransportError, OSError) as exc:
-                records.append(
-                    RequestRecord(
-                        request_text=text,
-                        status=NO_RESPONSE_STATUS,
-                        reason=str(exc),
-                        response_body="",
-                        latency_s=time.monotonic() - t0,
-                    )
-                )
-                transport_failed = True
-                break
+    for idx, view in enumerate(tc.requests):
+        resolver.sent_producer_values = {}
+        text = render_request(view, resolver.value_of)
+        if request_text_transform is not None:
+            text = request_text_transform(text, idx)
+        wire = request_wire(text, cfg.host)
+        t0 = time.monotonic()
+        try:
+            status, reason, body = cfg._case.roundtrip(wire)
+        except (TransportError, OSError) as exc:
             records.append(
                 RequestRecord(
                     request_text=text,
-                    status=status,
-                    reason=reason,
-                    response_body=body,
+                    status=NO_RESPONSE_STATUS,
+                    reason=str(exc),
+                    response_body="",
                     latency_s=time.monotonic() - t0,
-                    bitmap=per_request_bitmaps() if per_request_bitmaps else None,
                 )
             )
-            for resource, path_spec in cfg.extractions.items():
-                value = extract_resource_id(body, path_spec)
-                if value is not None:
-                    bindings[resource] = value
-            for resource, value in resolver.sent_producer_values.items():
-                bindings.setdefault(resource, value)
-    finally:
-        conn.close()
+            transport_failed = True
+            break
+        records.append(
+            RequestRecord(
+                request_text=text,
+                status=status,
+                reason=reason,
+                response_body=body,
+                latency_s=time.monotonic() - t0,
+                bitmap=per_request_bitmaps() if per_request_bitmaps else None,
+            )
+        )
+        for resource, path_spec in cfg.extractions.items():
+            value = extract_resource_id(body, path_spec)
+            if value is not None:
+                bindings[resource] = value
+        for resource, value in resolver.sent_producer_values.items():
+            bindings.setdefault(resource, value)
     if any(r.status == 500 for r in records):
         verdict = "bug_500"
     elif transport_failed:
@@ -483,22 +494,19 @@ class ReplayOutcome:
 
 
 def replay_transcript(text: str, cfg: TargetConfig) -> ReplayOutcome:
-    """Resend the recorded concrete requests and compare status codes."""
+    """Resend the recorded concrete requests on ``cfg``'s case connection
+    and compare status codes."""
     entries = load_transcript(text)
     expected = [e.status for e in entries]
     actual: list[int] = []
-    conn = _CaseConnection(cfg)
-    try:
-        for entry in entries:
-            wire = request_wire(entry.request_text, cfg.host)
-            try:
-                status, _reason, _body = conn.roundtrip(wire)
-            except (TransportError, OSError):
-                actual.append(NO_RESPONSE_STATUS)
-                break
-            actual.append(status)
-    finally:
-        conn.close()
+    for entry in entries:
+        wire = request_wire(entry.request_text, cfg.host)
+        try:
+            status, _reason, _body = cfg._case.roundtrip(wire)
+        except (TransportError, OSError):
+            actual.append(NO_RESPONSE_STATUS)
+            break
+        actual.append(status)
     while len(actual) < len(expected):
         actual.append(NO_RESPONSE_STATUS)
     return ReplayOutcome(expected=expected, actual=actual, reproduced=actual == expected)

@@ -1,8 +1,10 @@
 import os
+import socket
 
 import pytest
 
 from restfuzz import autoencoder as ae
+from restfuzz import execution
 from restfuzz.execution import TargetConfig
 from restfuzz.grammar import load_grammar, packaged_reference_grammar
 from restfuzz.seedgen import build_case, enumerate_chains, generate_seeds, write_corpus
@@ -33,6 +35,28 @@ def target_cfg(live_target):
     cfg = TargetConfig(base_url=live_target.base_url)
     yield cfg
     cfg.close()
+
+
+@pytest.fixture
+def connection_counts(monkeypatch):
+    """Counts the sockets opened and the responses after which the client
+    must not reuse its socket (``Connection: close`` and the like)."""
+    counts = {"opened": 0, "closing": 0}
+    connect = socket.create_connection
+    recv_response = execution._recv_response
+
+    def counted_connect(*args, **kwargs):
+        counts["opened"] += 1
+        return connect(*args, **kwargs)
+
+    def counted_recv(sock):
+        response = recv_response(sock)
+        counts["closing"] += response[3]
+        return response
+
+    monkeypatch.setattr(socket, "create_connection", counted_connect)
+    monkeypatch.setattr(execution, "_recv_response", counted_recv)
+    return counts
 
 
 def chain_by_names(g, max_len, names):

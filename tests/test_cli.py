@@ -4,6 +4,7 @@ through ``main(argv)`` against the live reference service."""
 import json
 import os
 import socket
+import time
 
 import numpy as np
 import pytest
@@ -309,6 +310,33 @@ def test_fuzz_session_reuses_its_connections(pipeline, live_target, tmp_path, mo
     assert len(opened) <= 2 * 20 + 2
 
 
+def test_fuzz_session_keeps_one_case_connection(pipeline, live_target, tmp_path, connection_counts):
+    # one control and one case connection for the whole session, plus a
+    # reconnect after each response that closed its connection
+    out = str(tmp_path / "s")
+    assert _fuzz(pipeline, live_target, "byte", out, extra=["--max-cases", "20"]) == 0
+    assert connection_counts["opened"] <= 2 + connection_counts["closing"]
+
+
+def test_fuzz_leaves_no_connection_open_on_the_target(pipeline, tmp_path):
+    srv = serve()
+    try:
+        rc = cli.main(
+            [
+                "fuzz", "--target", srv.base_url, "--seeds-dir", pipeline["seeds_dir"],
+                "--strategy", "byte", "--max-cases", "5", "--seed", "1",
+                "--out", str(tmp_path / "s"),
+            ]
+        )
+        assert rc == 0
+        deadline = time.monotonic() + 1
+        while srv._conns and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not srv._conns
+    finally:
+        srv.stop()
+
+
 def _stop_after(monkeypatch, srv, n):
     """Stop ``srv`` once ``cli.execute_test_case`` has returned ``n`` times."""
     calls = 0
@@ -495,7 +523,8 @@ def test_distill_command(pipeline, live_target, tmp_path, capsys):
         ]
     )
     assert rc == 0
-    kept = open(out).read().split()
+    with open(out) as fh:
+        kept = fh.read().split()
     assert 0 < len(kept) <= 14
     assert all(k.startswith("seed-") for k in kept)
     assert "distilled 14 seeds" in capsys.readouterr().out

@@ -11,6 +11,7 @@ from restfuzz import coverage as cov
 from restfuzz import execution as ex
 from restfuzz.parsing import marker_text
 from restfuzz.seedgen import build_case
+from restfuzz.target import serve
 
 from .conftest import chain_by_names
 
@@ -87,6 +88,7 @@ def test_target_config_validation():
         ex.TargetConfig(base_url="http://h:1", timeout_ms=0)
     cfg = ex.TargetConfig(base_url="http://example.test:8123")
     assert (cfg.host, cfg.port) == ("example.test", 8123)
+    cfg.close()
 
 
 # ------------------------------------------------------- live execution
@@ -238,12 +240,14 @@ def test_transport_error_verdict(ref_grammar):
     assert result.verdict == "transport_error"
     assert result.statuses == [ex.NO_RESPONSE_STATUS]
     assert result.records[0].reason  # carries the failure message
+    cfg.close()
 
 
 def test_reset_raises_on_dead_target():
     cfg = ex.TargetConfig(base_url="http://127.0.0.1:%d" % _dead_port(), timeout_ms=500)
     with pytest.raises(ex.TransportError):
         ex.reset_target_state(cfg)
+    cfg.close()
 
 
 def _canned_server(parts):
@@ -291,6 +295,7 @@ def test_response_framing(parts, body):
     url, thread = _canned_server(parts)
     cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
     assert ex.http_request(cfg, "GET", "/") == (int(parts[0][9:12]), body)
+    cfg.close()
     thread.join(timeout=5)
     assert not thread.is_alive()
 
@@ -301,6 +306,39 @@ def test_close_delimited_response_marks_the_connection_stale():
     assert conn.roundtrip(b"GET / HTTP/1.1\r\n\r\n") == (200, "OK", "bye")
     assert conn.stale
     conn.close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("together", [False, True], ids=["two-reads", "one-read"])
+def test_interim_responses_are_skipped(together):
+    parts = [b"HTTP/1.1 100 Continue\r\n\r\n", b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"]
+    url, thread = _canned_server([b"".join(parts)] if together else parts)
+    cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
+    assert ex.http_request(cfg, "GET", "/") == (200, "ok")
+    assert not cfg._control.stale
+    cfg.close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_bytes_past_a_response_mark_the_connection_stale(monkeypatch):
+    # the server answers once and then sends a second, unasked response in
+    # the same read; a request sent on that socket would take it as its own
+    ok = b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\n"
+    url, thread = _canned_server([ok + b"one" + ok + b"old", ok + b"two"])
+    opened = _count_connections(monkeypatch)
+    conn = ex._CaseConnection(ex.TargetConfig(base_url=url, timeout_ms=2000))
+    try:
+        assert conn.roundtrip(b"GET / HTTP/1.1\r\n\r\n") == (200, "OK", "one")
+        assert conn.stale
+        # the next request goes out on a fresh socket, which this server
+        # (one connection only) never answers
+        with pytest.raises(ex.TransportError):
+            conn.roundtrip(b"GET / HTTP/1.1\r\n\r\n")
+    finally:
+        conn.close()
+    assert len(opened) == 2
     thread.join(timeout=5)
     assert not thread.is_alive()
 
@@ -316,8 +354,10 @@ def test_close_delimited_response_marks_the_connection_stale():
 )
 def test_malformed_framing_raises(response, match):
     url, thread = _canned_server([response])
+    cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
     with pytest.raises(ex.TransportError, match=match):
-        ex.http_request(ex.TargetConfig(base_url=url, timeout_ms=2000), "GET", "/")
+        ex.http_request(cfg, "GET", "/")
+    cfg.close()
     thread.join(timeout=5)
     assert not thread.is_alive()
 
@@ -396,6 +436,88 @@ def test_side_channel_error_status_is_a_transport_error():
     assert not thread.is_alive()
 
 
+# ------------------------------------------------------- case connection
+
+
+def _run_two_request_case(g, cfg):
+    tc = _mkcase(g, ("create-project", "create-branch"), [["testString"], ["master"]])
+    return ex.execute_test_case(tc, g, cfg)
+
+
+def test_cases_share_one_connection(ref_grammar, monkeypatch):
+    srv = serve()
+    cfg = ex.TargetConfig(base_url=srv.base_url, timeout_ms=2000)
+    opened = _count_connections(monkeypatch)
+    try:
+        for _ in range(3):
+            ex.reset_target_state(cfg)
+            result = _run_two_request_case(ref_grammar, cfg)
+            assert result.statuses == [201, 201]
+            ex.reset_target_state(cfg)
+            assert ex.replay_transcript(ex.write_transcript(result), cfg).reproduced
+        assert len(opened) == 2  # the control connection and the case connection
+    finally:
+        cfg.close()
+        srv.stop()
+
+
+def test_case_connection_dropped_between_cases_is_reopened_once(ref_grammar, monkeypatch):
+    srv = serve()
+    cfg = ex.TargetConfig(base_url=srv.base_url, timeout_ms=2000)
+    opened = _count_connections(monkeypatch)
+    try:
+        assert _run_two_request_case(ref_grammar, cfg).statuses == [201, 201]
+        with srv._conns_lock:  # the server drops it without saying so
+            for conn in srv._conns:
+                conn.shutdown(socket.SHUT_RDWR)
+        assert _run_two_request_case(ref_grammar, cfg).statuses == [201, 201]
+        assert len(opened) == 2
+    finally:
+        cfg.close()
+        srv.stop()
+
+
+def test_case_after_a_transport_failure_starts_on_a_fresh_socket(ref_grammar, monkeypatch):
+    # the first connection is closed before it answers; the second answers
+    url, thread = _dropping_server([[], [b'{"id": 7}', b"{}"]])
+    cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
+    opened = _count_connections(monkeypatch)
+    try:
+        failed = _run_two_request_case(ref_grammar, cfg)
+        assert failed.verdict == "transport_error"
+        assert failed.statuses == [ex.NO_RESPONSE_STATUS]
+        assert cfg._case.sock is None
+        result = _run_two_request_case(ref_grammar, cfg)
+        assert result.statuses == [200, 200]
+        assert "/api/projects/7/" in result.records[1].request_text
+    finally:
+        cfg.close()
+    assert len(opened) == 2
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_close_closes_both_connections(ref_grammar):
+    srv = serve()
+    cfg = ex.TargetConfig(base_url=srv.base_url, timeout_ms=2000)
+    try:
+        ex.reset_target_state(cfg)
+        _run_two_request_case(ref_grammar, cfg)
+        assert len(srv._conns) == 2
+        cfg.close()
+        assert cfg._case.sock is None and cfg._control.sock is None
+        deadline = time.monotonic() + 1
+        while srv._conns and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not srv._conns
+        # a later call reopens them
+        ex.reset_target_state(cfg)
+        assert _run_two_request_case(ref_grammar, cfg).statuses == [201, 201]
+    finally:
+        cfg.close()
+        srv.stop()
+
+
 # ------------------------------------------------------------ transcripts
 
 
@@ -426,6 +548,7 @@ def test_transcript_records_transport_failures(ref_grammar):
     result = ex.execute_test_case(tc, ref_grammar, cfg)
     entries = ex.load_transcript(ex.write_transcript(result))
     assert entries[0].status == ex.NO_RESPONSE_STATUS
+    cfg.close()
 
 
 def test_replay_reproduces_after_reset(ref_grammar, target_cfg):
@@ -470,3 +593,4 @@ def test_replay_pads_missing_responses_on_dead_target(ref_grammar, target_cfg):
     outcome = ex.replay_transcript(transcript, dead)
     assert not outcome.reproduced
     assert outcome.actual == [ex.NO_RESPONSE_STATUS, ex.NO_RESPONSE_STATUS]
+    dead.close()

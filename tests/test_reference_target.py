@@ -112,6 +112,8 @@ def test_auth_enforced_except_side_channels(live_target):
     assert j(bad, "GET", "/__coverage__/manifest")[0] == 200
     assert j(bad, "POST", "/__coverage__/reset")[0] == 200
     assert j(good, "GET", "/api/projects")[0] == 200
+    good.close()
+    bad.close()
 
 
 def test_reset_restarts_ids(target_cfg):
@@ -175,6 +177,7 @@ def test_concurrent_clients_get_distinct_project_ids():
     finally:
         sys.setswitchinterval(switch)
         srv.stop()
+        cfg.close()
     assert not any(t.is_alive() for t in threads)
     got = [r for out in replies for r in out]
     assert [status for status, _, _ in got] == [201] * 45

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from restfuzz.execution import execute_test_case, reset_target_state
+from restfuzz.execution import TargetConfig, execute_test_case, reset_target_state
 from restfuzz.grammar import load_grammar, loads
 from restfuzz.parsing import canonicalize, render
 from restfuzz.seedgen import (
@@ -219,3 +219,14 @@ def test_validation_drops_failing_seeds(tiny, ref_grammar, target_cfg):
     assert 0 < len(validated.seeds) < len(raw.seeds)
     validated_texts = {s.text for s in validated.seeds}
     assert validated_texts <= {s.text for s in raw.seeds}
+
+
+def test_seed_validation_keeps_one_case_connection(ref_grammar, live_target, connection_counts):
+    # the quick-start corpus: 74 candidates, each validated as one case
+    cfg = TargetConfig(base_url=live_target.base_url)
+    try:
+        corpus = generate_seeds(ref_grammar, max_len=3, dict_values_per_type=2, validate_cfg=cfg)
+    finally:
+        cfg.close()
+    assert len(corpus.seeds) == 14
+    assert connection_counts["opened"] <= 2 + connection_counts["closing"]
