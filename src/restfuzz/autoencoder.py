@@ -31,6 +31,17 @@ is a batched GEMM: the input projections ``x @ W + b`` of all steps
 backward loop, which stacks each step's gate gradients, ``dW``, ``dU``,
 ``db``, the output layer and the embedding gradients.  Encode and
 decode run one sequence step by step.
+
+At small batches numpy's per-call cost, not the arithmetic, bounds the
+time loops, so both make few calls per step and write into buffers
+allocated once per side.  Every forward step, in training as in encode
+and decode, is the one ``_gru_step``: a GEMM into scratch, then [u | r]
+through one sigmoid, r * hU_c, c and h', each written in place.  Its
+arithmetic is the cell above op for op, so encode and decode give the
+bits of a plain per-token cell.  The backward pass first turns the
+forward cache into the factors of dh that do not depend on dh, once for
+all positions; a backward step is then five products in three in-place
+calls and one GEMM against a contiguous Uᵀ (see ``_gru_backward``).
 """
 
 from __future__ import annotations
@@ -86,10 +97,6 @@ class Model:
     loss_history: list[float] = field(default_factory=list)
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def _init_params(hp: Hyperparams, vocab_size: int, rng: np.random.Generator):
     dt = hp.np_dtype()
     E, H = hp.embedding_dim, hp.hidden_dim
@@ -113,54 +120,97 @@ def _init_params(hp: Hyperparams, vocab_size: int, rng: np.random.Generator):
     }
 
 
-def _gru_step(xW, h, U, hidden_dim):
-    """One forward step on the input projection ``xW = x @ W + b``;
-    returns new h and the cache for backward."""
-    hU = h @ U
-    H = hidden_dim
-    u = _sigmoid(xW[:, :H] + hU[:, :H])
-    r = _sigmoid(xW[:, H : 2 * H] + hU[:, H : 2 * H])
-    hU_c = hU[:, 2 * H :].copy()  # a view would keep all of hU cached
-    c = np.tanh(xW[:, 2 * H :] + r * hU_c)
-    h_new = (1.0 - u) * c + u * h
-    return h_new, (u, r, c, hU_c)
+def _gru_step(xW, h, U, hU, ur, rh, c, h_new):
+    """One forward step on the input projection ``xW = x @ W + b``,
+    written into the caller's buffers: ``hU`` (n, 3H) is scratch for
+    h @ U, ``ur`` (n, 2H) receives [u | r], ``rh`` r * hU_c, ``c`` the
+    candidate and ``h_new`` h', which must not overlap ``h``.  The
+    arithmetic is the module docstring's, op for op, so encode, decode
+    and the training forward get the same bits for the same inputs."""
+    H = c.shape[1]
+    np.matmul(h, U, out=hU)
+    np.add(xW[:, : 2 * H], hU[:, : 2 * H], out=ur)
+    np.negative(ur, out=ur)  # one sigmoid over both gates
+    np.exp(ur, out=ur)
+    ur += 1.0
+    np.divide(1.0, ur, out=ur)
+    u = ur[:, :H]
+    np.multiply(ur[:, H:], hU[:, 2 * H :], out=rh)
+    np.add(xW[:, 2 * H :], rh, out=c)
+    np.tanh(c, out=c)
+    np.subtract(1.0, u, out=h_new)
+    h_new *= c
+    h_new += u * h
 
 
 def _gru_forward(xW, h0, U, hidden_dim, off, base):
     """Run one side over packed input projections.  Returns the stacked
-    states S (the initial state, then each step's output) and the caches;
-    step t reads its h_prev at ``S[base[t]:]`` and writes ``S[B + off[t]:]``."""
-    B = h0.shape[0]
-    S = np.empty((B + xW.shape[0], hidden_dim), dtype=h0.dtype)
+    states S (the initial state, then each step's output) and the cache
+    (UR, RH, C) of each position's [u | r], r * hU_c and candidate.  Step
+    t reads its h_prev at ``S[base[t]:]`` and writes ``S[B + off[t]:]``."""
+    B, N, H = h0.shape[0], xW.shape[0], hidden_dim
+    dt = h0.dtype
+    S = np.empty((B + N, H), dtype=dt)
     S[:B] = h0
-    caches = []
+    UR = np.empty((N, 2 * H), dtype=dt)
+    RH, C = np.empty((N, H), dtype=dt), np.empty((N, H), dtype=dt)
+    hU = np.empty((B, 3 * H), dtype=dt)
+    off, base = off.tolist(), base.tolist()  # python ints slice faster
     for t in range(len(off) - 1):
         a, b = off[t], off[t + 1]
         h_prev = S[base[t] : base[t] + b - a]
-        S[B + a : B + b], cache = _gru_step(xW[a:b], h_prev, U, hidden_dim)
-        caches.append(cache)
-    return S, caches
+        _gru_step(xW[a:b], h_prev, U, hU[: b - a], UR[a:b], RH[a:b], C[a:b], S[B + a : B + b])
+    return S, (UR, RH, C)
 
 
-def _gru_backward(dh, dS, S, caches, U, off, base, G, Gc):
+def _gru_backward(dh, dS, S, cache, U, off, prev, G, Gc):
     """Backward through one side's time loop, in place: ``dh`` enters with
     the gradient at each row's final state (plus ``dS``, each position's
     output gradient, if given) and leaves with the initial state's; ``G``
-    receives d(xW) and ``Gc`` the candidate slice of d(hU) per position."""
-    H = Gc.shape[1]
-    for t in range(len(caches) - 1, -1, -1):
+    receives d(xW) and ``Gc`` the candidate slice of d(hU) per position,
+    whose h_prev is ``S[prev]``.
+
+    With dc = dh·(1-u)(1-c²), a position's gradients are dh times
+    factors that do not depend on dh: G_u = dh·(h_prev-c)u(1-u),
+    G_r = dc·hU_c·r(1-r), d(hU_c) = dc·r and dh_prev = dh·u + d(hU) @ Uᵀ.
+    So before the loop, G is filled with [(h_prev-c)u(1-u) |
+    (1-u)(1-c²)·hU_c·r(1-r) | (1-u)(1-c²)·r], C is overwritten with
+    (1-u)(1-c²) and RH with u.  A step is then five products in three
+    in-place calls (G's three blocks by dh, dc into Gc, dh·u) and one
+    GEMM of G's rows, [G_u | G_r | dc·r], against a contiguous Uᵀ.  After
+    the loop, G's last block and Gc are swapped through the dead C."""
+    UR, RH, C = cache
+    H = C.shape[1]
+    u, r = UR[:, :H], UR[:, H:]
+    np.subtract(S[prev], C, out=G[:, :H])
+    G[:, :H] *= u
+    np.subtract(1.0, u, out=Gc)  # Gc is scratch until the loop
+    G[:, :H] *= Gc
+    np.multiply(C, C, out=C)
+    np.subtract(1.0, C, out=C)
+    C *= Gc
+    np.subtract(1.0, r, out=Gc)
+    np.multiply(RH, Gc, out=G[:, H : 2 * H])
+    G[:, H : 2 * H] *= C
+    np.multiply(C, r, out=G[:, 2 * H :])
+    np.copyto(RH, u)
+    G3 = G.reshape(len(G), 3, H)
+    UT = np.ascontiguousarray(U.T)
+    dhU = np.empty_like(dh)
+    off = off.tolist()
+    for t in range(len(off) - 2, -1, -1):
         a, b = off[t], off[t + 1]
-        n = b - a
+        d = dh[: b - a]
         if dS is not None:
-            dh[:n] += dS[a:b]
-        u, r, c, hU_c = caches[t]
-        d = dh[:n]
-        dc_pre = d * (1.0 - u) * (1.0 - c * c)
-        G[a:b, :H] = d * (S[base[t] : base[t] + n] - c) * u * (1.0 - u)
-        G[a:b, H : 2 * H] = dc_pre * hU_c * r * (1.0 - r)
-        G[a:b, 2 * H :] = dc_pre
-        Gc[a:b] = dc_pre * r
-        dh[:n] = d * u + G[a:b, : 2 * H] @ U[:, : 2 * H].T + Gc[a:b] @ U[:, 2 * H :].T
+            d += dS[a:b]
+        G3[a:b] *= d[:, None]
+        np.multiply(d, C[a:b], out=Gc[a:b])
+        d *= RH[a:b]
+        np.matmul(G[a:b], UT, out=dhU[: b - a])
+        d += dhU[: b - a]
+    np.copyto(C, Gc)
+    np.copyto(Gc, G[:, 2 * H :])
+    np.copyto(G[:, 2 * H :], C)
 
 
 def _onehot(idx, n, dtype):
@@ -233,7 +283,7 @@ def _forward_backward(params, hp: Hyperparams, batch, compute_grads=True):
     tgt, w = targets[rows, tt], weights[rows, tt]
 
     enc_x = p["enc_emb"][enc_tok]
-    S_enc, enc_caches = _gru_forward(
+    S_enc, enc_cache = _gru_forward(
         enc_x @ p["enc_W"] + p["enc_b"], np.zeros((B, H), dtype=dt), p["enc_U"], H, off, base
     )
     z = S_enc[B + off[lens - 1] + np.arange(B)]
@@ -243,7 +293,7 @@ def _forward_backward(params, hp: Hyperparams, batch, compute_grads=True):
     xW = dec_x @ p["dec_W"][:E] + p["dec_b"]
     if hp.z_per_step:
         xW += (z @ p["dec_W"][E:])[rr]
-    S_dec, dec_caches = _gru_forward(xW, z, p["dec_U"], H, off, base)
+    S_dec, dec_cache = _gru_forward(xW, z, p["dec_U"], H, off, base)
     del xW  # not needed by the backward pass: free it before that peaks
 
     # weighted cross-entropy (stable log-softmax) at the packed positions
@@ -267,13 +317,13 @@ def _forward_backward(params, hp: Hyperparams, batch, compute_grads=True):
     G = np.empty((len(tgt), 3 * H), dtype=dt)  # d(xW), decoder then encoder
     Gc = np.empty((len(tgt), H), dtype=dt)
     dz = np.zeros((B, H), dtype=dt)  # decoder initial state was z
-    _gru_backward(dz, dl @ p["out_W"].T, S_dec, dec_caches, p["dec_U"], off, base, G, Gc)
+    _gru_backward(dz, dl @ p["out_W"].T, S_dec, dec_cache, p["dec_U"], off, prev, G, Gc)
     _weight_grads(grads, p, "dec", dec_x, dec_tok, S_dec, prev, G, Gc)
     if hp.z_per_step:
         Gz = _onehot(rr, B, dt) @ G
         grads["dec_W"] = np.concatenate([grads["dec_W"], z.T @ Gz])
         dz += Gz @ p["dec_W"][E:].T
-    _gru_backward(dz, None, S_enc, enc_caches, p["enc_U"], off, base, G, Gc)
+    _gru_backward(dz, None, S_enc, enc_cache, p["enc_U"], off, prev, G, Gc)
     _weight_grads(grads, p, "enc", enc_x, enc_tok, S_enc, prev, G, Gc)
     return loss, acc, grads
 
@@ -366,6 +416,12 @@ def _check_hash(m: Model, x) -> None:
         )
 
 
+def _row_buffers(hp: Hyperparams):
+    """``_gru_step``'s buffers for one row: hU, ur, rh, c, h_new."""
+    H, dt = hp.hidden_dim, hp.np_dtype()
+    return [np.empty((1, k * H), dtype=dt) for k in (3, 2, 1, 1, 1)]
+
+
 def encode(m: Model, x) -> Embedding:
     """Summarise a rule sequence as the encoder's final hidden state."""
     _check_hash(m, x)
@@ -375,9 +431,11 @@ def encode(m: Model, x) -> Embedding:
     hp = m.hp
     ids = np.asarray([t + N_SPECIALS for t in toks] + [EOS], dtype=np.int64)
     h = np.zeros((1, hp.hidden_dim), dtype=hp.np_dtype())
+    hU, ur, rh, c, h_new = _row_buffers(hp)
     for t in range(ids.shape[0]):
         xW = m.params["enc_emb"][ids[t : t + 1]] @ m.params["enc_W"] + m.params["enc_b"]
-        h, _ = _gru_step(xW, h, m.params["enc_U"], hp.hidden_dim)
+        _gru_step(xW, h, m.params["enc_U"], hU, ur, rh, c, h_new)
+        h, h_new = h_new, h
     return Embedding(vector=h[0].copy())
 
 
@@ -387,13 +445,15 @@ def decode(m: Model, z) -> list[int]:
     hp = m.hp
     h = vec.reshape(1, hp.hidden_dim).astype(hp.np_dtype())
     z_row = h.copy()
+    hU, ur, rh, c, h_new = _row_buffers(hp)
     prev = SOS
     out: list[int] = []
     for _ in range(hp.max_seq_len):
         emb = m.params["dec_emb"][np.asarray([prev])]
         x = np.concatenate([emb, z_row], axis=1) if hp.z_per_step else emb
         xW = x @ m.params["dec_W"] + m.params["dec_b"]
-        h, _ = _gru_step(xW, h, m.params["dec_U"], hp.hidden_dim)
+        _gru_step(xW, h, m.params["dec_U"], hU, ur, rh, c, h_new)
+        h, h_new = h_new, h
         logits = h @ m.params["out_W"] + m.params["out_b"]
         prev = int(logits[0].argmax())
         if prev == EOS:
@@ -413,6 +473,12 @@ def reconstruction_accuracy(m: Model, sequences) -> float:
         n_total += max(len(toks), len(got))
         n_match += sum(1 for a, b in zip(toks, got) if a == b)
     return n_match / max(n_total, 1)
+
+
+def exact_reconstructions(m: Model, sequences) -> int:
+    """How many sequences greedy-decode back to exactly their own tokens."""
+    pairs = zip(sequences, _corpus_tokens(sequences))
+    return sum(decode(m, encode(m, rs)) == toks for rs, toks in pairs)
 
 
 def save_model(m: Model, path: str) -> None:

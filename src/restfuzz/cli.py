@@ -208,15 +208,12 @@ def cmd_train(args) -> int:
         max_seq_len=_get(cfg, args.max_seq_len, "train.max_seq_len", 128, int),
         rng_seed=_get(cfg, args.seed, "train.rng_seed", 0, int),
     )
-    longest = max(len(s.tokens) for s in sequences)
-    if longest + 1 > hp.max_seq_len:
-        raise CliError(
-            "longest corpus sequence (%d tokens) exceeds max_seq_len=%d"
-            % (longest, hp.max_seq_len)
-        )
     checkpoint = _get(cfg, args.checkpoint, "model.checkpoint", "model.npz")
     t0 = time.monotonic()
-    model = ae.train(sequences, hp, grammar_hash=g.grammar_hash(), log=print)
+    try:
+        model = ae.train(sequences, hp, grammar_hash=g.grammar_hash(), log=print)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     took = time.monotonic() - t0
     ae.save_model(model, checkpoint)
     line = "trained %d steps on %d sequences in %.1fs; checkpoint %s" % (
@@ -226,7 +223,11 @@ def cmd_train(args) -> int:
         checkpoint,
     )
     if args.eval:
-        line += "; reconstruction=%.4f" % ae.reconstruction_accuracy(model, sequences)
+        line += "; reconstruction=%.4f; exact=%d/%d" % (
+            ae.reconstruction_accuracy(model, sequences),
+            ae.exact_reconstructions(model, sequences),
+            len(sequences),
+        )
     print(line)
     return 0
 
@@ -626,7 +627,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=float)
     p.add_argument("--max-seq-len", type=int)
     p.add_argument("--seed", type=int, help="rng seed")
-    p.add_argument("--eval", action="store_true", help="report reconstruction accuracy after training")
+    p.add_argument(
+        "--eval",
+        action="store_true",
+        help="report reconstruction accuracy and exactly decoded seeds after training",
+    )
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("fuzz", help="run a fuzz session")

@@ -51,6 +51,16 @@ def test_cyclic_batching_ignores_corpus_duplication(two_seed_sequences):
         assert np.array_equal(m1.params[k], m2.params[k]), k
 
 
+def test_exact_reconstructions_counts_every_seed_of_the_overfit_model(
+    overfit_model, two_seed_sequences
+):
+    assert ae.exact_reconstructions(overfit_model, two_seed_sequences) == 2
+    reversed_seed = two_seed_sequences[1].tokens[::-1]  # never trained on
+    plain = [x.tokens for x in two_seed_sequences] + [reversed_seed]
+    assert ae.exact_reconstructions(overfit_model, plain) == 2
+    assert ae.exact_reconstructions(overfit_model, []) == 0
+
+
 def test_loss_history_trends_down(overfit_model):
     hist = overfit_model.loss_history
     assert len(hist) == overfit_model.hp.steps
@@ -104,6 +114,16 @@ def test_batch_gradient_is_the_length_weighted_mean(three_lengths):
         assert np.abs(g - want).max() <= 1e-10 * np.abs(want).max(), k
 
 
+def _reference_step(p, side, x, h):
+    """Plain GRU cell: h' and the values the reference backward reads."""
+    H = h.shape[1]
+    xW, hU = x @ p[side + "_W"] + p[side + "_b"], h @ p[side + "_U"]
+    u = 1 / (1 + np.exp(-(xW[:, :H] + hU[:, :H])))
+    r = 1 / (1 + np.exp(-(xW[:, H : 2 * H] + hU[:, H : 2 * H])))
+    c = np.tanh(xW[:, 2 * H :] + r * hU[:, 2 * H :])
+    return (1 - u) * c + u * h, (x, h, hU, u, r, c)
+
+
 def _reference_loss_grads(p, hp, batch):
     """Per-step padded reference: every row runs every step, the encoder
     masks padded steps and the loss weighs them 0."""
@@ -113,11 +133,7 @@ def _reference_loss_grads(p, hp, batch):
     rows = np.arange(B)
 
     def step(x, h, side):
-        xW, hU = x @ p[side + "_W"] + p[side + "_b"], h @ p[side + "_U"]
-        u = 1 / (1 + np.exp(-(xW[:, :H] + hU[:, :H])))
-        r = 1 / (1 + np.exp(-(xW[:, H : 2 * H] + hU[:, H : 2 * H])))
-        c = np.tanh(xW[:, 2 * H :] + r * hU[:, 2 * H :])
-        return (1 - u) * c + u * h, (x, h, hU, u, r, c)
+        return _reference_step(p, side, x, h)
 
     def backstep(dh, cache, side):
         x, h, hU, u, r, c = cache
@@ -180,6 +196,46 @@ def test_forward_backward_matches_per_step_reference(three_lengths, z_per_step):
     for k, g in grads.items():
         assert g.shape == ref_grads[k].shape and g.dtype == ref_grads[k].dtype, k
         assert np.abs(g - ref_grads[k]).max() <= 1e-10 * np.abs(ref_grads[k]).max(), k
+
+
+def _reference_encode(p, hp, tokens):
+    """Encode with the reference cell, one token at a time."""
+    h = np.zeros((1, hp.hidden_dim), dtype=hp.np_dtype())
+    for t in [tok + ae.N_SPECIALS for tok in tokens] + [ae.EOS]:
+        h, _ = _reference_step(p, "enc", p["enc_emb"][[t]], h)
+    return h[0]
+
+
+def test_encode_is_bit_identical_to_a_plain_reference_cell(overfit_model, three_lengths):
+    # pins the forward arithmetic that the fuzzer's mutations depend on
+    m = overfit_model
+    assert m.hp.dtype == "float32"
+    for x in three_lengths:
+        got = ae.encode(m, x).vector
+        want = _reference_encode(m.params, m.hp, x.tokens)
+        assert got.dtype == want.dtype == np.float32
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype,tol", [("float64", 1e-12), ("float32", 1e-5)])
+def test_training_forward_agrees_with_encode(monkeypatch, three_lengths, dtype, tol):
+    m = ae.train(three_lengths, tiny_hp(steps=5, batch_size=3, dtype=dtype))
+    seqs = [three_lengths[i] for i in (1, 0, 2)]
+    batch = ae._prepare_batch([x.tokens for x in seqs], m.hp.max_seq_len, m.hp.np_dtype())
+    initial_states = []
+    forward = ae._gru_forward
+
+    def recording(xW, h0, *rest):
+        initial_states.append(h0.copy())
+        return forward(xW, h0, *rest)
+
+    monkeypatch.setattr(ae, "_gru_forward", recording)
+    ae._forward_backward(m.params, m.hp, batch, compute_grads=False)
+    z = initial_states[1]  # the decoder starts from z, rows sorted longest first
+    for row, x in zip(z, sorted(seqs, key=lambda x: -len(x.tokens))):
+        want = ae.encode(m, x).vector
+        assert row.dtype == want.dtype
+        assert np.abs(row - want).max() <= tol * np.abs(want).max()
 
 
 def test_checkpoint_round_trip(tmp_path, overfit_model, two_seed_sequences):

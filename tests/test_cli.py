@@ -3,6 +3,7 @@ through ``main(argv)`` against the live reference service."""
 
 import json
 import os
+import re
 import socket
 import time
 
@@ -11,7 +12,7 @@ import pytest
 
 from restfuzz import cli
 from restfuzz.execution import execute_test_case, reset_target_state, write_transcript
-from restfuzz.seedgen import build_case
+from restfuzz.seedgen import build_case, load_corpus
 from restfuzz.target import serve
 
 from .conftest import TESTS_DIR, chain_by_names
@@ -227,6 +228,37 @@ def test_train_rejects_tight_max_seq_len(pipeline, capsys):
         ]
     )
     assert rc == 1
+    assert "max_seq_len" in capsys.readouterr().err
+
+
+def test_train_accepts_max_seq_len_equal_to_longest_seed(pipeline, ref_grammar, capsys):
+    seeds = load_corpus(pipeline["seeds_dir"], ref_grammar)
+    longest = max(len(tc.seq.tokens) for _, tc in seeds)
+
+    def train(max_seq_len):
+        return cli.main(
+            [
+                "train",
+                "--seeds-dir",
+                pipeline["seeds_dir"],
+                "--checkpoint",
+                str(pipeline["base"] / "tight.npz"),
+                "--steps",
+                "2",
+                "--hidden-dim",
+                "8",
+                "--embedding-dim",
+                "4",
+                "--max-seq-len",
+                str(max_seq_len),
+                "--eval",
+            ]
+        )
+
+    assert train(longest) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"; reconstruction=[0-9.]+; exact=\d+/%d$" % len(seeds), out.strip())
+    assert train(longest - 1) == 1
     assert "max_seq_len" in capsys.readouterr().err
 
 
