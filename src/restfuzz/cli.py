@@ -266,13 +266,15 @@ def _byte_case_stream(seeds, rng):
 
 
 def _tree_case_stream(seeds, g, rng, mutate_dependencies):
+    """Cycle seeds; each visit flips one random leaf.  A mutant keeps its
+    seed's shape (see ``apply_plan``), so it reuses the seed's views."""
     i = 0
     while True:
         seed_id, tc = seeds[i % len(seeds)]
         mutant, plan = mu.mutate_tree_random(
             tc.seq, g, rng, seed_id, mutate_dependencies=mutate_dependencies
         )
-        yield seed_id, TestCase.from_sequence(mutant, g), None, plan
+        yield seed_id, TestCase(mutant, tc.requests), None, plan
         i += 1
 
 
@@ -291,7 +293,7 @@ def _learned_case_stream(seeds, g, model, rng, n_scales, noise_norm, mutate_depe
         )
         for plan in plans:
             mutant = mu.apply_plan(tc.seq, plan, g)
-            yield seed_id, TestCase.from_sequence(mutant, g), None, plan
+            yield seed_id, TestCase(mutant, tc.requests), None, plan
 
 
 def _unreachable(target, exc) -> CliError:

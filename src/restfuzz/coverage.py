@@ -38,15 +38,6 @@ class CoverageBitmap:
         return cls(width=width, bits=bytes((width + 7) // 8))
 
     @classmethod
-    def from_indices(cls, width: int, indices) -> "CoverageBitmap":
-        buf = bytearray((width + 7) // 8)
-        for i in indices:
-            if not 0 <= i < width:
-                raise ValueError("block index %d outside width %d" % (i, width))
-            buf[i // 8] |= 1 << (i % 8)
-        return cls(width=width, bits=bytes(buf))
-
-    @classmethod
     def from_hex(cls, width: int, hex_text: str) -> "CoverageBitmap":
         return cls(width=width, bits=bytes.fromhex(hex_text))
 
@@ -82,9 +73,6 @@ class CoverageBitmap:
         fresh = self._as_int() & ~accumulated._as_int()
         return bin(fresh).count("1")
 
-    def is_empty(self) -> bool:
-        return not any(self.bits)
-
 
 class CoverageAccumulator:
     """Mutable union of bitmaps plus new-path bookkeeping."""
@@ -92,13 +80,6 @@ class CoverageAccumulator:
     def __init__(self, width: int):
         self.width = width
         self._mask = 0
-        self.total_new = 0
-
-    def union_bitmap(self) -> CoverageBitmap:
-        return CoverageBitmap(
-            width=self.width,
-            bits=self._mask.to_bytes((self.width + 7) // 8, "little"),
-        )
 
     def is_new_path(self, bm: CoverageBitmap) -> bool:
         if bm.width != self.width:
@@ -111,9 +92,7 @@ class CoverageAccumulator:
             raise ValueError("bitmap width mismatch")
         fresh = bm._as_int() & ~self._mask
         self._mask |= bm._as_int()
-        n = bin(fresh).count("1")
-        self.total_new += n
-        return n
+        return bin(fresh).count("1")
 
     def count(self) -> int:
         return bin(self._mask).count("1")

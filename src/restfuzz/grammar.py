@@ -8,7 +8,9 @@ A grammar file has three kinds of sections:
 
 Rule right-hand sides may reference an alphabet with ``@name``, which
 expands to one terminal rule per alphabet value.  ``eps`` denotes the
-empty alternative.  Lines starting with ``#`` are comments.
+empty alternative.  Lines starting with ``#`` are comments.  Recursion
+is allowed only through a rule's right-most symbol; :func:`loads`
+rejects any other.
 
 All terminal values and payloads are handled as ``str`` with a strict
 latin-1 byte mapping (codepoints 0..255 == raw bytes), so arbitrary,
@@ -55,31 +57,6 @@ DEPENDENCY_KINDS = ("producer", "consumer")
 STRUCTURAL = "structural"
 TERMINAL = "terminal"
 EPSILON = "epsilon"
-
-# Reference rule template (the fixed production skeleton; API-specific
-# content lives entirely in the alphabets and request layouts).
-TEMPLATE_RULES = """\
-[rule]
-sequence -> request + sequence | eps
-request -> method + path + header + body
-method -> @http-methods
-path -> b1 + path | eps
-header -> b1 + header | eps
-body -> b1 + body | eps
-b1 -> b2 | b3
-b2 -> producer | consumer
-producer -> @resource-ids
-consumer -> @resource-ids
-b3 -> static | fuzzable
-static -> @static
-fuzzable -> string | int | bool | enum | uuid
-string -> @string
-int -> @int
-bool -> @bool
-enum -> @enum
-uuid -> @uuid
-"""
-
 
 class GrammarError(ValueError):
     """Raised for malformed grammar files or inconsistent references."""
@@ -159,7 +136,6 @@ class Rule:
     rhs: tuple[str, ...]
     kind: str  # STRUCTURAL, TERMINAL or EPSILON
     value: str | None = None  # terminal text (TERMINAL rules only)
-    alphabet: str | None = None  # source alphabet (TERMINAL rules only)
 
     def __repr__(self) -> str:  # compact, useful in assertion diffs
         if self.kind == TERMINAL:
@@ -233,9 +209,6 @@ class Grammar:
     @property
     def nonterminals(self) -> set[str]:
         return {r.lhs for r in self.rules}
-
-    def rule(self, rule_id: int) -> Rule:
-        return self.rules[rule_id]
 
     def terminal_rule(self, lhs: str, value: str) -> Rule | None:
         return self._terminal_index.get((lhs, value))
@@ -448,18 +421,10 @@ def loads(text: str, source_name: str = "<memory>") -> Grammar:
 
     # Expand rule lines into Rule objects with dense ids in file order.
     rules: list[Rule] = []
-    lhs_seen: set[str] = set()
 
-    def add_rule(lhs, rhs, kind, value=None, alphabet=None):
+    def add_rule(lhs, rhs, kind, value=None):
         rules.append(
-            Rule(
-                rule_id=len(rules),
-                lhs=lhs,
-                rhs=tuple(rhs),
-                kind=kind,
-                value=value,
-                alphabet=alphabet,
-            )
+            Rule(rule_id=len(rules), lhs=lhs, rhs=tuple(rhs), kind=kind, value=value)
         )
 
     for line_no, line in rule_lines:
@@ -469,7 +434,6 @@ def loads(text: str, source_name: str = "<memory>") -> Grammar:
         lhs = lhs.strip()
         if lhs not in NONTERMINALS:
             raise GrammarError("line %d: unknown nonterminal %r" % (line_no, lhs))
-        lhs_seen.add(lhs)
         for alt in rhs_text.split("|"):
             syms = [s.strip() for s in alt.split("+") if s.strip()]
             if not syms:
@@ -480,7 +444,7 @@ def loads(text: str, source_name: str = "<memory>") -> Grammar:
             if len(syms) == 1 and syms[0].startswith("@"):
                 name = syms[0][1:]
                 for value in alphabets.get(name, []):
-                    add_rule(lhs, (value,), TERMINAL, value=value, alphabet=name)
+                    add_rule(lhs, (value,), TERMINAL, value=value)
                 continue
             for sym in syms:
                 if sym.startswith("@"):
@@ -494,6 +458,11 @@ def loads(text: str, source_name: str = "<memory>") -> Grammar:
     g = Grammar(
         alphabets=alphabets, rules=rules, requests=layouts, source_name=source_name
     )
+    # DFS rule sequences are replayed with a stack that assumes right
+    # recursion, so any other recursion is rejected here.
+    violations = check_tail_recursive(g)
+    if violations:
+        raise GrammarError("; ".join(violations))
 
     # Sanity: layout chunks must resolve to terminal rules.
     for layout in layouts:

@@ -255,6 +255,11 @@ def apply_plan(
     same-side token swap with ``with_pollution=False`` carries none.
     Dependency-kind replacement rules never take payloads on a
     same-side swap — their value is whatever the binding resolves to.
+
+    Invariant: the mutant has the seed's shape.  It swaps one terminal
+    for another of the same left-hand side, or pins a payload on a
+    leaf, so its tokens replay to the same ``leaf_index`` and request
+    views as ``x``'s, and callers reuse those instead of replaying.
     """
     new_rule = g.rules[plan.new_rule]
     if new_rule.kind != TERMINAL:

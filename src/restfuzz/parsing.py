@@ -6,9 +6,16 @@ when deriving it from the start symbol.  Rule ids double as model token
 ids, so this module is the bridge between wire text and the learned
 mutation machinery.
 
-Mutated leaves keep their rule token but carry a raw byte payload that
-overrides rendering; this keeps every mutant a valid derivation while
-still letting mutations place arbitrary bytes anywhere.
+Every test case is built one way: :func:`layout_leaves` turns a
+request layout and the text of its non-static slots into leaves (seed
+generation passes dictionary values, the parser the text it read), and
+:meth:`TestCase.from_leaves` derives the tokens and replays them once.
+
+A mutated leaf either swaps to another terminal of the same left-hand
+side or keeps its rule token and carries a raw byte payload that
+overrides rendering.  Either way the mutant is a valid derivation with
+its seed's shape, so it reuses the seed's request views, while
+mutations can still place arbitrary bytes anywhere.
 """
 
 from __future__ import annotations
@@ -46,7 +53,6 @@ class ReplayInfo:
     leaf_positions: list[int]
     leaf_sections: list[str | None]  # "method"/"path"/"header"/"body" per leaf
     leaf_requests: list[int]  # request ordinal per leaf
-    request_boundaries: list[int]  # token positions opening each request
 
 
 def replay_tokens(tokens: list[int], g: Grammar) -> ReplayInfo:
@@ -58,7 +64,6 @@ def replay_tokens(tokens: list[int], g: Grammar) -> ReplayInfo:
     leaf_positions: list[int] = []
     leaf_sections: list[str | None] = []
     leaf_requests: list[int] = []
-    request_boundaries: list[int] = []
     req_idx = -1
 
     for pos, rid in enumerate(tokens):
@@ -74,7 +79,6 @@ def replay_tokens(tokens: list[int], g: Grammar) -> ReplayInfo:
             )
         if rule.lhs == "request":
             req_idx += 1
-            request_boundaries.append(pos)
         if rule.kind == TERMINAL:
             section = sect
             if section is None and rule.lhs == "method":
@@ -96,7 +100,6 @@ def replay_tokens(tokens: list[int], g: Grammar) -> ReplayInfo:
         leaf_positions=leaf_positions,
         leaf_sections=leaf_sections,
         leaf_requests=leaf_requests,
-        request_boundaries=request_boundaries,
     )
 
 
@@ -162,10 +165,12 @@ def derive_tokens(g: Grammar, leaves: list[LeafSpec]) -> list[int]:
 class RuleSequence:
     """A test case encoded as DFS rule ids plus leaf payload overrides.
 
-    ``payloads`` maps token positions (which must be leaf positions) to
-    raw byte strings that replace the terminal's value when rendering.
-    ``pinned`` positions are mutation payloads the executor must never
-    overwrite during dependency resolution.
+    Built by :meth:`TestCase.from_leaves` (or copied from one and edited
+    by ``mutation.apply_plan``).  ``leaf_index`` holds the token position
+    of each leaf.  ``payloads`` maps token positions (which must be leaf
+    positions) to raw byte strings that replace the terminal's value
+    when rendering.  ``pinned`` positions are mutation payloads the
+    executor must never overwrite during dependency resolution.
     """
 
     tokens: list[int]
@@ -173,42 +178,6 @@ class RuleSequence:
     payloads: dict[int, str] = field(default_factory=dict)
     pinned: set[int] = field(default_factory=set)
     leaf_index: list[int] = field(default_factory=list)
-    request_boundaries: list[int] = field(default_factory=list)
-
-    @classmethod
-    def from_tokens(
-        cls,
-        tokens: list[int],
-        g: Grammar,
-        payloads: dict[int, str] | None = None,
-        pinned: set[int] | None = None,
-    ) -> "RuleSequence":
-        info = replay_tokens(tokens, g)
-        return cls(
-            tokens=list(tokens),
-            grammar_hash=g.grammar_hash(),
-            payloads=dict(payloads or {}),
-            pinned=set(pinned or ()),
-            leaf_index=info.leaf_positions,
-            request_boundaries=info.request_boundaries,
-        )
-
-    @classmethod
-    def from_leaves(cls, g: Grammar, leaves: list[LeafSpec]) -> "RuleSequence":
-        tokens = derive_tokens(g, leaves)
-        info = replay_tokens(tokens, g)
-        payloads = {}
-        for ordinal, spec in enumerate(leaves):
-            if spec.payload is not None:
-                payloads[info.leaf_positions[ordinal]] = spec.payload
-        return cls(
-            tokens=tokens,
-            grammar_hash=g.grammar_hash(),
-            payloads=payloads,
-            pinned=set(),
-            leaf_index=info.leaf_positions,
-            request_boundaries=info.request_boundaries,
-        )
 
     def copy(self) -> "RuleSequence":
         return RuleSequence(
@@ -217,14 +186,10 @@ class RuleSequence:
             payloads=dict(self.payloads),
             pinned=set(self.pinned),
             leaf_index=list(self.leaf_index),
-            request_boundaries=list(self.request_boundaries),
         )
 
     def n_leaves(self) -> int:
         return len(self.leaf_index)
-
-    def n_requests(self) -> int:
-        return len(self.request_boundaries)
 
     def leaf_rule(self, ordinal: int, g: Grammar) -> Rule:
         return g.rules[self.tokens[self.leaf_index[ordinal]]]
@@ -294,41 +259,68 @@ class RequestView:
 
 @dataclass
 class TestCase:
-    """A rule sequence plus its per-request leaf grouping."""
+    """A rule sequence plus its per-request leaf grouping.
+
+    :meth:`from_leaves` builds one from layout leaves (seed generation
+    and parsing); :meth:`from_sequence` replays an existing sequence.
+    A mutant keeps its seed's shape, so it reuses the seed's views.
+    """
 
     seq: RuleSequence
     requests: list[RequestView]
 
     @classmethod
+    def from_leaves(cls, g: Grammar, leaves: list[LeafSpec]) -> "TestCase":
+        """Derive the tokens covering ``leaves`` and replay them once."""
+        tokens = derive_tokens(g, leaves)
+        info = replay_tokens(tokens, g)
+        payloads = {
+            info.leaf_positions[ordinal]: spec.payload
+            for ordinal, spec in enumerate(leaves)
+            if spec.payload is not None
+        }
+        rs = RuleSequence(
+            tokens=tokens,
+            grammar_hash=g.grammar_hash(),
+            payloads=payloads,
+            leaf_index=info.leaf_positions,
+        )
+        return cls(seq=rs, requests=_request_views(info))
+
+    @classmethod
     def from_sequence(cls, rs: RuleSequence, g: Grammar) -> "TestCase":
-        info = replay_tokens(rs.tokens, g)
-        views: list[RequestView] = []
-        grouped: dict[int, dict[str, list[int]]] = {}
-        for ordinal in range(len(info.leaf_positions)):
-            req = info.leaf_requests[ordinal]
-            sect = info.leaf_sections[ordinal]
-            grouped.setdefault(req, {"method": [], "path": [], "header": [], "body": []})
-            if sect is None:
-                raise ParseError("leaf %d has no syntactic section" % ordinal)
-            grouped[req][sect].append(ordinal)
-        for req in sorted(grouped):
-            parts = grouped[req]
-            if len(parts["method"]) != 1:
-                raise ParseError(
-                    "request %d has %d method leaves" % (req, len(parts["method"]))
-                )
-            hdr = parts["header"]
-            if len(hdr) % 2 != 0:
-                raise ParseError("request %d has unpaired header leaves" % req)
-            views.append(
-                RequestView(
-                    method=parts["method"][0],
-                    path=parts["path"],
-                    headers=[(hdr[i], hdr[i + 1]) for i in range(0, len(hdr), 2)],
-                    body=parts["body"],
-                )
+        return cls(seq=rs, requests=_request_views(replay_tokens(rs.tokens, g)))
+
+
+def _request_views(info: ReplayInfo) -> list[RequestView]:
+    """Group a replay's leaf ordinals by request and syntactic role."""
+    grouped: dict[int, dict[str, list[int]]] = {}
+    for ordinal in range(len(info.leaf_positions)):
+        req = info.leaf_requests[ordinal]
+        sect = info.leaf_sections[ordinal]
+        grouped.setdefault(req, {"method": [], "path": [], "header": [], "body": []})
+        if sect is None:
+            raise ParseError("leaf %d has no syntactic section" % ordinal)
+        grouped[req][sect].append(ordinal)
+    views: list[RequestView] = []
+    for req in sorted(grouped):
+        parts = grouped[req]
+        if len(parts["method"]) != 1:
+            raise ParseError(
+                "request %d has %d method leaves" % (req, len(parts["method"]))
             )
-        return cls(seq=rs, requests=views)
+        hdr = parts["header"]
+        if len(hdr) % 2 != 0:
+            raise ParseError("request %d has unpaired header leaves" % req)
+        views.append(
+            RequestView(
+                method=parts["method"][0],
+                path=parts["path"],
+                headers=[(hdr[i], hdr[i + 1]) for i in range(0, len(hdr), 2)],
+                body=parts["body"],
+            )
+        )
+    return views
 
 
 def canonicalize(text: str) -> str:
@@ -379,32 +371,48 @@ def _chunk_regex(chunks) -> re.Pattern:
 
 
 def _slot_leaf(c, value: str, g: Grammar, where: str, section: str) -> LeafSpec:
-    """Map a matched slot value to a terminal rule (+payload)."""
+    """Map the text of one non-static chunk to a terminal rule (+payload)."""
     if c.kind in DEPENDENCY_KINDS:
         rule = g.terminal_rule(c.kind, c.resource)
-        m = MARKER_RE.match(value)
-        if m is not None:
-            if m.group(1) != c.resource:
-                raise ParseError(
-                    "%s: marker %r does not name resource %r"
-                    % (where, value, c.resource)
-                )
+        if value == marker_text(c.resource):
             return LeafSpec(rule.rule_id, section=section)
+        if MARKER_RE.match(value) is not None:
+            raise ParseError(
+                "%s: marker %r does not name resource %r" % (where, value, c.resource)
+            )
         return LeafSpec(rule.rule_id, payload=value, section=section)
-    if c.kind == "uuid":
-        rules = [r for r in g.rules_by_lhs.get("uuid", ()) if r.kind == TERMINAL]
-        if not rules:
-            raise ParseError("%s: grammar has no uuid terminal rule" % where)
-        for r in rules:
-            if r.value == value:
-                return LeafSpec(r.rule_id, section=section)
-        return LeafSpec(rules[0].rule_id, payload=value, section=section)
     rule = g.terminal_rule(c.kind, value)
-    if rule is None:
-        raise ParseError(
-            "%s: value %r is not in the %r alphabet" % (where, value, c.kind)
-        )
-    return LeafSpec(rule.rule_id, section=section)
+    if rule is not None:
+        return LeafSpec(rule.rule_id, section=section)
+    if c.kind == "uuid":
+        # any text parses as a uuid: the first uuid rule carries it as payload
+        for r in g.rules_by_lhs.get("uuid", ()):
+            if r.kind == TERMINAL:
+                return LeafSpec(r.rule_id, payload=value, section=section)
+    raise ParseError("%s: no terminal rule for %s value %r" % (where, c.kind, value))
+
+
+def layout_leaves(g: Grammar, layout, slot_values) -> list[LeafSpec]:
+    """The leaves of one request of ``layout``, method first.
+
+    Static chunks become their own terminal.  ``slot_values`` holds the
+    text of each non-static chunk in layout order (path, header, body).
+    A dependency slot reading as its ``marker_text`` stays unresolved;
+    any other text is pinned as a payload on the slot's terminal.
+    """
+    values = iter(slot_values)
+    leaves = [LeafSpec(g.terminal_rule("method", layout.method).rule_id, section="method")]
+    chunks = [("path", c) for c in layout.path]
+    chunks += [("header", c) for pair in layout.headers for c in pair]
+    chunks += [("body", c) for c in layout.body]
+    for section, c in chunks:
+        if c.kind == "static":
+            rule = g.terminal_rule("static", c.value)
+            leaves.append(LeafSpec(rule.rule_id, section=section))
+        else:
+            where = "layout %r %s" % (layout.name, section)
+            leaves.append(_slot_leaf(c, next(values), g, where, section))
+    return leaves
 
 
 def _parse_request_block(block: str, g: Grammar, idx: int) -> list[LeafSpec]:
@@ -438,23 +446,7 @@ def _parse_request_block(block: str, g: Grammar, idx: int) -> list[LeafSpec]:
         if (body_line is None) != (len(layout.body) == 0):
             continue
         try:
-            leaves = [
-                LeafSpec(g.terminal_rule("method", method).rule_id, section="method")
-            ]
             slot_values = list(m.groups())
-            for c in layout.path:
-                if c.kind == "static":
-                    leaves.append(
-                        LeafSpec(
-                            g.terminal_rule("static", c.value).rule_id, section="path"
-                        )
-                    )
-                else:
-                    leaves.append(
-                        _slot_leaf(
-                            c, slot_values.pop(0), g, "request %d path" % idx, "path"
-                        )
-                    )
             # headers match by key chunk, order-insensitively
             remaining = list(header_lines)
             for key_chunk, val_chunk in layout.headers:
@@ -464,61 +456,30 @@ def _parse_request_block(block: str, g: Grammar, idx: int) -> list[LeafSpec]:
                         hit = ln
                         break
                 if hit is None:
-                    raise ParseError(
-                        "request %d: missing header %r" % (idx, key_chunk.value)
-                    )
+                    raise ParseError("missing header %r" % key_chunk.value)
                 remaining.remove(hit)
-                leaves.append(
-                    LeafSpec(
-                        g.terminal_rule("static", key_chunk.value).rule_id,
-                        section="header",
-                    )
-                )
                 value = hit[len(key_chunk.value) :]
-                leaves.append(
-                    _slot_leaf(val_chunk, value, g, "request %d header" % idx, "header")
-                    if val_chunk.kind != "static"
-                    else _require_static(val_chunk, value, g, idx)
-                )
+                if val_chunk.kind != "static":
+                    slot_values.append(value)
+                elif value != val_chunk.value:
+                    raise ParseError(
+                        "header value %r != expected static %r" % (value, val_chunk.value)
+                    )
             if remaining:
-                raise ParseError("request %d: unmatched headers %r" % (idx, remaining))
+                raise ParseError("unmatched headers %r" % remaining)
             if layout.body:
                 bm = _chunk_regex(layout.body).match(body_line)
                 if bm is None:
-                    raise ParseError("request %d: body does not match layout" % idx)
-                bvals = list(bm.groups())
-                for c in layout.body:
-                    if c.kind == "static":
-                        leaves.append(
-                            LeafSpec(
-                                g.terminal_rule("static", c.value).rule_id,
-                                section="body",
-                            )
-                        )
-                    else:
-                        leaves.append(
-                            _slot_leaf(
-                                c, bvals.pop(0), g, "request %d body" % idx, "body"
-                            )
-                        )
-            return leaves
+                    raise ParseError("body does not match layout")
+                slot_values.extend(bm.groups())
+            return layout_leaves(g, layout, slot_values)
         except ParseError as exc:
             last_error = exc
-            continue
     if last_error is not None:
-        raise last_error
+        raise ParseError("request %d: %s" % (idx, last_error))
     raise ParseError(
         "request %d: no layout matches %r %r" % (idx, method, path[:80])
     )
-
-
-def _require_static(chunk, value: str, g: Grammar, idx: int) -> LeafSpec:
-    if value != chunk.value:
-        raise ParseError(
-            "request %d: header value %r != expected static %r"
-            % (idx, value, chunk.value)
-        )
-    return LeafSpec(g.terminal_rule("static", chunk.value).rule_id, section="header")
 
 
 def parse_test_case(raw: str, g: Grammar) -> TestCase:
@@ -530,5 +491,4 @@ def parse_test_case(raw: str, g: Grammar) -> TestCase:
     leaves: list[LeafSpec] = []
     for idx, block in enumerate(blocks):
         leaves.extend(_parse_request_block(block, g, idx))
-    rs = RuleSequence.from_leaves(g, leaves)
-    return TestCase.from_sequence(rs, g)
+    return TestCase.from_leaves(g, leaves)

@@ -10,7 +10,9 @@ dependency structure.
 Each chain is instantiated into concrete seeds by filling every
 fuzzable slot with the first ``dict_values_per_type`` values of its
 alphabet (cross product).  Dependency slots stay as placeholder
-markers; the executor resolves them from live responses.
+markers; the executor resolves them from live responses.  Requests are
+turned into leaves by ``parsing.layout_leaves``, the builder the seed
+parser uses too, so a written seed parses back to the case built.
 """
 
 from __future__ import annotations
@@ -20,7 +22,14 @@ import os
 from dataclasses import dataclass
 
 from .grammar import FUZZABLE_KINDS, Grammar, RequestLayout
-from .parsing import LeafSpec, RuleSequence, TestCase, parse_test_case, render
+from .parsing import (
+    LeafSpec,
+    TestCase,
+    layout_leaves,
+    marker_text,
+    parse_test_case,
+    render,
+)
 
 INDEX_NAME = "index.txt"
 
@@ -101,40 +110,20 @@ def count_sequences(g: Grammar, max_len: int, dict_values_per_type: int = 2):
     return {length: (c, r) for length, (c, r) in sorted(stats.items())}
 
 
-def _layout_leaves(layout: RequestLayout, g: Grammar, values: list[str]):
-    """LeafSpecs for one request;``values`` fills fuzzable slots in order."""
-    leaves = [LeafSpec(g.terminal_rule("method", layout.method).rule_id, section="method")]
-    vit = iter(values)
-
-    def slot(chunk, section):
-        if chunk.kind == "static":
-            return LeafSpec(g.terminal_rule("static", chunk.value).rule_id, section=section)
-        if chunk.kind in FUZZABLE_KINDS:
-            value = next(vit)
-            rule = g.terminal_rule(chunk.kind, value)
-            if rule is None:
-                raise ValueError("no terminal rule for %s value %r" % (chunk.kind, value))
-            return LeafSpec(rule.rule_id, section=section)
-        # producer/consumer: placeholder, resolved at execution time
-        return LeafSpec(g.terminal_rule(chunk.kind, chunk.resource).rule_id, section=section)
-
-    for chunk in layout.path:
-        leaves.append(slot(chunk, "path"))
-    for key_chunk, val_chunk in layout.headers:
-        leaves.append(slot(key_chunk, "header"))
-        leaves.append(slot(val_chunk, "header"))
-    for chunk in layout.body:
-        leaves.append(slot(chunk, "body"))
-    return leaves
-
-
 def build_case(g: Grammar, chain: tuple[str, ...], values_per_request) -> TestCase:
-    """Assemble a TestCase for a chain with given fuzzable-slot values."""
+    """Assemble a TestCase for a chain with given fuzzable-slot values;
+    dependency slots keep their placeholder marker."""
     leaves: list[LeafSpec] = []
     for name, values in zip(chain, values_per_request):
-        leaves.extend(_layout_leaves(g.requests_by_name[name], g, list(values)))
-    rs = RuleSequence.from_leaves(g, leaves)
-    return TestCase.from_sequence(rs, g)
+        layout = g.requests_by_name[name]
+        fuzzed = iter(values)
+        slot_values = [
+            next(fuzzed) if c.kind in FUZZABLE_KINDS else marker_text(c.resource)
+            for c in layout.all_chunks()
+            if c.kind != "static"
+        ]
+        leaves.extend(layout_leaves(g, layout, slot_values))
+    return TestCase.from_leaves(g, leaves)
 
 
 def generate_seeds(

@@ -122,9 +122,9 @@ def test_tail_recursion_checker_accepts_reference():
 
 def test_tail_recursion_checker_flags_left_recursion():
     bad = MINI.replace("path -> static + path | eps", "path -> path + static | eps")
-    g = loads(bad)
-    violations = check_tail_recursive(g)
-    assert violations and "non-tail position" in violations[0]
+    assert bad != MINI
+    with pytest.raises(GrammarError, match="non-tail position"):
+        loads(bad)
 
 
 def test_grammar_hash_stable_and_content_sensitive():

@@ -6,11 +6,13 @@ import types
 import numpy as np
 import pytest
 
+from restfuzz import autoencoder as ae
 from restfuzz import mutation as mut
+from restfuzz import parsing
 from restfuzz.autoencoder import Embedding
 from restfuzz.grammar import DEPENDENCY_KINDS, load_grammar, loads, terminal_rules
 from restfuzz.parsing import leaf_diff, leaf_rule_ids, replay_tokens
-from restfuzz.seedgen import generate_seeds
+from restfuzz.seedgen import generate_seeds, load_corpus
 
 from .conftest import data_path
 
@@ -368,6 +370,36 @@ def test_apply_plan_validation(ref_grammar, two_seed_sequences):
             mut.MutationPlan("s", x.n_leaves(), _rule_id(g, "string", "nil"), "tree"),
             g,
         )
+
+
+def test_mutants_keep_their_seed_views(ref_grammar, validated_corpus_dir):
+    """Fuzzing reuses a seed's request views for its mutants, so every
+    tree mutant and every learned plan must replay to exactly those."""
+    g = ref_grammar
+    seeds = load_corpus(validated_corpus_dir, g)
+    hp = ae.Hyperparams(
+        hidden_dim=24, embedding_dim=12, steps=20, batch_size=4, max_seq_len=96, rng_seed=3
+    )
+    model = ae.train([tc.seq for _, tc in seeds], hp, grammar_hash=g.grammar_hash())
+    rng = np.random.default_rng(0)
+    n_learned = 0
+    for seed_id, tc in seeds:
+        for deps in (False, True):
+            mutants = [
+                mut.mutate_tree_random(tc.seq, g, rng, seed_id, mutate_dependencies=deps)[0]
+                for _ in range(20)
+            ]
+            pr = mut.perturb_and_select(model, tc.seq, rng)
+            for plan in mut.plan_learned_mutations(
+                tc.seq, pr, g, seed_id, rng, mutate_dependencies=deps
+            ):
+                mutants.append(mut.apply_plan(tc.seq, plan, g))
+                n_learned += 1
+            for mutant in mutants:
+                assert mutant.leaf_index == tc.seq.leaf_index, seed_id
+                replayed = parsing.TestCase.from_sequence(mutant, g)
+                assert replayed.requests == tc.requests, seed_id
+    assert n_learned > 0
 
 
 # ------------------------------------------------------------ baselines

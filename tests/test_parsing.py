@@ -1,11 +1,9 @@
 import pytest
 
 from restfuzz.grammar import TERMINAL, loads
-from restfuzz.parsing import TestCase as SeqCase
 from restfuzz.parsing import (
     LeafSpec,
     ParseError,
-    RuleSequence,
     canonicalize,
     derive_tokens,
     leaf_diff,
@@ -101,7 +99,7 @@ def test_two_request_sequence_nests_tail(ping_grammar):
     seq_eps = rid(g, "sequence", rhs=["eps"])
     assert tc.seq.tokens.count(seq_cons) == 2
     assert tc.seq.tokens[-1] == seq_eps
-    assert tc.seq.n_requests() == 2
+    assert len(tc.requests) == 2
 
 
 def test_replay_matches_parse_structure(ping_grammar):
@@ -235,13 +233,19 @@ def test_corpus_round_trip_property(ref_grammar):
     for seed in corpus.seeds:
         tc = parse_test_case(seed.text, ref_grammar)
         assert render(tc, ref_grammar) == canonicalize(seed.text), seed.seed_id
+        # the parser and the generator build leaves the same way
+        assert tc.seq.tokens == seed.case.seq.tokens, seed.seed_id
+        assert tc.seq.payloads == seed.case.seq.payloads, seed.seed_id
+        assert tc.requests == seed.case.requests, seed.seed_id
 
 
-def test_from_tokens_equals_from_leaves(ping_grammar):
-    g = ping_grammar
-    tc = parse_test_case('POST /echo HTTP/1.1\n{"v":"a"}\n', g)
-    again = RuleSequence.from_tokens(tc.seq.tokens, g)
-    assert again.tokens == tc.seq.tokens
-    assert again.leaf_index == tc.seq.leaf_index
-    assert again.request_boundaries == tc.seq.request_boundaries
-    assert SeqCase.from_sequence(again, g).requests[0].method == 0
+def test_parse_rejects_static_header_mismatch(ref_grammar):
+    """A header whose layout value is static must carry exactly that text."""
+    g = ref_grammar
+    seed = generate_seeds(g, max_len=1, dict_values_per_type=1).seeds[0]
+    assert "PRIVATE-TOKEN: " in seed.text
+    parse_test_case(seed.text, g)
+    forged = seed.text.replace("PRIVATE-TOKEN: DRiX47nuEP2AR", "PRIVATE-TOKEN: forged")
+    assert forged != seed.text
+    with pytest.raises(ParseError, match="expected static"):
+        parse_test_case(forged, g)
