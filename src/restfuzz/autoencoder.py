@@ -42,6 +42,14 @@ bits of a plain per-token cell.  The backward pass first turns the
 forward cache into the factors of dh that do not depend on dh, once for
 all positions; a backward step is then five products in three in-place
 calls and one GEMM against a contiguous Uᵀ (see ``_gru_backward``).
+
+A batch drawn with replacement from a small corpus repeats sequences, so
+``_prepare_batch`` keeps each distinct sequence once and weighs its
+positions by its multiplicity: the GRUs run each distinct row once, and
+the loss, gradients and token accuracy are those of the full batch up to
+float rounding.  Adam keeps the parameters in one flat buffer, which
+``Model.params`` views, and steps it with whole-buffer in-place
+operations.
 """
 
 from __future__ import annotations
@@ -237,9 +245,18 @@ def _prepare_batch(token_lists, max_seq_len, dtype):
     encoder input:   tokens + <eos>, padded
     decoder input:   <sos> + tokens, padded
     decoder target:  tokens + <eos>, padded (weight 0 on pads)
+
+    Equal token lists become one row, in first-seen order, whose weights
+    are the list's multiplicity: the weighted loss and its gradients are
+    the same sums with the repeats folded in, so each distinct sequence
+    runs through the GRUs once.
     """
-    B = len(token_lists)
-    T = max(len(t) for t in token_lists) + 1
+    counts: dict[tuple, int] = {}
+    for toks in token_lists:
+        key = tuple(toks)
+        counts[key] = counts.get(key, 0) + 1
+    B = len(counts)
+    T = max(len(t) for t in counts) + 1
     if T > max_seq_len + 1:
         raise ValueError("sequence longer than max_seq_len")
     enc_ids = np.zeros((B, T), dtype=np.int64)
@@ -247,7 +264,7 @@ def _prepare_batch(token_lists, max_seq_len, dtype):
     targets = np.zeros((B, T), dtype=np.int64)
     weights = np.zeros((B, T), dtype=dtype)
     enc_mask = np.zeros((B, T), dtype=dtype)
-    for i, toks in enumerate(token_lists):
+    for i, (toks, k) in enumerate(counts.items()):
         shifted = [t + N_SPECIALS for t in toks]
         n = len(shifted)
         enc_ids[i, :n] = shifted
@@ -257,14 +274,15 @@ def _prepare_batch(token_lists, max_seq_len, dtype):
         dec_ids[i, 1 : n + 1] = shifted
         targets[i, :n] = shifted
         targets[i, n] = EOS
-        weights[i, : n + 1] = 1.0
+        weights[i, : n + 1] = k
     return enc_ids, enc_mask, dec_ids, targets, weights
 
 
 def _forward_backward(params, hp: Hyperparams, batch, compute_grads=True):
-    """Weighted cross-entropy loss over a batch; optionally gradients.
-    Only positions inside each row's ``enc_mask`` length are computed:
-    the rest must carry weight 0, as ``_prepare_batch`` gives them."""
+    """Weighted cross-entropy loss and weighted token accuracy over a
+    batch; optionally gradients.  Only positions inside each row's
+    ``enc_mask`` length are computed: the rest must carry weight 0, as
+    ``_prepare_batch`` gives them."""
     enc_ids, enc_mask, dec_ids, targets, weights = batch
     p, H, E = params, hp.hidden_dim, hp.embedding_dim
     dt = hp.np_dtype()
@@ -304,8 +322,7 @@ def _forward_backward(params, hp: Hyperparams, batch, compute_grads=True):
     sumex = ex.sum(axis=1)
     total_w = float(weights.sum())
     loss = -float((((logits[pos, tgt] - m) - np.log(sumex)) * w).sum()) / total_w
-    counted = w > 0
-    acc = int((counted & (logits.argmax(axis=1) == tgt)).sum()) / max(int(counted.sum()), 1)
+    acc = float(w[logits.argmax(axis=1) == tgt].sum()) / total_w
     if not compute_grads:
         return loss, acc, None
 
@@ -329,26 +346,46 @@ def _forward_backward(params, hp: Hyperparams, batch, compute_grads=True):
 
 
 class _Adam:
+    """Adam over one flat copy of the parameters.  The constructor moves
+    ``params`` into that buffer and rebinds each entry to a view of it, so
+    a step is a few whole-buffer operations in place.  The update is the
+    per-array ``p -= lr * (m / b1c) / (sqrt(v / b2c) + eps)``, op for op."""
+
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.flat = np.concatenate([p.ravel() for p in params.values()])
+        o = 0
+        for k, p in params.items():
+            params[k] = self.flat[o : o + p.size].reshape(p.shape)
+            o += p.size
+        self.keys = list(params)
+        self.m, self.v = np.zeros_like(self.flat), np.zeros_like(self.flat)
+        self.g, self.tmp = np.empty_like(self.flat), np.empty_like(self.flat)
 
-    def step(self, params, grads):
+    def step(self, grads):
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for k, p in params.items():
-            g = grads[k]
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * (g * g)
-            mhat = self.m[k] / b1c
-            vhat = self.v[k] / b2c
-            p -= (self.lr * mhat / (np.sqrt(vhat) + self.eps)).astype(p.dtype)
+        m, v, g, tmp = self.m, self.v, self.g, self.tmp
+        np.concatenate([grads[k].ravel() for k in self.keys], out=g)
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=tmp)
+        m += tmp
+        g *= g
+        v *= self.beta2
+        g *= 1.0 - self.beta2
+        v += g
+        np.divide(m, b1c, out=tmp)
+        tmp *= self.lr
+        np.divide(v, b2c, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        tmp /= g
+        self.flat -= tmp
 
 
 def _corpus_tokens(corpus):
@@ -377,7 +414,7 @@ def train(corpus, hp: Hyperparams, grammar_hash: str | None = None, log=None) ->
     vocab = max(max(t) for t in token_lists if t) + 1 + N_SPECIALS
     rng = np.random.default_rng(hp.rng_seed)
     params = _init_params(hp, vocab, rng)
-    opt = _Adam(params, hp.learning_rate)
+    opt = _Adam(params, hp.learning_rate)  # params now view opt.flat
     model = Model(hp=hp, vocab_size=vocab, grammar_hash=grammar_hash, params=params)
 
     n = len(token_lists)
@@ -393,7 +430,7 @@ def train(corpus, hp: Hyperparams, grammar_hash: str | None = None, log=None) ->
         loss, acc, grads = _forward_backward(params, hp, batch)
         if not np.isfinite(loss):
             raise FloatingPointError("non-finite loss at step %d" % step)
-        opt.step(params, grads)
+        opt.step(grads)
         model.loss_history.append(loss)
         if log and (step % 100 == 0 or step == hp.steps - 1):
             log(

@@ -384,8 +384,7 @@ def cmd_fuzz(args) -> int:
             )
 
         os.makedirs(out_dir, exist_ok=True)
-        bug_dir = os.path.join(out_dir, BUG_DIR)
-        os.makedirs(bug_dir, exist_ok=True)
+        os.makedirs(os.path.join(out_dir, BUG_DIR), exist_ok=True)
         acc = CoverageAccumulator(width)
         dedup = BugDeduplicator()
         bugs: list[dict] = []
@@ -417,8 +416,8 @@ def cmd_fuzz(args) -> int:
                 report = dedup.add(result)
                 if report is not None:
                     bug_id = "bug-%03d" % len(dedup.reports)
-                    transcript_path = os.path.join(bug_dir, bug_id + ".txt")
-                    with open(transcript_path, "w", encoding="latin-1") as fh:
+                    transcript = os.path.join(BUG_DIR, bug_id + ".txt")  # session-relative
+                    with open(os.path.join(out_dir, transcript), "w", encoding="latin-1") as fh:
                         fh.write(report.transcript)
                     bugs.append(
                         {
@@ -428,7 +427,7 @@ def cmd_fuzz(args) -> int:
                             "seed": seed_id,
                             "case": report.first_case_id,
                             "mutation": mu.format_mutation_log(plan).replace("\t", " "),
-                            "transcript": transcript_path,
+                            "transcript": transcript,
                         }
                     )
                 rows.append((time.monotonic() - t0, acc.count(), tests, len(bugs)))
@@ -560,11 +559,11 @@ def cmd_report(args) -> int:
         if os.path.exists(bugs_path):
             with open(bugs_path, "r", encoding="utf-8") as fh:
                 for bug in json.load(fh):
-                    bug_rows.append((meta, bug))
+                    bug_rows.append((d, meta, bug))
     bugs_csv = os.path.join(out_dir, "report_bugs.csv")
     with open(bugs_csv, "w", encoding="utf-8") as fh:
         fh.write("strategy,bug_id,statuses,seed,mutation,bitmap_blocks,transcript\n")
-        for meta, bug in bug_rows:
+        for d, meta, bug in bug_rows:
             fh.write(
                 "%s,%s,%s,%s,%s,%d,%s\n"
                 % (
@@ -574,13 +573,13 @@ def cmd_report(args) -> int:
                     bug["seed"],
                     bug["mutation"].replace(",", ";"),
                     CoverageBitmap.from_hex(meta["block_count"], bug["bitmap"]).count(),
-                    bug["transcript"],
+                    os.path.join(d, bug["transcript"]),
                 )
             )
 
     print("coverage series: %s" % coverage_path)
     print("bug table:       %s (%d rows)" % (bugs_csv, len(bug_rows)))
-    for meta, bug in bug_rows:
+    for _, meta, bug in bug_rows:
         print(
             "  %-8s %s statuses=%s seed=%s %s"
             % (

@@ -205,15 +205,7 @@ class Grammar:
         for r in self.rules:
             if r.kind == TERMINAL:
                 self._terminal_index[(r.lhs, r.value)] = r
-
-    @property
-    def nonterminals(self) -> set[str]:
-        return {r.lhs for r in self.rules}
-
-    def terminal_rule(self, lhs: str, value: str) -> Rule | None:
-        return self._terminal_index.get((lhs, value))
-
-    def grammar_hash(self) -> str:
+        # like the indexes above, this assumes the grammar is not mutated
         h = hashlib.sha256()
         for name in sorted(self.alphabets):
             h.update(b"[A]" + name.encode("utf-8"))
@@ -231,7 +223,17 @@ class Grammar:
                     b"\x00" + repr((c.kind, c.value, c.resource)).encode("latin-1")
                 )
             h.update(b"\x00" + ",".join(sorted(rq.produces)).encode("utf-8"))
-        return h.hexdigest()
+        self._digest = h.hexdigest()
+
+    @property
+    def nonterminals(self) -> set[str]:
+        return {r.lhs for r in self.rules}
+
+    def terminal_rule(self, lhs: str, value: str) -> Rule | None:
+        return self._terminal_index.get((lhs, value))
+
+    def grammar_hash(self) -> str:
+        return self._digest
 
 
 def terminal_rules(g: Grammar) -> list[Rule]:

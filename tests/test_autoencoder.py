@@ -114,6 +114,52 @@ def test_batch_gradient_is_the_length_weighted_mean(three_lengths):
         assert np.abs(g - want).max() <= 1e-10 * np.abs(want).max(), k
 
 
+def _expanded_batch(token_lists, hp, prepare=ae._prepare_batch):
+    """One row per token list, repeats kept: each row is a one-list
+    ``_prepare_batch`` (bound here, before any monkeypatch), zero-padded to
+    the longest."""
+    rows = [prepare([t], hp.max_seq_len, hp.np_dtype()) for t in token_lists]
+    T = max(r[0].shape[1] for r in rows)
+    return tuple(
+        np.concatenate([np.pad(r[i], ((0, 0), (0, T - r[i].shape[1]))) for r in rows])
+        for i in range(5)
+    )
+
+
+@pytest.mark.parametrize("z_per_step", [True, False])
+def test_repeated_rows_fold_into_multiplicity_weights(three_lengths, z_per_step):
+    hp = tiny_hp(steps=5, batch_size=3, dtype="float64", z_per_step=z_per_step)
+    m = ae.train(three_lengths, hp)
+    a, b = three_lengths[0].tokens, three_lengths[2].tokens
+    folded = ae._prepare_batch([a, b, a], hp.max_seq_len, hp.np_dtype())
+    assert folded[4][:, 0].tolist() == [2, 1]  # rows [a, b], weighted by count
+    loss, acc, grads = ae._forward_backward(m.params, hp, folded)
+    ref_loss, ref_acc, ref_grads = ae._forward_backward(
+        m.params, hp, _expanded_batch([a, b, a], hp)
+    )
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    assert acc == ref_acc
+    assert sorted(grads) == sorted(ref_grads)
+    for k, g in ref_grads.items():
+        assert np.abs(grads[k] - g).max() <= 1e-12 * np.abs(g).max(), k
+
+
+@pytest.mark.parametrize("shuffle", [True, False])
+def test_batches_larger_than_the_corpus_keep_their_log(monkeypatch, three_lengths, shuffle):
+    hp = tiny_hp(steps=201, batch_size=8, dtype="float64", shuffle=shuffle)
+
+    def logged():
+        lines = []
+        ae.train(three_lengths, hp, log=lines.append)
+        return [line.rsplit("(", 1)[0] for line in lines]  # drop the elapsed time
+
+    folded = logged()
+    monkeypatch.setattr(ae, "_prepare_batch", lambda lists, *_: _expanded_batch(lists, hp))
+    expanded = logged()
+    assert len(folded) == 3 and all("batch-acc" in line for line in folded)
+    assert folded == expanded
+
+
 def _reference_step(p, side, x, h):
     """Plain GRU cell: h' and the values the reference backward reads."""
     H = h.shape[1]
@@ -236,6 +282,53 @@ def test_training_forward_agrees_with_encode(monkeypatch, three_lengths, dtype, 
         want = ae.encode(m, x).vector
         assert row.dtype == want.dtype
         assert np.abs(row - want).max() <= tol * np.abs(want).max()
+
+
+class _ReferenceAdam:
+    """Adam on one array at a time: the update the flat ``_Adam`` must
+    reproduce bit for bit."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps, self.t = lr, beta1, beta2, eps, 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, params, grads):
+        self.t += 1
+        b1c = 1.0 - self.beta1**self.t
+        b2c = 1.0 - self.beta2**self.t
+        for k, p in params.items():
+            g = grads[k]
+            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
+            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * (g * g)
+            mhat = self.m[k] / b1c
+            vhat = self.v[k] / b2c
+            p -= (self.lr * mhat / (np.sqrt(vhat) + self.eps)).astype(p.dtype)
+
+
+def test_flat_adam_is_bit_identical_to_per_parameter_steps():
+    hp = tiny_hp()
+    rng = np.random.default_rng(5)
+    params = ae._init_params(hp, 12, rng)
+    ref = {k: v.copy() for k, v in params.items()}
+    opt, ref_opt = ae._Adam(params, hp.learning_rate), _ReferenceAdam(ref, hp.learning_rate)
+    assert all(np.shares_memory(p, opt.flat) for p in params.values())
+    for _ in range(3):
+        grads = {k: rng.standard_normal(ref[k].shape).astype(hp.dtype) for k in reversed(ref)}
+        opt.step(grads)
+        ref_opt.step(ref, grads)
+        for k in ref:
+            assert params[k].dtype == ref[k].dtype == np.float32, k
+            assert np.array_equal(params[k], ref[k]), k
+
+
+def test_training_runs_do_not_share_parameter_buffers(two_seed_sequences):
+    m1 = ae.train(two_seed_sequences, tiny_hp())
+    before = {k: v.copy() for k, v in m1.params.items()}
+    m2 = ae.train(two_seed_sequences, tiny_hp(rng_seed=8))
+    for k, v in m1.params.items():
+        assert np.array_equal(v, before[k]), k
+        assert not any(np.shares_memory(v, w) for w in m2.params.values()), k
 
 
 def test_checkpoint_round_trip(tmp_path, overfit_model, two_seed_sequences):

@@ -301,7 +301,8 @@ def test_fuzz_session_artifacts(pipeline, live_target, strategy, tmp_path):
         bugs = json.load(fh)
     assert len(bugs) == meta["bugs_found"]
     for bug in bugs:
-        assert os.path.exists(bug["transcript"])
+        assert bug["transcript"] == os.path.join(cli.BUG_DIR, bug["bug_id"] + ".txt")
+        assert os.path.exists(os.path.join(out, bug["transcript"]))
 
 
 def test_fuzz_calls_benchmark_hooks_through_cli(pipeline, live_target, tmp_path, monkeypatch):
@@ -619,6 +620,24 @@ def test_report_command(pipeline, live_target, tmp_path, capsys):
     assert os.path.exists(os.path.join(report_dir, "report_bugs.csv"))
     out_text = capsys.readouterr().out
     assert "coverage series" in out_text and "bug table" in out_text
+
+
+def test_report_joins_transcripts_with_their_session(tmp_path):
+    # bugs.json names transcripts relative to its session directory
+    session = tmp_path / "session"
+    (session / cli.BUG_DIR).mkdir(parents=True)
+    (session / cli.BUG_DIR / "bug-001.txt").write_text("GET / HTTP/1.1\r\n\r\n")
+    meta = {"strategy": "byte", "block_count": 8}
+    (session / cli.SESSION_JSON).write_text(json.dumps(meta))
+    (session / cli.EVENTS_CSV).write_text(cli.CSV_HEADER + "\n")
+    bug = {"bug_id": "bug-001", "statuses": [500], "seed": "s", "mutation": "m",
+           "bitmap": "03", "transcript": os.path.join(cli.BUG_DIR, "bug-001.txt")}
+    (session / cli.BUGS_JSON).write_text(json.dumps([bug]))
+    report_dir = tmp_path / "report"
+    assert cli.main(["report", "--session", str(session), "--out", str(report_dir)]) == 0
+    with open(report_dir / "report_bugs.csv") as fh:
+        row = fh.read().splitlines()[1]
+    assert row.rsplit(",", 1)[1] == str(session / cli.BUG_DIR / "bug-001.txt")
 
 
 def test_report_rejects_non_session_dir(tmp_path, capsys):

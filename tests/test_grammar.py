@@ -135,6 +135,13 @@ def test_grammar_hash_stable_and_content_sensitive():
     assert g3.grammar_hash() != g1.grammar_hash()
 
 
+def test_reference_grammar_hash_is_pinned():
+    # checkpoints store this digest; a model trained before a change to it
+    # would be refused by encode and fuzz
+    g = load_grammar(packaged_reference_grammar())
+    assert g.grammar_hash() == "caa35522f5f91ad866cb3a9f945afec0ad853af7b4dcad109b97e82189c14ae8"
+
+
 def test_reference_grammar_shape():
     g = load_grammar(packaged_reference_grammar())
     assert len(g.requests) == 5
