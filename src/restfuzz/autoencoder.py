@@ -21,14 +21,19 @@ GRU cell (single matrix per side, gates stacked [update|reset|cand]):
 The decoder sees the embedding summary both as its initial state and —
 when ``z_per_step`` is on — concatenated to every input embedding.
 
-Training runs each time loop on packed positions.  The batch rows are
-sorted by length (stable) and only the positions inside a sequence are
-kept, time-major, so step t runs ``_gru_step`` on the prefix of rows
-still inside their sequence; padded positions, which carry weight 0,
-are skipped rather than masked.  Everything that does not depend on h
-is a batched GEMM: the input projections ``x @ W + b`` of all steps
-(the decoder's z columns once per batch), the logits, and after the
-backward loop, which stacks each step's gate gradients, ``dW``, ``dU``,
+Training runs each time loop depth by depth on packed positions (after
+Appleyard et al., arXiv:1604.01946, and the dynamic batching of Looks
+et al., ICLR 2017); padded positions, which carry weight 0, are skipped
+rather than masked.  Each side is a trie whose depth-t nodes run as one
+``_gru_step`` (see ``_Layout``).  An encoder state depends only on the
+tokens up to it, so the encoder runs each distinct prefix of the batch
+once and each row's z is its leaf's state; the decoder starts each row
+from its own z, so its trie shares nothing.  Nodes of a depth are
+ordered by their smallest member row, so only the depths where a prefix
+splits gather their h_prev.  Everything that does not depend on h is a
+batched GEMM: the input projections ``x @ W + b`` of all positions (the
+decoder's z columns once per batch), the logits, and after the backward
+loop, which stacks each position's gate gradients, ``dW``, ``dU``,
 ``db``, the output layer and the embedding gradients.  Encode and
 decode run one sequence step by step.
 
@@ -57,6 +62,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,32 +157,45 @@ def _gru_step(xW, h, U, hU, ur, rh, c, h_new):
     h_new += u * h
 
 
-def _gru_forward(xW, h0, U, hidden_dim, off, base):
-    """Run one side over packed input projections.  Returns the stacked
-    states S (the initial state, then each step's output) and the cache
-    (UR, RH, C) of each position's [u | r], r * hU_c and candidate.  Step
-    t reads its h_prev at ``S[base[t]:]`` and writes ``S[B + off[t]:]``."""
-    B, N, H = h0.shape[0], xW.shape[0], hidden_dim
+def _gru_forward(xW, h0, U, lay):
+    """Run one side over its packed input projections in the node order
+    of ``lay`` (see ``_Layout``).  Returns the stacked states S (the
+    initial states, then each position's output) and the cache (UR, RH,
+    C) of each position's [u | r], r * hU_c and candidate.  Depth t
+    writes ``S[len(h0) + off[t]:]``.  Its h_prev is the first
+    ``off[t+1] - off[t]`` states that depth t-1 wrote (h0's for depth 0),
+    or, at a split depth, the gather ``S[prev]``."""
+    B, N, H = h0.shape[0], xW.shape[0], h0.shape[1]
     dt = h0.dtype
     S = np.empty((B + N, H), dtype=dt)
     S[:B] = h0
     UR = np.empty((N, 2 * H), dtype=dt)
     RH, C = np.empty((N, H), dtype=dt), np.empty((N, H), dtype=dt)
     hU = np.empty((B, 3 * H), dtype=dt)
-    off, base = off.tolist(), base.tolist()  # python ints slice faster
+    off, prev, splits = lay.off, lay.prev, lay.splits
+    lo = 0  # S row of the first node of depth t-1
     for t in range(len(off) - 1):
         a, b = off[t], off[t + 1]
-        h_prev = S[base[t] : base[t] + b - a]
+        h_prev = S[prev[a:b]] if t in splits else S[lo : lo + b - a]
         _gru_step(xW[a:b], h_prev, U, hU[: b - a], UR[a:b], RH[a:b], C[a:b], S[B + a : B + b])
+        lo = B + a
     return S, (UR, RH, C)
 
 
-def _gru_backward(dh, dS, S, cache, U, off, prev, G, Gc):
-    """Backward through one side's time loop, in place: ``dh`` enters with
-    the gradient at each row's final state (plus ``dS``, each position's
-    output gradient, if given) and leaves with the initial state's; ``G``
-    receives d(xW) and ``Gc`` the candidate slice of d(hU) per position,
-    whose h_prev is ``S[prev]``.
+def _gru_backward(dleaf, dS, h_prev, cache, U, lay, G, Gc):
+    """Backward through one side's time loop.  ``dleaf`` holds the
+    gradient at each leaf's state, in the order of ``lay.leaves``, and
+    ``dS``, if given, each position's output gradient; ``h_prev`` is
+    each position's input state.  ``G`` receives d(xW) and ``Gc`` the
+    candidate slice of d(hU) per position.  Returns the gradient at the
+    initial states that depth 0 read.
+
+    ``dh`` holds the gradient at each node of the current depth.  A step
+    turns ``dh[:n_t]`` into its parents' gradient in place, since each
+    parent sits in its child's slot, except at a split depth, which
+    sums its nodes into their parents with one GEMM.  Leaves come last
+    in their depth: their ``dleaf`` is copied in when the loop reaches
+    it.
 
     With dc = dh·(1-u)(1-c²), a position's gradients are dh times
     factors that do not depend on dh: G_u = dh·(h_prev-c)u(1-u),
@@ -190,7 +209,7 @@ def _gru_backward(dh, dS, S, cache, U, off, prev, G, Gc):
     UR, RH, C = cache
     H = C.shape[1]
     u, r = UR[:, :H], UR[:, H:]
-    np.subtract(S[prev], C, out=G[:, :H])
+    np.subtract(h_prev, C, out=G[:, :H])
     G[:, :H] *= u
     np.subtract(1.0, u, out=Gc)  # Gc is scratch until the loop
     G[:, :H] *= Gc
@@ -204,10 +223,14 @@ def _gru_backward(dh, dS, S, cache, U, off, prev, G, Gc):
     np.copyto(RH, u)
     G3 = G.reshape(len(G), 3, H)
     UT = np.ascontiguousarray(U.T)
+    dh = np.empty_like(dleaf)  # no depth has more nodes than there are leaves
     dhU = np.empty_like(dh)
-    off = off.tolist()
+    off, splits, leaves = lay.off, lay.splits, lay.leaves
     for t in range(len(off) - 2, -1, -1):
         a, b = off[t], off[t + 1]
+        if t in leaves:
+            k0, k1 = leaves[t]
+            dh[b - a - (k1 - k0) : b - a] = dleaf[k0:k1]
         d = dh[: b - a]
         if dS is not None:
             d += dS[a:b]
@@ -216,9 +239,14 @@ def _gru_backward(dh, dS, S, cache, U, off, prev, G, Gc):
         d *= RH[a:b]
         np.matmul(G[a:b], UT, out=dhU[: b - a])
         d += dhU[: b - a]
+        if t in splits:
+            fold = splits[t]
+            np.matmul(fold, d, out=dhU[: len(fold)])
+            dh[: len(fold)] = dhU[: len(fold)]
     np.copyto(C, Gc)
     np.copyto(Gc, G[:, 2 * H :])
     np.copyto(G[:, 2 * H :], C)
+    return dh[: off[1]]
 
 
 def _onehot(idx, n, dtype):
@@ -227,11 +255,10 @@ def _onehot(idx, n, dtype):
     return (idx == np.arange(n)[:, None]).astype(dtype)
 
 
-def _weight_grads(grads, p, side, x, ids, S, prev, G, Gc):
+def _weight_grads(grads, p, side, x, ids, h_prev, G, Gc):
     """One side's weight and embedding gradients from its stacked gate
     gradients, one GEMM or reduction each."""
     H, E = Gc.shape[1], x.shape[1]
-    h_prev = S[prev]
     grads[side + "_U"] = np.concatenate([h_prev.T @ G[:, : 2 * H], h_prev.T @ Gc], axis=1)
     grads[side + "_W"] = x.T @ G
     grads[side + "_b"] = G.sum(axis=0)
@@ -278,40 +305,112 @@ def _prepare_batch(token_lists, max_seq_len, dtype):
     return enc_ids, enc_mask, dec_ids, targets, weights
 
 
+class _Layout(NamedTuple):
+    """Where one side's positions sit: a trie of nodes run depth by depth.
+
+    Depth t's nodes are positions ``off[t]:off[t+1]``, ordered by their
+    smallest member row, so a depth's leaves come last and, unless a
+    prefix splits there, its parents are the first nodes of depth t-1
+    in the same order.  ``prev`` is the row of S holding each position's
+    h_prev.  ``splits`` maps each split depth to the (parents, nodes)
+    0/1 matrix that sums the nodes' dh into their parents.  ``leaves``
+    maps each depth that ends rows to the range of its leaves in
+    ``dleaf``, which numbers the leaves deepest first."""
+
+    off: list
+    prev: np.ndarray
+    splits: dict
+    leaves: dict
+
+
+def _layout(off, prev, n_h0, leaf_depths, split_depths, dtype):
+    """The ``_Layout`` of positions ``off`` whose h_prev is ``S[prev]``,
+    with ``n_h0`` initial states in front, given each leaf's depth,
+    deepest first, and the depths where a prefix splits."""
+    leaves = {}
+    for k, t in enumerate(leaf_depths):
+        leaves[t] = (leaves.get(t, (k,))[0], k + 1)
+    splits = {}
+    for t in split_depths:
+        a, b = off[t - 1], off[t]
+        k0, k1 = leaves.get(t - 1, (0, 0))
+        splits[t] = _onehot(prev[b : off[t + 1]] - (n_h0 + a), b - a - (k1 - k0), dtype)
+    return _Layout(off, prev, splits, leaves)
+
+
+def _prefix_trie(ids, lens, dtype):
+    """Returns the encoder's layout over the length-sorted rows ``ids``
+    (B, T), each position's depth and first member row, the row of S
+    holding each row's z, and the (leaves, rows) 0/1 matrix that sums
+    the rows' dz into their leaves (None if every row is its own leaf).
+
+    Row i heads its node from depth s_i on, the first depth at which it
+    differs from every row before it; until then it shares the node of
+    p_i, the first row that agrees with it longest.  Rows with equal
+    tokens never head a node: they share one leaf."""
+    B, T = ids.shape
+    rows = np.arange(B)
+    ne = ids[:, None] != ids
+    first_diff = np.where(ne.any(axis=2), ne.argmax(axis=2), T)
+    first_diff *= rows[:, None] > rows  # only rows before count
+    s, p = first_diff.max(axis=1), first_diff.argmax(axis=1)
+    depth = np.arange(T)[:, None]
+    head = (depth >= s) & (depth < lens)  # (T, B): row heads a node
+    count = np.cumsum(head).reshape(T, B)  # nodes so far, time-major
+    tt, hr = np.nonzero(head)
+    prev = count[tt - 1, np.where(tt == s[hr], p[hr], hr)] + (B - 1)
+    off = [0] + count[:, -1].tolist()
+    prev[: off[1]] = rows[: off[1]]  # depth 0 starts from h0
+    ends = lens - 1
+    lead = s <= ends  # rows that head their leaf
+    lay = _layout(off, prev, B, ends[lead].tolist(), set(s[lead & (s > 0)].tolist()), dtype)
+    leaf = np.where(lead, rows, p)  # the row heading each row's leaf
+    fold = None if lead.all() else _onehot((np.cumsum(lead) - 1)[leaf], int(lead.sum()), dtype)
+    return lay, tt, hr, count[ends, leaf] + (B - 1), fold
+
+
 def _forward_backward(params, hp: Hyperparams, batch, compute_grads=True):
     """Weighted cross-entropy loss and weighted token accuracy over a
     batch; optionally gradients.  Only positions inside each row's
     ``enc_mask`` length are computed: the rest must carry weight 0, as
-    ``_prepare_batch`` gives them."""
+    ``_prepare_batch`` gives them.
+
+    The rows are sorted by length (stable).  The encoder runs their
+    prefix trie and the decoder a trie that shares nothing (see
+    ``_Layout``).  Each row's z is its encoder leaf's state, and on the
+    way back that leaf's slot receives the sum of its rows' dz."""
     enc_ids, enc_mask, dec_ids, targets, weights = batch
     p, H, E = params, hp.hidden_dim, hp.embedding_dim
     dt = hp.np_dtype()
-    B, T = enc_ids.shape
-    # pack the positions inside each sequence time-major, rows sorted by
-    # length: step t covers sorted rows [:n_t] at positions off[t]:off[t+1]
+    B = enc_ids.shape[0]
     lens = enc_mask.sum(axis=1).astype(np.int64)
     order = np.argsort(-lens, kind="stable")
     lens = lens[order]
+    T = int(lens[0])
+    # decoder: a trie with no shared prefix, one node per row and depth
     off = np.concatenate([[0], np.cumsum((lens[:, None] > np.arange(T)).sum(axis=0))])
     tt = np.repeat(np.arange(T), np.diff(off))
     rr = np.arange(off[-1]) - off[tt]  # sorted row of each position
+    prev = np.concatenate([[0], B + off[:-2]])[tt] + rr
+    dec = _layout(off.tolist(), prev, B, (lens - 1).tolist(), (), dt)
     rows = order[rr]
-    base = np.concatenate([[0], B + off[:-2]])
-    enc_tok, dec_tok = enc_ids[rows, tt], dec_ids[rows, tt]
-    tgt, w = targets[rows, tt], weights[rows, tt]
+    dec_tok, tgt, w = dec_ids[rows, tt], targets[rows, tt], weights[rows, tt]
+    ids = enc_ids[order, :T]
+    enc, enc_t, enc_r, z_at, fold = _prefix_trie(ids, lens, dt)
+    enc_tok = ids[enc_r, enc_t]
 
     enc_x = p["enc_emb"][enc_tok]
     S_enc, enc_cache = _gru_forward(
-        enc_x @ p["enc_W"] + p["enc_b"], np.zeros((B, H), dtype=dt), p["enc_U"], H, off, base
+        enc_x @ p["enc_W"] + p["enc_b"], np.zeros((B, H), dtype=dt), p["enc_U"], enc
     )
-    z = S_enc[B + off[lens - 1] + np.arange(B)]
+    z = S_enc[z_at]
 
     # decoder (teacher forcing); z's input columns are projected once
     dec_x = p["dec_emb"][dec_tok]
     xW = dec_x @ p["dec_W"][:E] + p["dec_b"]
     if hp.z_per_step:
         xW += (z @ p["dec_W"][E:])[rr]
-    S_dec, dec_cache = _gru_forward(xW, z, p["dec_U"], H, off, base)
+    S_dec, dec_cache = _gru_forward(xW, z, p["dec_U"], dec)
     del xW  # not needed by the backward pass: free it before that peaks
 
     # weighted cross-entropy (stable log-softmax) at the packed positions
@@ -330,18 +429,22 @@ def _forward_backward(params, hp: Hyperparams, batch, compute_grads=True):
     dl[pos, tgt] -= 1.0
     dl *= (w / total_w)[:, None]
     grads = {"out_W": S_dec[B:].T @ dl, "out_b": dl.sum(axis=0)}
-    prev = base[tt] + rr  # each position's h_prev in S
     G = np.empty((len(tgt), 3 * H), dtype=dt)  # d(xW), decoder then encoder
     Gc = np.empty((len(tgt), H), dtype=dt)
-    dz = np.zeros((B, H), dtype=dt)  # decoder initial state was z
-    _gru_backward(dz, dl @ p["out_W"].T, S_dec, dec_cache, p["dec_U"], off, prev, G, Gc)
-    _weight_grads(grads, p, "dec", dec_x, dec_tok, S_dec, prev, G, Gc)
+    # the decoder's leaves are the rows' final states, which feed nothing
+    h_prev = S_dec[dec.prev]
+    dz = _gru_backward(
+        np.zeros((B, H), dtype=dt), dl @ p["out_W"].T, h_prev, dec_cache, p["dec_U"], dec, G, Gc
+    )
+    _weight_grads(grads, p, "dec", dec_x, dec_tok, h_prev, G, Gc)
     if hp.z_per_step:
         Gz = _onehot(rr, B, dt) @ G
         grads["dec_W"] = np.concatenate([grads["dec_W"], z.T @ Gz])
         dz += Gz @ p["dec_W"][E:].T
-    _gru_backward(dz, None, S_enc, enc_cache, p["enc_U"], off, prev, G, Gc)
-    _weight_grads(grads, p, "enc", enc_x, enc_tok, S_enc, prev, G, Gc)
+    G, Gc, h_prev = G[: len(enc_x)], Gc[: len(enc_x)], S_enc[enc.prev]
+    dleaf = dz if fold is None else fold @ dz
+    _gru_backward(dleaf, None, h_prev, enc_cache, p["enc_U"], enc, G, Gc)
+    _weight_grads(grads, p, "enc", enc_x, enc_tok, h_prev, G, Gc)
     return loss, acc, grads
 
 

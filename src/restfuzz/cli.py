@@ -560,21 +560,25 @@ def cmd_report(args) -> int:
             with open(bugs_path, "r", encoding="utf-8") as fh:
                 for bug in json.load(fh):
                     bug_rows.append((d, meta, bug))
+    import csv  # only the report writes CSV; a fuzz run skips the import
+
     bugs_csv = os.path.join(out_dir, "report_bugs.csv")
-    with open(bugs_csv, "w", encoding="utf-8") as fh:
-        fh.write("strategy,bug_id,statuses,seed,mutation,bitmap_blocks,transcript\n")
+    with open(bugs_csv, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(
+            ["strategy", "bug_id", "statuses", "seed", "mutation", "bitmap_blocks", "transcript"]
+        )
         for d, meta, bug in bug_rows:
-            fh.write(
-                "%s,%s,%s,%s,%s,%d,%s\n"
-                % (
+            out.writerow(
+                [
                     meta["strategy"],
                     bug["bug_id"],
                     "|".join(str(s) for s in bug["statuses"]),
                     bug["seed"],
-                    bug["mutation"].replace(",", ";"),
+                    bug["mutation"],
                     CoverageBitmap.from_hex(meta["block_count"], bug["bitmap"]).count(),
                     os.path.join(d, bug["transcript"]),
-                )
+                ]
             )
 
     print("coverage series: %s" % coverage_path)

@@ -294,12 +294,22 @@ def reset_target_state(cfg: TargetConfig) -> None:
 # -- resource extraction ----------------------------------------------------
 
 
-def extract_resource_id(body_text: str, spec: str):
-    """Pull the value at a dotted JSON path; None signals a miss."""
+def _parse_body(body_text: str):
+    """A response body's JSON value; None when it is not JSON."""
     try:
-        value = json.loads(body_text)
+        return json.loads(body_text)
     except (json.JSONDecodeError, UnicodeDecodeError):
         return None
+
+
+def extract_resource_id(body_text: str, spec: str):
+    """Pull the value at a dotted JSON path; None signals a miss."""
+    return _value_at(_parse_body(body_text), spec)
+
+
+def _value_at(value, spec: str):
+    """The text at dotted path ``spec`` inside a parsed JSON value; None
+    signals a miss."""
     for part in spec.split("."):
         if isinstance(value, dict):
             if part not in value:
@@ -421,8 +431,9 @@ def execute_test_case(
                 bitmap=per_request_bitmaps() if per_request_bitmaps else None,
             )
         )
+        doc = _parse_body(body) if cfg.extractions else None
         for resource, path_spec in cfg.extractions.items():
-            value = extract_resource_id(body, path_spec)
+            value = _value_at(doc, path_spec)
             if value is not None:
                 bindings[resource] = value
         for resource, value in resolver.sent_producer_values.items():

@@ -244,6 +244,58 @@ def test_forward_backward_matches_per_step_reference(three_lengths, z_per_step):
         assert np.abs(g - ref_grads[k]).max() <= 1e-10 * np.abs(ref_grads[k]).max(), k
 
 
+# The encoder inputs (tokens + <eos>) of these share prefixes: the first
+# is a strict prefix of the second, so the two part only at <eos>; the
+# second and third part mid-sequence; the fourth shares nothing.
+PREFIX_ROWS = [[4, 7, 1], [4, 7, 1, 9, 2], [4, 7, 3, 3], [6, 2]]
+
+
+def _prefix_batches(hp):
+    a, b, c, d = PREFIX_ROWS
+    return [
+        ae._prepare_batch([c, a, d, b], hp.max_seq_len, hp.np_dtype()),
+        _expanded_batch([b, a, c, b, d, a], hp),  # repeats share one leaf
+    ]
+
+
+@pytest.mark.parametrize("z_per_step", [True, False])
+def test_shared_prefixes_match_per_step_reference(z_per_step):
+    hp = tiny_hp(steps=5, batch_size=3, dtype="float64", z_per_step=z_per_step)
+    m = ae.train(PREFIX_ROWS, hp)
+    for batch in _prefix_batches(hp):
+        loss, _, grads = ae._forward_backward(m.params, hp, batch)
+        ref_loss, ref_grads = _reference_loss_grads(m.params, hp, batch)
+        assert loss == pytest.approx(ref_loss, rel=1e-10)
+        assert sorted(grads) == sorted(ref_grads)
+        for k, g in grads.items():
+            assert np.abs(g - ref_grads[k]).max() <= 1e-10 * np.abs(ref_grads[k]).max(), k
+
+
+def test_encoder_runs_each_distinct_prefix_once(monkeypatch):
+    hp = tiny_hp(steps=5, batch_size=3, dtype="float64")
+    m = ae.train(PREFIX_ROWS, hp)
+    a, b, c, d = PREFIX_ROWS
+    calls = []
+    forward = ae._gru_forward
+
+    def recording(xW, h0, *rest):
+        calls.append((len(xW), h0.copy()))
+        return forward(xW, h0, *rest)
+
+    monkeypatch.setattr(ae, "_gru_forward", recording)
+    for batch, rows in zip(_prefix_batches(hp), ([c, a, d, b], [b, a, c, b, d, a])):
+        calls.clear()
+        ae._forward_backward(m.params, hp, batch, compute_grads=False)
+        (enc_positions, _), (dec_positions, z) = calls
+        inputs = [tuple(r) + (None,) for r in rows]  # None stands for <eos>
+        prefixes = {x[:k] for x in inputs for k in range(1, len(x) + 1)}
+        assert enc_positions == len(prefixes) == 13
+        assert dec_positions == sum(map(len, inputs))
+        # each row's z is its own leaf's state, rows sorted longest first
+        for row, toks in zip(z, sorted(rows, key=lambda r: -len(r))):
+            assert np.abs(row - ae.encode(m, toks).vector).max() <= 1e-12
+
+
 def _reference_encode(p, hp, tokens):
     """Encode with the reference cell, one token at a time."""
     h = np.zeros((1, hp.hidden_dim), dtype=hp.np_dtype())

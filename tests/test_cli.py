@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line front end, driven in-process
 through ``main(argv)`` against the live reference service."""
 
+import csv
 import json
 import os
 import re
@@ -638,6 +639,32 @@ def test_report_joins_transcripts_with_their_session(tmp_path):
     with open(report_dir / "report_bugs.csv") as fh:
         row = fh.read().splitlines()[1]
     assert row.rsplit(",", 1)[1] == str(session / cli.BUG_DIR / "bug-001.txt")
+
+
+def test_report_quotes_commas_in_session_names_and_mutations(tmp_path):
+    session = tmp_path / "run,1"
+    (session / cli.BUG_DIR).mkdir(parents=True)
+    (session / cli.BUG_DIR / "bug-001.txt").write_text("GET / HTTP/1.1\r\n\r\n")
+    (session / cli.SESSION_JSON).write_text(json.dumps({"strategy": "tree", "block_count": 8}))
+    (session / cli.EVENTS_CSV).write_text(cli.CSV_HEADER + "\n")
+    mutation = 'req 0 "a,b" -> "c"'
+    bug = {"bug_id": "bug-001", "statuses": [201, 500], "seed": "s", "mutation": mutation,
+           "bitmap": "03", "transcript": os.path.join(cli.BUG_DIR, "bug-001.txt")}
+    (session / cli.BUGS_JSON).write_text(json.dumps([bug]))
+    report_dir = tmp_path / "report"
+    assert cli.main(["report", "--session", str(session), "--out", str(report_dir)]) == 0
+    with open(report_dir / "report_bugs.csv", newline="") as fh:
+        header, row = list(csv.reader(fh))
+    assert len(row) == len(header) == 7
+    assert dict(zip(header, row)) == {
+        "strategy": "tree",
+        "bug_id": "bug-001",
+        "statuses": "201|500",
+        "seed": "s",
+        "mutation": mutation,
+        "bitmap_blocks": "2",
+        "transcript": str(session / cli.BUG_DIR / "bug-001.txt"),
+    }
 
 
 def test_report_rejects_non_session_dir(tmp_path, capsys):
