@@ -2,9 +2,12 @@
 
 The instrumented target exposes a fixed-width bitmap over its declared
 basic blocks via a ``/__coverage__`` side channel.  After every answered
-request the executor reads and clears it in one ``POST
-/__coverage__/reset``, so each request carries its own coverage window
-and a test case's coverage is the union of its windows.  Distillation
+request the executor reads and clears it, so each request carries its
+own coverage window and a test case's coverage is the union of its
+windows.  A case request that asks for it gets its window back in an
+``X-Coverage-Window`` response header, read without a further request;
+the side channel's ``POST /__coverage__/reset``, which answers with the
+window it cleared, serves every other request.  Distillation
 greedily keeps the first test case contributing each new block.  Bugs
 are deduplicated on the crash window: the window of the first request
 answered 500, which the same fault reached from different seeds shares.
@@ -12,7 +15,9 @@ answered 500, which the same fault reached from different seeds shares.
 
 from __future__ import annotations
 
+import functools
 import json
+import re
 from dataclasses import dataclass, field
 
 from . import execution
@@ -170,6 +175,7 @@ class BugDeduplicator:
 
 COVERAGE_RESET_PATH = "/__coverage__/reset"
 COVERAGE_MANIFEST_PATH = "/__coverage__/manifest"
+_WINDOW_RE = re.compile(r"(\d+):([0-9a-fA-F]*)", re.ASCII)  # an X-Coverage-Window value
 
 
 def _side_channel(cfg, method, path, what) -> str:
@@ -179,19 +185,65 @@ def _side_channel(cfg, method, path, what) -> str:
     return body
 
 
+def _malformed(what, text):
+    return execution.TransportError("malformed %s %r" % (what, text[:80]))
+
+
+def _window(text: str) -> CoverageBitmap:
+    """One coverage window as the target sends it: the side channel's
+    JSON answer ``{"block_count": n, "bitmap": hex}`` or an
+    ``X-Coverage-Window`` value ``n:hex``."""
+    try:
+        if text.startswith("{"):
+            data = json.loads(text)
+            count_hex = "%s:%s" % (data["block_count"], data["bitmap"])
+        else:
+            count_hex = text
+        match = _WINDOW_RE.fullmatch(count_hex)
+        if match is None:
+            raise ValueError(count_hex)
+        return CoverageBitmap.from_hex(int(match[1]), match[2])
+    except (ValueError, KeyError, TypeError):
+        raise _malformed("coverage window", text) from None
+
+
 def fetch_manifest(cfg) -> list[str]:
     """Ordered declared-block ids from the target's manifest endpoint."""
     body = _side_channel(cfg, "GET", COVERAGE_MANIFEST_PATH, "manifest fetch")
-    return json.loads(body)["blocks"]
+    try:
+        blocks = json.loads(body)["blocks"]
+    except (ValueError, KeyError, TypeError):
+        blocks = None
+    if not isinstance(blocks, list) or not all(isinstance(b, str) for b in blocks):
+        raise _malformed("coverage manifest", body)
+    return blocks
+
+
+def _drop_windows(cfg) -> None:
+    cfg._windows, cfg._window_missed = [], False
 
 
 def reset_coverage(cfg) -> None:
-    """Clear the target's coverage bitmap."""
+    """Clear the target's coverage bitmap and drop any window carried on a
+    response since the last read."""
     _side_channel(cfg, "POST", COVERAGE_RESET_PATH, "coverage reset")
+    _drop_windows(cfg)
 
 
 def fetch_and_reset_coverage(cfg) -> CoverageBitmap:
-    """Read and clear the bitmap accumulated since the last reset, in one
-    request: the reset answers with the window it cleared."""
-    data = json.loads(_side_channel(cfg, "POST", COVERAGE_RESET_PATH, "coverage fetch"))
-    return CoverageBitmap.from_hex(data["block_count"], data["bitmap"])
+    """Read and clear the bitmap accumulated since the last read or reset.
+
+    When every request sent on ``cfg`` since then, on either connection,
+    was answered with an ``X-Coverage-Window``, the union of those
+    windows is the answer and no request is sent.  Otherwise the side
+    channel's reset, which answers with the window it cleared, is read
+    and joined to them: it holds the blocks of requests answered without
+    a window, such as those the target rejects before routing."""
+    texts = cfg._windows
+    if cfg._window_missed or not texts:
+        texts = texts + [_side_channel(cfg, "POST", COVERAGE_RESET_PATH, "coverage fetch")]
+    _drop_windows(cfg)
+    try:
+        return functools.reduce(CoverageBitmap.union, map(_window, texts))
+    except ValueError:  # windows of different widths
+        raise _malformed("coverage windows", " ".join(texts)) from None

@@ -13,9 +13,10 @@ that config, and the control connection for side-channel calls (state
 reset, coverage).  They stay apart so that mutated case bytes can never
 misframe a coverage read.  Both are a ``_CaseConnection``: a request
 that fails on a reused socket is resent once on a fresh one; a failure
-on a fresh socket is final.  Every request/response pair is recorded in
-a replayable transcript using the seed-file text format plus response
-status lines.
+on a fresh socket is final.  The ``X-Coverage-Window`` a response
+carries is kept on the config for ``coverage.fetch_and_reset_coverage``.
+Every request/response pair is recorded in a replayable transcript
+using the seed-file text format plus response status lines.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ DEFAULT_EXTRACTIONS = {
 
 _STATUS_LINE_RE = re.compile(r"^HTTP/1\.1 (\d{3})(?: (.*))?$")
 NO_RESPONSE_STATUS = 0
+# asked for on a case request, the target answers with that request's
+# coverage window in this response header (see ``coverage``)
+COVERAGE_WINDOW_HEADER = "X-Coverage-Window"
 
 
 class TransportError(Exception):
@@ -73,6 +77,11 @@ class TargetConfig:
         self.port = parts.port or 80
         self._case = _CaseConnection(self)  # both opened on first use
         self._control = _CaseConnection(self)  # side channels
+        # coverage windows answered since the last coverage read or reset,
+        # and whether some request since then, on either connection, got
+        # none (see ``coverage.fetch_and_reset_coverage``)
+        self._windows: list[str] = []
+        self._window_missed = True
 
     @property
     def timeout_s(self) -> float:
@@ -121,7 +130,8 @@ def _open_connection(cfg: TargetConfig) -> socket.socket:
 
 
 def _recv_response(sock: socket.socket):
-    """Read one HTTP response; returns (status, reason, body_text, closing).
+    """Read one HTTP response; returns (status, reason, body_text, closing,
+    window), where ``window`` is its ``X-Coverage-Window`` value or None.
 
     Interim 1xx responses other than 101 are skipped.  The body is framed
     as RFC 9112 section 6.3 says: none for 1xx, 204 and 304; chunked;
@@ -195,16 +205,18 @@ def _recv_response(sock: socket.socket):
         while chunk := more(None):
             rest += chunk
         body, closing = rest, True
-    return status, reason, body.decode("latin-1"), closing or bool(rest)
+    window = headers.get(COVERAGE_WINDOW_HEADER.lower())
+    return status, reason, body.decode("latin-1"), closing or bool(rest), window
 
 
-def request_wire(text: str, host: str) -> bytes:
+def request_wire(text: str, host: str, coverage_window: bool = False) -> bytes:
     """Convert one seed-format request block to HTTP/1.1 wire bytes.
 
     The block's first line is the request line; following lines are
     headers until the first line opening a JSON value, which starts the
     body.  Host and Content-Length are supplied here since the seed
-    format omits them.
+    format omits them.  ``coverage_window`` asks the target for the
+    request's coverage window with a header right after Host.
     """
     lines = text.split("\n")
     body_start = None
@@ -216,6 +228,8 @@ def request_wire(text: str, host: str) -> bytes:
     body = "\n".join(lines[body_start:]) if body_start is not None else ""
     body_bytes = body.encode("latin-1")
     out = [lines[0], "Host: %s" % host]
+    if coverage_window:
+        out.append("%s: 1" % COVERAGE_WINDOW_HEADER)
     out.extend(ln for ln in header_lines if ln)
     out.append("Content-Length: %d" % len(body_bytes))
     wire = "\r\n".join(out).encode("latin-1") + b"\r\n\r\n" + body_bytes
@@ -246,15 +260,21 @@ class _CaseConnection:
         return self._exchange(wire)
 
     def _exchange(self, wire: bytes):
+        window = None
         try:
             self.sock.sendall(wire)
-            status, reason, body, closing = _recv_response(self.sock)
+            status, reason, body, closing, window = _recv_response(self.sock)
         except OSError as exc:
             self.close()
             raise TransportError("send failed: %s" % exc) from exc
         except BaseException:  # an interrupted exchange leaves its answer unread
             self.close()
             raise
+        finally:
+            if window is None:
+                self.cfg._window_missed = True
+            else:
+                self.cfg._windows.append(window)
         self.stale = closing
         return status, reason, body
 
@@ -393,7 +413,10 @@ def execute_test_case(
     ``per_request_bitmaps()`` is called after each answered request and
     its return value stored on that request's record — pass a
     fetch-and-reset coverage closure to get one coverage window per
-    request (the crash-deduplication granularity).
+    request (the crash-deduplication granularity).  Given it, each case
+    request asks for its window in an ``X-Coverage-Window`` header, so
+    the target answers with the window and the closure's read needs no
+    side-channel request.
     """
     tc = x if isinstance(x, TestCase) else TestCase.from_sequence(x, g)
     bindings: dict[str, str] = {}
@@ -405,7 +428,7 @@ def execute_test_case(
         text = render_request(view, resolver.value_of)
         if request_text_transform is not None:
             text = request_text_transform(text, idx)
-        wire = request_wire(text, cfg.host)
+        wire = request_wire(text, cfg.host, per_request_bitmaps is not None)
         t0 = time.monotonic()
         try:
             status, reason, body = cfg._case.roundtrip(wire)

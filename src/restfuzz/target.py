@@ -4,7 +4,10 @@ A deliberately small GitLab-style API (projects / branches / commits)
 served over raw sockets so that malformed methods, paths and bodies
 reach application logic instead of being rejected by an HTTP library.
 Every basic block is declared up front and recorded into a coverage
-bitmap exposed through ``/__coverage__`` side-channel endpoints.
+bitmap exposed through ``/__coverage__`` side-channel endpoints.  An API
+request with an ``X-Coverage-Window`` header is answered with the window
+it closes, as ``X-Coverage-Window: <block_count>:<hex>``, and clears the
+bitmap as ``POST /__coverage__/reset`` would right after it.
 
 Injected bugs (each returns status 500 and hits its own fault block):
 
@@ -108,6 +111,7 @@ class _Response:
         self.status = status
         self.payload = payload
         self.close = close
+        self.window = None  # "<block_count>:<hex>", sent as X-Coverage-Window
 
 
 _REASONS = {
@@ -124,9 +128,10 @@ _REASONS = {
 class ReferenceTarget:
     """Socket server around the instrumented API: one accept thread and
     one worker thread per connection.  Each request reads its head and
-    body without a lock, then records its blocks and is routed (side
-    channels included) under one lock, so concurrent clients see requests
-    applied one at a time.  ``stop`` shuts down the connections still
+    body without a lock, then records its blocks, is routed (side
+    channels included) and, when asked, reads and clears its coverage
+    window under one lock, so concurrent clients see requests applied one
+    at a time.  ``stop`` shuts down the connections still
     open, so a kept-alive client gets no further response."""
 
     def __init__(self, host="127.0.0.1", port=0, token=DEFAULT_TOKEN):
@@ -349,6 +354,15 @@ class ReferenceTarget:
                     resp = _Response(500, {"message": "internal server error: %s" % exc})
                 except Exception as exc:  # unplanned crash: still a 500, visible in tests
                     resp = _Response(500, {"message": "unexpected error: %r" % exc})
+                method, raw_path, headers, _body = request
+                if "x-coverage-window" in headers and (
+                    raw_path.split("?", 1)[0], method
+                ) not in _SIDE_CHANNELS:
+                    # what POST /__coverage__/reset would answer right after
+                    resp.window = "%d:%s" % (
+                        self.registry.block_count, self.registry.bitmap_hex()
+                    )
+                    self.registry.reset()
         return resp, buf
 
     def _read_request(self, conn, head: bytes, buf: bytes, hit):
@@ -410,6 +424,7 @@ class ReferenceTarget:
             + "Content-Type: application/json\r\n"
             + "Content-Length: %d\r\n" % len(payload)
             + ("Connection: close\r\n" if resp.close else "")
+            + ("X-Coverage-Window: %s\r\n" % resp.window if resp.window else "")
             + "\r\n"
         )
         try:

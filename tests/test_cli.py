@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from restfuzz import cli
+from restfuzz import cli, execution
 from restfuzz.execution import execute_test_case, reset_target_state, write_transcript
 from restfuzz.seedgen import build_case, load_corpus
 from restfuzz.target import serve
@@ -350,6 +350,39 @@ def test_fuzz_session_keeps_one_case_connection(pipeline, live_target, tmp_path,
     out = str(tmp_path / "s")
     assert _fuzz(pipeline, live_target, "byte", out, extra=["--max-cases", "20"]) == 0
     assert connection_counts["opened"] <= 2 + connection_counts["closing"]
+
+
+def test_fuzz_session_reads_coverage_only_for_responses_without_a_window(
+    pipeline, live_target, tmp_path, monkeypatch
+):
+    # the side channel is read once per case reset, plus once after each
+    # answered case request whose response carried no coverage window
+    counts = dict.fromkeys(["resets", "coverage_reads", "control", "windowed", "windowless"], 0)
+    send, recv, reset = execution.http_request, execution._recv_response, cli.reset_coverage
+
+    def counted_send(cfg, method, path, body=None):
+        counts["control"] += 1
+        counts["coverage_reads"] += (method, path) == ("POST", "/__coverage__/reset")
+        return send(cfg, method, path, body)
+
+    def counted_recv(sock):
+        response = recv(sock)
+        counts["windowless" if response[4] is None else "windowed"] += 1
+        return response
+
+    def counted_reset(cfg):
+        counts["resets"] += 1
+        return reset(cfg)
+
+    monkeypatch.setattr(execution, "http_request", counted_send)
+    monkeypatch.setattr(execution, "_recv_response", counted_recv)
+    monkeypatch.setattr(cli, "reset_coverage", counted_reset)
+    out = str(tmp_path / "s")
+    assert _fuzz(pipeline, live_target, "byte", out, extra=["--max-cases", "20"]) == 0
+    case_windowless = counts["windowless"] - counts["control"]  # control answers carry none
+    assert counts["resets"] == 20
+    assert counts["windowed"] > 0
+    assert counts["coverage_reads"] == counts["resets"] + case_windowless
 
 
 def test_fuzz_leaves_no_connection_open_on_the_target(pipeline, tmp_path):

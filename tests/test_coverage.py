@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 
 from restfuzz import coverage as cov
+from restfuzz import execution as ex
 from restfuzz.execution import ExecutionResult, RequestRecord, http_request, write_transcript
+from restfuzz.seedgen import build_case, load_corpus
+
+from .conftest import chain_by_names
 
 
 def bm(width, *indices):
@@ -243,3 +247,101 @@ def test_coverage_reset_answers_with_the_window_it_cleared(target_cfg):
     assert status == 200 and json.loads(cleared) == window
     assert cov.CoverageBitmap.from_hex(window["block_count"], window["bitmap"]).count() > 0
     assert cov.fetch_and_reset_coverage(target_cfg).count() == 0
+
+
+# ------------------------------------------------------ carried windows
+
+RESET = ("POST", cov.COVERAGE_RESET_PATH)
+
+
+@pytest.fixture
+def side_channel_log(monkeypatch):
+    """(method, path) of every request sent through ``http_request``."""
+    log = []
+    send = ex.http_request
+
+    def logged(cfg, method, path, body=None):
+        log.append((method, path))
+        return send(cfg, method, path, body)
+
+    monkeypatch.setattr(ex, "http_request", logged)
+    return log
+
+
+def _run_windowed(tc, g, cfg, log, transform=None):
+    """Reset the target, then run ``tc`` with one coverage window per
+    answered request; returns the result and the side-channel requests
+    the case sent."""
+    ex.reset_target_state(cfg)
+    cov.reset_coverage(cfg)
+    del log[:]
+    result = ex.execute_test_case(
+        tc,
+        g,
+        cfg,
+        request_text_transform=transform,
+        per_request_bitmaps=lambda: cov.fetch_and_reset_coverage(cfg),
+    )
+    return result, list(log)
+
+
+def test_carried_windows_equal_side_channel_windows_on_every_seed(
+    ref_grammar, target_cfg, validated_corpus_dir, side_channel_log, monkeypatch
+):
+    corpus = [tc for _, tc in load_corpus(validated_corpus_dir, ref_grammar)]
+    carried = [_run_windowed(tc, ref_grammar, target_cfg, side_channel_log) for tc in corpus]
+    wire = ex.request_wire  # the same runs with no window asked for
+    monkeypatch.setattr(ex, "request_wire", lambda text, host, coverage_window=False: wire(text, host))
+    read = [_run_windowed(tc, ref_grammar, target_cfg, side_channel_log) for tc in corpus]
+    assert len(corpus) == 14
+    for (c, c_log), (r, r_log) in zip(carried, read):
+        assert c.statuses == r.statuses
+        assert [rec.bitmap for rec in c.records] == [rec.bitmap for rec in r.records]
+        assert all(rec.bitmap.count() > 0 for rec in c.records)
+        assert c_log == []
+        assert r_log == [RESET] * len(r.records)
+
+
+def test_a_request_rejected_before_routing_is_read_on_the_side_channel(
+    ref_grammar, target_cfg, side_channel_log
+):
+    idx = {name: i for i, name in enumerate(cov.fetch_manifest(target_cfg))}
+    chain = chain_by_names(ref_grammar, 2, ("create-project", "create-branch"))
+    tc = build_case(ref_grammar, chain, [["testString"], ["master"]])
+
+    def break_second_header(text, i):
+        return text.replace("\n", "\nno colon here\n", 1) if i == 1 else text
+
+    result, log = _run_windowed(tc, ref_grammar, target_cfg, side_channel_log, break_second_header)
+    assert result.statuses == [201, 400]
+    first, second = (rec.bitmap for rec in result.records)
+    assert idx["http.header_bad"] in second.indices()
+    assert idx["http.header_bad"] not in first.indices()
+    assert idx["projects.created"] not in second.indices()
+    assert log == [RESET]
+
+
+def test_fetch_joins_a_carried_window_to_the_side_channel(target_cfg, side_channel_log):
+    idx = {name: i for i, name in enumerate(cov.fetch_manifest(target_cfg))}
+    create = "POST /api/projects HTTP/1.1\n%s: %s\n{\"name\": \"w\"}" % (
+        target_cfg.auth_header, target_cfg.auth_value,
+    )
+
+    def windowed_create():
+        wire = ex.request_wire(create, target_cfg.host, coverage_window=True)
+        assert target_cfg._case.roundtrip(wire)[0] == 201
+
+    cov.reset_coverage(target_cfg)
+    windowed_create()
+    assert http_request(target_cfg, "GET", "/api/projects")[0] == 200
+    del side_channel_log[:]
+    window = cov.fetch_and_reset_coverage(target_cfg)
+    assert side_channel_log == [RESET]
+    assert {idx["projects.created"], idx["projects.list_ok"]} <= set(window.indices())
+    # a reset drops a window not yet read
+    windowed_create()
+    cov.reset_coverage(target_cfg)
+    http_request(target_cfg, "GET", "/api/projects")
+    window = cov.fetch_and_reset_coverage(target_cfg)
+    assert idx["projects.list_ok"] in window.indices()
+    assert idx["projects.created"] not in window.indices()

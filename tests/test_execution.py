@@ -436,6 +436,157 @@ def test_side_channel_error_status_is_a_transport_error():
     assert not thread.is_alive()
 
 
+def _ok(body, headers=b""):
+    return b"HTTP/1.1 200 OK\r\n%sContent-Length: %d\r\n\r\n%s" % (headers, len(body), body)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"{}",
+        b"not json",
+        b"[1, 2]",
+        b'{"block_count": 9, "bitmap": "00"}',  # 9 blocks need 2 bytes
+        b'{"block_count": "x", "bitmap": ""}',
+        b'{"block_count": 8, "bitmap": 5}',
+    ],
+)
+def test_malformed_coverage_answer_is_a_transport_error(body):
+    url, thread = _canned_server([_ok(body)])
+    cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
+    with pytest.raises(ex.TransportError, match="malformed coverage window"):
+        cov.fetch_and_reset_coverage(cfg)
+    cfg.close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("body", [b"{}", b"not json", b'{"blocks": [1]}', b'{"blocks": "ab"}'])
+def test_malformed_manifest_is_a_transport_error(body):
+    url, thread = _canned_server([_ok(body)])
+    cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
+    with pytest.raises(ex.TransportError, match="malformed coverage manifest"):
+        cov.fetch_manifest(cfg)
+    cfg.close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def _path_server(answers):
+    """Serve keep-alive connections on localhost, each on its own thread,
+    answering every request with ``answers[path]``.  Returns the base
+    URL, the list of request heads received, and a function that stops
+    the server and checks that its threads ended."""
+    srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    srv.bind(("127.0.0.1", 0))
+    srv.listen(4)
+    heads, threads = [], []
+
+    def serve_connection(conn):
+        with conn:
+            conn.settimeout(5)
+            buf = b""
+            while True:
+                while b"\r\n\r\n" not in buf:
+                    chunk = conn.recv(4096)
+                    if not chunk:
+                        return
+                    buf += chunk
+                head, buf = buf.split(b"\r\n\r\n", 1)
+                length = int(head.split(b"Content-Length: ", 1)[1].split(b"\r\n", 1)[0])
+                while len(buf) < length:
+                    buf += conn.recv(4096)
+                buf = buf[length:]
+                heads.append(head.decode("latin-1"))
+                conn.sendall(answers[head.split(b" ", 2)[1].decode("latin-1")])
+
+    def accept():
+        while True:
+            try:
+                conn, _ = srv.accept()
+            except OSError:
+                return
+            threads.append(threading.Thread(target=serve_connection, args=(conn,), daemon=True))
+            threads[-1].start()
+
+    threads.append(threading.Thread(target=accept, daemon=True))
+    threads[0].start()
+
+    def stop():  # after the client closed its connections
+        srv.shutdown(socket.SHUT_RDWR)  # wakes accept()
+        srv.close()
+        for thread in threads:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+
+    return "http://127.0.0.1:%d" % srv.getsockname()[1], heads, stop
+
+
+def _windowed_case(g, api_answer):
+    """Run a one-request case with per-request windows against a server
+    that answers the API with ``api_answer`` and the coverage side channel
+    with blocks 0 and 2 of 8.  Returns the result and the request lines."""
+    url, heads, stop = _path_server(
+        {
+            "/api/projects": api_answer,
+            cov.COVERAGE_RESET_PATH: _ok(b'{"block_count": 8, "bitmap": "05"}'),
+        }
+    )
+    cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
+    try:
+        cov.reset_coverage(cfg)
+        tc = _mkcase(g, ("create-project",), [["testString"]])
+        result = ex.execute_test_case(
+            tc, g, cfg, per_request_bitmaps=lambda: cov.fetch_and_reset_coverage(cfg)
+        )
+    finally:
+        cfg.close()
+        stop()
+    case_head = next(h for h in heads if h.startswith("POST /api/projects "))
+    assert case_head.split("\r\n")[1:3] == ["Host: 127.0.0.1", "X-Coverage-Window: 1"]
+    return result, [h.split("\r\n", 1)[0] for h in heads]
+
+
+def test_fetch_reads_the_side_channel_when_the_target_sends_no_window(ref_grammar):
+    result, lines = _windowed_case(ref_grammar, _ok(b'{"id": 1}'))
+    assert result.records[0].bitmap.indices() == [0, 2]
+    reset = "POST %s HTTP/1.1" % cov.COVERAGE_RESET_PATH
+    assert lines == [reset, "POST /api/projects HTTP/1.1", reset]
+
+
+def test_fetch_takes_a_carried_window_without_a_request(ref_grammar):
+    result, lines = _windowed_case(ref_grammar, _ok(b'{"id": 1}', b"X-Coverage-Window: 8:82\r\n"))
+    assert result.records[0].bitmap.indices() == [1, 7]
+    assert lines == ["POST %s HTTP/1.1" % cov.COVERAGE_RESET_PATH, "POST /api/projects HTTP/1.1"]
+
+
+def test_windows_of_different_widths_are_a_transport_error():
+    url, _heads, stop = _path_server(
+        {
+            "/carried": _ok(b"{}", b"X-Coverage-Window: 16:0000\r\n"),
+            "/plain": _ok(b"{}"),
+            cov.COVERAGE_RESET_PATH: _ok(b'{"block_count": 8, "bitmap": "05"}'),
+        }
+    )
+    cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
+    try:
+        cov.reset_coverage(cfg)
+        cfg._case.roundtrip(ex.request_wire("GET /carried HTTP/1.1", cfg.host, coverage_window=True))
+        ex.http_request(cfg, "GET", "/plain")
+        with pytest.raises(ex.TransportError, match="malformed coverage windows"):
+            cov.fetch_and_reset_coverage(cfg)
+    finally:
+        cfg.close()
+        stop()
+
+
+@pytest.mark.parametrize("value", [b"8:zz", b"8:0000", b"05", b"-1:", b"8:05:05"])
+def test_malformed_coverage_window_header_is_a_transport_error(ref_grammar, value):
+    answer = _ok(b'{"id": 1}', b"X-Coverage-Window: %s\r\n" % value)
+    with pytest.raises(ex.TransportError, match="malformed coverage window"):
+        _windowed_case(ref_grammar, answer)
+
+
 # ------------------------------------------------------- case connection
 
 

@@ -12,7 +12,8 @@ import pytest
 
 from restfuzz import coverage as cov
 from restfuzz.execution import (
-    TargetConfig, TransportError, _CaseConnection, http_request, reset_target_state
+    TargetConfig, TransportError, _CaseConnection, _recv_response, http_request,
+    reset_target_state,
 )
 from restfuzz.target import KNOWN_METHODS, ReferenceTarget, injected_bug_catalog
 
@@ -323,6 +324,36 @@ def test_malformed_wire_requests(live_target):
             sock.sendall(raw)
             reply = _read_all(sock)
         assert reply.startswith(b"HTTP/1.1 400 "), raw
+
+
+def test_coverage_window_is_answered_only_to_api_requests_that_ask(live_target, target_cfg):
+    names = cov.fetch_manifest(target_cfg)
+    cov.reset_coverage(target_cfg)
+
+    def send(method, path, ask):
+        sock.sendall(
+            (
+                "%s %s HTTP/1.1\r\nHost: h\r\n%sPRIVATE-TOKEN: %s\r\n"
+                "Content-Length: 0\r\n\r\n"
+                % (method, path, "X-Coverage-Window: 1\r\n" if ask else "", live_target.token)
+            ).encode("latin-1")
+        )
+        status, _reason, body, _closing, window = _recv_response(sock)
+        return status, body, window
+
+    with socket.create_connection((live_target.host, live_target.port), timeout=5) as sock:
+        assert send("GET", "/api/projects/999", False)[::2] == (404, None)
+        status, _, window = send("GET", "/api/projects", True)
+        # the side channels ignore the header; the window left the bitmap clear
+        _, peek, peek_window = send("GET", "/__coverage__", True)
+        _, _, reset_window = send("POST", "/__coverage__/reset", True)
+    assert status == 200 and peek_window is None and reset_window is None
+    assert int(json.loads(peek)["bitmap"], 16) == 0
+    count, hex_text = window.split(":")
+    assert int(count) == len(names)
+    carried = cov.CoverageBitmap.from_hex(int(count), hex_text).indices()
+    # it holds every block hit since the last clear, the unasked request's too
+    assert {names.index("projects.item_missing"), names.index("projects.list_ok")} <= set(carried)
 
 
 # --------------------------------------------------------- injected bugs
