@@ -588,18 +588,21 @@ def decode(m: Model, z) -> list[int]:
     hU, ur, rh, c, h_new = _row_buffers(hp)
     prev = SOS
     out: list[int] = []
-    for _ in range(hp.max_seq_len):
-        emb = m.params["dec_emb"][np.asarray([prev])]
-        x = np.concatenate([emb, z_row], axis=1) if hp.z_per_step else emb
-        xW = x @ m.params["dec_W"] + m.params["dec_b"]
-        _gru_step(xW, h, m.params["dec_U"], hU, ur, rh, c, h_new)
-        h, h_new = h_new, h
-        logits = h @ m.params["out_W"] + m.params["out_b"]
-        prev = int(logits[0].argmax())
-        if prev == EOS:
-            break
-        # specials other than <eos> map below 0: clearly not rule ids
-        out.append(prev - N_SPECIALS)
+    # a large z saturates the gates: exp overflows to inf, and 1/(1+inf)
+    # is the right value 0
+    with np.errstate(over="ignore"):
+        for _ in range(hp.max_seq_len):
+            emb = m.params["dec_emb"][np.asarray([prev])]
+            x = np.concatenate([emb, z_row], axis=1) if hp.z_per_step else emb
+            xW = x @ m.params["dec_W"] + m.params["dec_b"]
+            _gru_step(xW, h, m.params["dec_U"], hU, ur, rh, c, h_new)
+            h, h_new = h_new, h
+            logits = h @ m.params["out_W"] + m.params["out_b"]
+            prev = int(logits[0].argmax())
+            if prev == EOS:
+                break
+            # specials other than <eos> map below 0: clearly not rule ids
+            out.append(prev - N_SPECIALS)
     return out
 
 

@@ -42,7 +42,7 @@ from .execution import (
     reset_target_state,
 )
 from .grammar import load_grammar, packaged_reference_grammar
-from .parsing import TestCase
+from .parsing import ParseError, TestCase
 from .seedgen import generate_seeds, load_corpus, write_corpus
 
 STRATEGIES = ("byte", "tree", "learned")
@@ -146,6 +146,21 @@ def _seeds_dir(cfg: dict, args) -> str:
     return _get(cfg, args.seeds_dir, "seeds.dir", "seeds")
 
 
+def _load_seeds(cfg: dict, args, g):
+    """The seed corpus; an unreadable or empty corpus or an unparsable
+    seed file is a ``CliError``."""
+    seeds_dir = _seeds_dir(cfg, args)
+    try:
+        seeds = load_corpus(seeds_dir, g)
+    except OSError as exc:
+        raise CliError("cannot read seeds: %s" % exc) from None
+    except ParseError as exc:
+        raise CliError("bad seed file %s" % exc) from None
+    if not seeds:
+        raise CliError("no seeds found in %s; run `seeds` first" % seeds_dir)
+    return seeds
+
+
 # -- seeds ------------------------------------------------------------------
 
 
@@ -195,9 +210,7 @@ def cmd_seeds(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     g = _grammar(cfg, args)
-    seeds = load_corpus(_seeds_dir(cfg, args), g)
-    if not seeds:
-        raise CliError("no seeds found in %s; run `seeds` first" % _seeds_dir(cfg, args))
+    seeds = _load_seeds(cfg, args, g)
     sequences = [tc.seq for _, tc in seeds]
     hp = ae.Hyperparams(
         steps=_get(cfg, args.steps, "train.steps", 2000, int),
@@ -312,7 +325,7 @@ def _connect(target) -> int:
 def _run_case(tc, g, target, width, case_id, transform=None):
     """Reset target state and coverage, then execute ``tc`` with one
     coverage window per answered request.  Returns the result and the
-    union of its windows."""
+    union of its windows, whose width must be the manifest's."""
     reset_target_state(target)
     reset_coverage(target)
     result = execute_test_case(
@@ -321,11 +334,15 @@ def _run_case(tc, g, target, width, case_id, transform=None):
         target,
         case_id=case_id,
         request_text_transform=transform,
-        per_request_bitmaps=lambda: fetch_and_reset_coverage(target),
+        per_request_bitmaps=fetch_and_reset_coverage,
     )
     bitmap = CoverageBitmap.empty(width)
     for rec in result.records:
         if rec.bitmap is not None:
+            if rec.bitmap.width != width:
+                raise TransportError(
+                    "coverage window of %d blocks, manifest lists %d" % (rec.bitmap.width, width)
+                )
             bitmap = bitmap | rec.bitmap
     return result, bitmap
 
@@ -353,9 +370,7 @@ def cmd_fuzz(args) -> int:
     max_cases = _get(cfg, args.max_cases, "fuzz.max_cases", 0, int)
     out_dir = _get(cfg, args.out, "fuzz.out_dir", "session-%s" % strategy)
 
-    seeds = load_corpus(_seeds_dir(cfg, args), g)
-    if not seeds:
-        raise CliError("no seeds found in %s; run `seeds` first" % _seeds_dir(cfg, args))
+    seeds = _load_seeds(cfg, args, g)
 
     model = None
     if strategy == "learned":
@@ -474,9 +489,7 @@ def cmd_fuzz(args) -> int:
 def cmd_distill(args) -> int:
     cfg = load_config(args.config)
     g = _grammar(cfg, args)
-    seeds = load_corpus(_seeds_dir(cfg, args), g)
-    if not seeds:
-        raise CliError("no seeds found in %s" % _seeds_dir(cfg, args))
+    seeds = _load_seeds(cfg, args, g)
     target = _target_config(cfg, args)
     try:
         width = _connect(target)

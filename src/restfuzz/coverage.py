@@ -4,18 +4,17 @@ The instrumented target exposes a fixed-width bitmap over its declared
 basic blocks via a ``/__coverage__`` side channel.  After every answered
 request the executor reads and clears it, so each request carries its
 own coverage window and a test case's coverage is the union of its
-windows.  A case request that asks for it gets its window back in an
-``X-Coverage-Window`` response header, read without a further request;
-the side channel's ``POST /__coverage__/reset``, which answers with the
-window it cleared, serves every other request.  Distillation
-greedily keeps the first test case contributing each new block.  Bugs
-are deduplicated on the crash window: the window of the first request
-answered 500, which the same fault reached from different seeds shares.
+windows.  The read uses the window carried on the response, which a
+case request asks for in an ``X-Coverage-Window`` header; otherwise it
+makes one side-channel ``POST /__coverage__/reset``, which answers with
+the window it cleared.  Distillation greedily keeps the first test case
+contributing each new block.  Bugs are deduplicated on the crash window:
+the window of the first request answered 500, which the same fault
+reached from different seeds shares.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -219,31 +218,19 @@ def fetch_manifest(cfg) -> list[str]:
     return blocks
 
 
-def _drop_windows(cfg) -> None:
-    cfg._windows, cfg._window_missed = [], False
-
-
 def reset_coverage(cfg) -> None:
-    """Clear the target's coverage bitmap and drop any window carried on a
-    response since the last read."""
+    """Clear the target's coverage bitmap."""
     _side_channel(cfg, "POST", COVERAGE_RESET_PATH, "coverage reset")
-    _drop_windows(cfg)
 
 
-def fetch_and_reset_coverage(cfg) -> CoverageBitmap:
+def fetch_and_reset_coverage(cfg, window: str | None = None) -> CoverageBitmap:
     """Read and clear the bitmap accumulated since the last read or reset.
 
-    When every request sent on ``cfg`` since then, on either connection,
-    was answered with an ``X-Coverage-Window``, the union of those
-    windows is the answer and no request is sent.  Otherwise the side
-    channel's reset, which answers with the window it cleared, is read
-    and joined to them: it holds the blocks of requests answered without
-    a window, such as those the target rejects before routing."""
-    texts = cfg._windows
-    if cfg._window_missed or not texts:
-        texts = texts + [_side_channel(cfg, "POST", COVERAGE_RESET_PATH, "coverage fetch")]
-    _drop_windows(cfg)
-    try:
-        return functools.reduce(CoverageBitmap.union, map(_window, texts))
-    except ValueError:  # windows of different widths
-        raise _malformed("coverage windows", " ".join(texts)) from None
+    ``window`` is the ``X-Coverage-Window`` value carried on the last
+    response, if any: the target cleared its bitmap when it sent it, so
+    no request is sent.  Without one, as for a request rejected before
+    routing, one side-channel reset is read; it answers with the window
+    it cleared."""
+    if window is None:
+        window = _side_channel(cfg, "POST", COVERAGE_RESET_PATH, "coverage fetch")
+    return _window(window)

@@ -13,8 +13,8 @@ that config, and the control connection for side-channel calls (state
 reset, coverage).  They stay apart so that mutated case bytes can never
 misframe a coverage read.  Both are a ``_CaseConnection``: a request
 that fails on a reused socket is resent once on a fresh one; a failure
-on a fresh socket is final.  The ``X-Coverage-Window`` a response
-carries is kept on the config for ``coverage.fetch_and_reset_coverage``.
+on a fresh socket is final.  A round trip returns the response's
+``X-Coverage-Window`` value for ``coverage.fetch_and_reset_coverage``.
 Every request/response pair is recorded in a replayable transcript
 using the seed-file text format plus response status lines.
 """
@@ -77,11 +77,6 @@ class TargetConfig:
         self.port = parts.port or 80
         self._case = _CaseConnection(self)  # both opened on first use
         self._control = _CaseConnection(self)  # side channels
-        # coverage windows answered since the last coverage read or reset,
-        # and whether some request since then, on either connection, got
-        # none (see ``coverage.fetch_and_reset_coverage``)
-        self._windows: list[str] = []
-        self._window_missed = True
 
     @property
     def timeout_s(self) -> float:
@@ -242,7 +237,8 @@ class _CaseConnection:
     once on a fresh socket; a failure on a fresh socket is raised.  A
     failed exchange closes the socket, and after a response that leaves
     it unusable (see ``_recv_response``) the next request opens a new one,
-    so a request never reads an answer meant for another."""
+    so a request never reads an answer meant for another.  ``roundtrip``
+    returns (status, reason, body, ``X-Coverage-Window`` value or None)."""
 
     def __init__(self, cfg: TargetConfig):
         self.cfg = cfg
@@ -260,7 +256,6 @@ class _CaseConnection:
         return self._exchange(wire)
 
     def _exchange(self, wire: bytes):
-        window = None
         try:
             self.sock.sendall(wire)
             status, reason, body, closing, window = _recv_response(self.sock)
@@ -270,13 +265,8 @@ class _CaseConnection:
         except BaseException:  # an interrupted exchange leaves its answer unread
             self.close()
             raise
-        finally:
-            if window is None:
-                self.cfg._window_missed = True
-            else:
-                self.cfg._windows.append(window)
         self.stale = closing
-        return status, reason, body
+        return status, reason, body, window
 
     def close(self):
         if self.sock is not None:
@@ -301,7 +291,7 @@ def http_request(cfg: TargetConfig, method: str, path: str, body: str | None = N
         "Content-Length: %d" % len(payload),
     ]
     wire = "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n" + payload
-    status, _reason, body_text = cfg._control.roundtrip(wire)
+    status, _reason, body_text, _window = cfg._control.roundtrip(wire)
     return status, body_text
 
 
@@ -410,13 +400,13 @@ def execute_test_case(
     byte-level strategy corrupt the rendered request just before the
     wire conversion.  Stops early only when the transport fails.
 
-    ``per_request_bitmaps()`` is called after each answered request and
-    its return value stored on that request's record — pass a
-    fetch-and-reset coverage closure to get one coverage window per
+    ``per_request_bitmaps(cfg, window)`` is called after each answered
+    request and its return value stored on that request's record — pass
+    ``coverage.fetch_and_reset_coverage`` to get one coverage window per
     request (the crash-deduplication granularity).  Given it, each case
-    request asks for its window in an ``X-Coverage-Window`` header, so
-    the target answers with the window and the closure's read needs no
-    side-channel request.
+    request asks for its window in an ``X-Coverage-Window`` header, and
+    ``window`` is the header's value on the response, or None when the
+    response carried none.
     """
     tc = x if isinstance(x, TestCase) else TestCase.from_sequence(x, g)
     bindings: dict[str, str] = {}
@@ -431,7 +421,7 @@ def execute_test_case(
         wire = request_wire(text, cfg.host, per_request_bitmaps is not None)
         t0 = time.monotonic()
         try:
-            status, reason, body = cfg._case.roundtrip(wire)
+            status, reason, body, window = cfg._case.roundtrip(wire)
         except (TransportError, OSError) as exc:
             records.append(
                 RequestRecord(
@@ -451,7 +441,7 @@ def execute_test_case(
                 reason=reason,
                 response_body=body,
                 latency_s=time.monotonic() - t0,
-                bitmap=per_request_bitmaps() if per_request_bitmaps else None,
+                bitmap=per_request_bitmaps(cfg, window) if per_request_bitmaps else None,
             )
         )
         doc = _parse_body(body) if cfg.extractions else None
@@ -536,7 +526,7 @@ def replay_transcript(text: str, cfg: TargetConfig) -> ReplayOutcome:
     for entry in entries:
         wire = request_wire(entry.request_text, cfg.host)
         try:
-            status, _reason, _body = cfg._case.roundtrip(wire)
+            status = cfg._case.roundtrip(wire)[0]
         except (TransportError, OSError):
             actual.append(NO_RESPONSE_STATUS)
             break

@@ -243,16 +243,14 @@ def _plan(seed_id, ordinal, rule_id, case, g, rng, k_max, pollution_rate) -> Mut
     )
 
 
-def apply_plan(
-    x: RuleSequence, plan: MutationPlan, g: Grammar, with_pollution: bool = True
-) -> RuleSequence:
+def apply_plan(x: RuleSequence, plan: MutationPlan, g: Grammar) -> RuleSequence:
     """Build the mutant test case a plan describes.
 
     A replacement rule sharing the target leaf's left-hand side swaps
     the token itself; any other rule leaves the token in place and pins
     the rule's value as a payload override, so the mutant still derives
     from the grammar.  Pollution lands on the payload text; a pure
-    same-side token swap with ``with_pollution=False`` carries none.
+    same-side token swap without ``byte_noise`` carries none.
     Dependency-kind replacement rules never take payloads on a
     same-side swap — their value is whatever the binding resolves to.
 
@@ -276,10 +274,10 @@ def apply_plan(
         mutant.pinned.discard(pos)
         if new_rule.lhs in DEPENDENCY_KINDS:
             return mutant
-        if not (with_pollution and plan.byte_noise):
+        if not plan.byte_noise:
             return mutant
     value = new_rule.value or ""
-    if with_pollution and plan.byte_noise:
+    if plan.byte_noise:
         value = apply_byte_noise(value, plan.byte_noise)
     mutant.payloads[pos] = value
     mutant.pinned.add(pos)
@@ -322,7 +320,7 @@ def mutate_tree_random(
         case=CASE_TREE,
         byte_noise=[],
     )
-    return apply_plan(x, plan, g, with_pollution=False), plan
+    return apply_plan(x, plan, g), plan
 
 
 def mutant_space_size(x: RuleSequence, g: Grammar) -> int:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from .grammar import FUZZABLE_KINDS, Grammar, RequestLayout
 from .parsing import (
     LeafSpec,
+    ParseError,
     TestCase,
     layout_leaves,
     marker_text,
@@ -210,8 +211,10 @@ def load_corpus(directory: str, g: Grammar) -> list[tuple[str, TestCase]]:
         )
     out = []
     for seed_id in seed_ids:
-        with open(
-            os.path.join(directory, seed_id + ".txt"), "r", encoding="latin-1"
-        ) as fh:
-            out.append((seed_id, parse_test_case(fh.read(), g)))
+        path = os.path.join(directory, seed_id + ".txt")
+        with open(path, "r", encoding="latin-1") as fh:
+            try:
+                out.append((seed_id, parse_test_case(fh.read(), g)))
+            except ParseError as exc:
+                raise ParseError("%s: %s" % (path, exc)) from None
     return out

@@ -2,6 +2,7 @@
 checkpointing, and the numeric gradient check."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -434,6 +435,14 @@ def test_decode_terminates_on_random_embeddings(overfit_model):
         assert len(toks) <= m.hp.max_seq_len
         # decoded specials sit below zero, never collide with rule ids
         assert all(isinstance(t, int) and t > -ae.N_SPECIALS for t in toks)
+
+
+def test_decode_of_a_large_embedding_warns_of_no_overflow(overfit_model):
+    m = overfit_model
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # exp overflows on the saturated gates
+        toks = ae.decode(m, np.full(m.hp.hidden_dim, 1e4))
+    assert len(toks) <= m.hp.max_seq_len
 
 
 def test_train_input_validation(ref_grammar, two_seed_sequences):

@@ -17,6 +17,7 @@ from restfuzz.seedgen import build_case, load_corpus
 from restfuzz.target import serve
 
 from .conftest import TESTS_DIR, chain_by_names
+from .test_execution import _ok, _path_server
 
 DEAD_URL = "http://127.0.0.1:9"  # discard port; nothing listens there
 # names the benchmark's tracer and case counter patch in ``cli``; the
@@ -263,6 +264,20 @@ def test_train_accepts_max_seq_len_equal_to_longest_seed(pipeline, ref_grammar, 
     assert "max_seq_len" in capsys.readouterr().err
 
 
+def test_train_reports_a_missing_seeds_dir(tmp_path, capsys):
+    missing = str(tmp_path / "nonexistent")
+    assert cli.main(["train", "--seeds-dir", missing, "--steps", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read seeds: ") and missing in err
+
+
+def test_train_reports_an_unparsable_seed_file(tmp_path, capsys):
+    (tmp_path / "bad.txt").write_text("FOO /x HTTP/1.1\n")
+    assert cli.main(["train", "--seeds-dir", str(tmp_path), "--steps", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad seed file %s: " % (tmp_path / "bad.txt"))
+
+
 def test_train_needs_seeds(tmp_path, capsys):
     os.makedirs(tmp_path / "empty", exist_ok=True)
     rc = cli.main(
@@ -455,6 +470,35 @@ def test_distill_reports_a_lost_target(pipeline, tmp_path, monkeypatch, capsys):
         srv.stop()
     assert rc == 1
     assert "error: target unreachable at %s" % srv.base_url in capsys.readouterr().err
+
+
+def test_fuzz_rejects_a_coverage_window_wider_than_the_manifest(pipeline, tmp_path, capsys):
+    # a target whose manifest lists 8 blocks answers case requests with a
+    # 16-block window
+    url, _heads, stop = _path_server(
+        {
+            "/__reset__": _ok(b"{}"),
+            "/__coverage__/manifest": _ok(json.dumps({"blocks": list("abcdefgh")}).encode()),
+            "/__coverage__/reset": _ok(b'{"block_count": 8, "bitmap": "00"}'),
+            None: _ok(b"{}", b"X-Coverage-Window: 16:0000\r\n"),
+        }
+    )
+    out = tmp_path / "s"
+    try:
+        rc = cli.main(
+            [
+                "fuzz", "--target", url, "--seeds-dir", pipeline["seeds_dir"],
+                "--strategy", "tree", "--max-cases", "3", "--seed", "1", "--out", str(out),
+            ]
+        )
+    finally:
+        stop()
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "coverage window of 16 blocks, manifest lists 8" in err
+    meta = json.loads((out / cli.SESSION_JSON).read_text())
+    assert meta["tests_executed"] == 0
+    assert (out / cli.EVENTS_CSV).read_text() == cli.CSV_HEADER + "\n"
 
 
 def test_byte_flips_land_on_the_sent_text(ref_grammar, target_cfg):

@@ -280,7 +280,7 @@ def _run_windowed(tc, g, cfg, log, transform=None):
         g,
         cfg,
         request_text_transform=transform,
-        per_request_bitmaps=lambda: cov.fetch_and_reset_coverage(cfg),
+        per_request_bitmaps=cov.fetch_and_reset_coverage,
     )
     return result, list(log)
 
@@ -319,29 +319,3 @@ def test_a_request_rejected_before_routing_is_read_on_the_side_channel(
     assert idx["http.header_bad"] not in first.indices()
     assert idx["projects.created"] not in second.indices()
     assert log == [RESET]
-
-
-def test_fetch_joins_a_carried_window_to_the_side_channel(target_cfg, side_channel_log):
-    idx = {name: i for i, name in enumerate(cov.fetch_manifest(target_cfg))}
-    create = "POST /api/projects HTTP/1.1\n%s: %s\n{\"name\": \"w\"}" % (
-        target_cfg.auth_header, target_cfg.auth_value,
-    )
-
-    def windowed_create():
-        wire = ex.request_wire(create, target_cfg.host, coverage_window=True)
-        assert target_cfg._case.roundtrip(wire)[0] == 201
-
-    cov.reset_coverage(target_cfg)
-    windowed_create()
-    assert http_request(target_cfg, "GET", "/api/projects")[0] == 200
-    del side_channel_log[:]
-    window = cov.fetch_and_reset_coverage(target_cfg)
-    assert side_channel_log == [RESET]
-    assert {idx["projects.created"], idx["projects.list_ok"]} <= set(window.indices())
-    # a reset drops a window not yet read
-    windowed_create()
-    cov.reset_coverage(target_cfg)
-    http_request(target_cfg, "GET", "/api/projects")
-    window = cov.fetch_and_reset_coverage(target_cfg)
-    assert idx["projects.list_ok"] in window.indices()
-    assert idx["projects.created"] not in window.indices()

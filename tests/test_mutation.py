@@ -307,9 +307,6 @@ def test_apply_plan_same_side_flips_token(ref_grammar, two_seed_sequences):
     m2 = mut.apply_plan(x, noisy, g)
     assert m2.tokens[pos] == master
     assert m2.payloads[pos] == "zaster" and pos in m2.pinned
-    m3 = mut.apply_plan(x, noisy, g, with_pollution=False)
-    assert m3.tokens[pos] == master
-    assert pos not in m3.payloads and pos not in m3.pinned
 
 
 def test_apply_plan_cross_side_pins_payload(ref_grammar, two_seed_sequences):
@@ -324,8 +321,6 @@ def test_apply_plan_cross_side_pins_payload(ref_grammar, two_seed_sequences):
     m1 = mut.apply_plan(x, plan, g)
     assert m1.tokens[pos] == old_token  # token untouched across sides
     assert m1.payloads[pos] == "m!ster" and pos in m1.pinned
-    m2 = mut.apply_plan(x, plan, g, with_pollution=False)
-    assert m2.payloads[pos] == "master" and pos in m2.pinned
 
 
 def test_apply_plan_dependency_leaf_never_takes_payload(

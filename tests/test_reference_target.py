@@ -181,8 +181,8 @@ def test_concurrent_clients_get_distinct_project_ids():
         cfg.close()
     assert not any(t.is_alive() for t in threads)
     got = [r for out in replies for r in out]
-    assert [status for status, _, _ in got] == [201] * 45
-    assert sorted(json.loads(text)["id"] for _, _, text in got) == list(range(1, 46))
+    assert [status for status, _, _, _ in got] == [201] * 45
+    assert sorted(json.loads(text)["id"] for _, _, text, _ in got) == list(range(1, 46))
 
 
 def test_stop_closes_kept_alive_connections():
