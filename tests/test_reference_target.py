@@ -297,6 +297,269 @@ def test_malformed_inputs_never_crash(target_cfg):
         assert 400 <= status < 500, (method, path, obj, raw, status)
 
 
+# blocks every authenticated API request hits before its route
+_ROUTED = {"http.request_received", "http.request_line_ok", "http.body_read", "router.auth_ok"}
+_P = "/api/projects/1/repository/"
+_MISSING = "/api/projects/9/repository/"
+
+
+def _api(method, path, body=""):
+    if not isinstance(body, str):
+        body = json.dumps(body)
+    return method, path, body
+
+
+def _commit(*actions, **fields):
+    return _api("POST", _P + "commits", dict(
+        {"branch": "master", "commit_message": "m", "actions": list(actions)}, **fields
+    ))
+
+
+# Each row: a request (raw wire bytes, or (method, path, body) sent with the
+# token), then the status, the body's "message" and the exact set of blocks
+# the request hit (for an API request, on top of _ROUTED).  Rows run in
+# order on one freshly reset target.
+_PROBES = [
+    (b"GARBAGE\r\n\r\n", 400, "malformed request line",
+     {"http.request_received", "http.request_line_bad"}),
+    (b"GET /x HTTP/1.1\r\nno colon here\r\n\r\n", 400, "malformed header",
+     {"http.request_received", "http.header_bad"}),
+    # a side channel rejected for its header leaves the bitmap empty
+    (b"GET /__coverage__ HTTP/1.1\r\nno colon here\r\n\r\n", 400, "malformed header", set()),
+    (b"GET /x HTTP/1.1\r\nContent-Length: ten\r\n\r\n", 400, "bad content-length",
+     {"http.request_received", "http.request_line_ok", "http.header_bad"}),
+    (b"GET /x HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400, "bad content-length",
+     {"http.request_received", "http.request_line_ok", "http.header_bad"}),
+    (b"GET /x HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n", 400, "bad content-length",
+     {"http.request_received", "http.request_line_ok", "http.header_bad"}),
+    (b"POST /api/projects HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc", 400, "short body",
+     {"http.request_received", "http.request_line_ok"}),
+    (b"GET /api/projects HTTP/1.1\r\nPRIVATE-TOKEN: wrong\r\n\r\n", 401, "401 Unauthorized",
+     {"http.request_received", "http.request_line_ok", "http.body_read", "router.auth_bad"}),
+    (b"GET /__coverage__ HTTP/1.1\r\n\r\n", 200, None, set()),
+    (b"GET /__coverage__/manifest HTTP/1.1\r\n\r\n", 200, None, set()),
+    (b"POST /__coverage__/reset HTTP/1.1\r\n\r\n", 200, None, set()),
+    (_api("GET", "/api/nothing"), 404, "404 Not Found", {"router.no_route"}),
+    (_api("GET", "/"), 404, "404 Not Found", {"router.no_route"}),
+    (_api("GET", "/api/projects/1/2/3"), 404, "404 Not Found", {"router.no_route"}),
+    (_api("GET", "/api/projects?page=2"), 200, None,
+     {"router.projects_collection", "router.method_known", "projects.list_ok"}),
+    (_api("PUT", "/api/projects"), 405, "405 Method Not Allowed",
+     {"router.projects_collection", "router.method_not_allowed"}),
+    (_api("FROB", "/api/projects"), 405, "405 Method Not Allowed",
+     {"router.projects_collection", "router.method_not_allowed"}),
+    (_api("POST", "/api/projects", "definitely not json"), 400, "invalid json",
+     {"router.projects_collection", "router.method_known", "projects.create_parse",
+      "projects.create_bad_json"}),
+    (_api("POST", "/api/projects", "[1, 2]"), 400, "invalid json",
+     {"router.projects_collection", "router.method_known", "projects.create_parse",
+      "projects.create_bad_json"}),
+    (_api("POST", "/api/projects", {"name": "nil"}), 400, "name is required",
+     {"router.projects_collection", "router.method_known", "projects.create_parse",
+      "projects.create_name_missing"}),
+    (_api("POST", "/api/projects", {"name": 7}), 400, "name is required",
+     {"router.projects_collection", "router.method_known", "projects.create_parse",
+      "projects.create_name_missing"}),
+    (_api("POST", "/api/projects", '{"name":"\xff"}'), 400, "name must be valid UTF-8",
+     {"router.projects_collection", "router.method_known", "projects.create_parse",
+      "projects.create_name_not_utf8"}),
+    (_api("POST", "/api/projects", {"name": "proj"}), 201, None,
+     {"router.projects_collection", "router.method_known", "projects.create_parse",
+      "projects.create_name_ok", "projects.created"}),
+    (_api("GET", "/api/projects/1"), 200, None,
+     {"router.project_item", "router.method_known", "projects.item_found", "projects.item_ok"}),
+    (_api("GET", "/api/projects/abc"), 404, "404 Project Not Found",
+     {"router.project_item", "router.method_known", "projects.item_missing"}),
+    (_api("GET", "/api/projects/9"), 404, "404 Project Not Found",
+     {"router.project_item", "router.method_known", "projects.item_missing"}),
+    (_api("DELETE", "/api/projects/1"), 405, "405 Method Not Allowed",
+     {"router.project_item", "router.method_not_allowed"}),
+    (_api("GET", _P + "co|mits"), 404, "404 Not Found",
+     {"router.repository_family", "router.subresource_parse", "router.subresource_unknown"}),
+    (_api("GET", _P + "|add_item"), 500,
+     "internal server error: no handler for empty subresource in '|add_item'",
+     {"router.repository_family", "router.subresource_parse", "router.subresource_split_fault"}),
+    (_api("GET", "/api/projects/1/repo/branches"), 404, "404 Not Found", {"router.no_route"}),
+    (_api("GET", _P + "branches"), 200, None,
+     {"router.repository_family", "router.branches_route", "router.method_known",
+      "branches.list_ok"}),
+    (_api("GET", _MISSING + "branches"), 404, "404 Project Not Found",
+     {"router.repository_family", "router.branches_route", "router.method_known",
+      "branches.list_project_missing"}),
+    (_api("PATCH", _P + "branches"), 405, "405 Method Not Allowed",
+     {"router.repository_family", "router.branches_route", "router.method_not_allowed"}),
+    (_api("FROB", _P + "branches"), 405, "405 Method Not Allowed",
+     {"router.repository_family", "router.branches_route", "router.method_not_allowed"}),
+    (_api("POST", _P + "branches", "{broken"), 400, "invalid json",
+     {"router.repository_family", "router.branches_route", "router.method_known",
+      "branches.parse", "branches.bad_json"}),
+    (_api("POST", _MISSING + "branches", {"branch": "x", "ref": "master"}), 404,
+     "404 Project Not Found",
+     {"router.repository_family", "router.branches_route", "router.method_known",
+      "branches.parse", "branches.project_missing"}),
+    (_api("POST", _P + "branches", {"ref": "master"}), 400, "branch is required",
+     {"router.repository_family", "router.branches_route", "router.method_known",
+      "branches.parse", "branches.project_ok", "branches.name_missing"}),
+    (_api("POST", _P + "branches", '{"branch":"\xfe","ref":"master"}'), 400,
+     "branch must be valid UTF-8",
+     {"router.repository_family", "router.branches_route", "router.method_known",
+      "branches.parse", "branches.project_ok", "branches.name_not_utf8"}),
+    (_api("POST", _P + "branches", {"branch": "x", "ref": ""}), 400, "ref is required",
+     {"router.repository_family", "router.branches_route", "router.method_known",
+      "branches.parse", "branches.project_ok", "branches.name_ok", "branches.ref_missing"}),
+    (_api("POST", _P + "branches", '{"branch":"x","ref":"\xfe"}'), 400,
+     "ref must be valid UTF-8",
+     {"router.repository_family", "router.branches_route", "router.method_known",
+      "branches.parse", "branches.project_ok", "branches.name_ok", "branches.ref_not_utf8"}),
+    (_api("POST", _P + "branches", {"branch": "master", "ref": "master"}), 400,
+     "branch already exists",
+     {"router.repository_family", "router.branches_route", "router.method_known",
+      "branches.parse", "branches.project_ok", "branches.name_ok", "branches.ref_ok",
+      "branches.duplicate"}),
+    (_api("POST", _P + "branches", {"branch": "dev", "ref": "master"}), 201, None,
+     {"router.repository_family", "router.branches_route", "router.method_known",
+      "branches.parse", "branches.project_ok", "branches.name_ok", "branches.ref_ok",
+      "branches.created"}),
+    (_api("GET", _P + "commits"), 200, None,
+     {"router.repository_family", "router.commits_route", "router.method_known",
+      "commits.list_ok"}),
+    (_api("GET", _MISSING + "commits"), 404, "404 Project Not Found",
+     {"router.repository_family", "router.commits_route", "router.method_known",
+      "commits.list_project_missing"}),
+    (_api("PUT", _P + "commits"), 405, "405 Method Not Allowed",
+     {"router.repository_family", "router.commits_route", "router.method_not_allowed"}),
+    (_api("FROB", _P + "commits"), 500,
+     "internal server error: unhandled method 'FROB' in commits dispatch",
+     {"router.repository_family", "router.commits_route", "router.commits_method_fault"}),
+    (_api("POST", _P + "commits", "null"), 400, "invalid json",
+     {"router.repository_family", "router.commits_route", "router.method_known",
+      "commits.parse", "commits.bad_json"}),
+    (_api("POST", _MISSING + "commits", {}), 404, "404 Project Not Found",
+     {"router.repository_family", "router.commits_route", "router.method_known",
+      "commits.parse", "commits.project_missing"}),
+    (_commit(branch="ghost"), 404, "404 Branch Not Found",
+     {"router.repository_family", "router.commits_route", "router.method_known",
+      "commits.parse", "commits.project_ok", "commits.branch_missing"}),
+    (_commit(branch=["master"]), 404, "404 Branch Not Found",
+     {"router.repository_family", "router.commits_route", "router.method_known",
+      "commits.parse", "commits.project_ok", "commits.branch_missing"}),
+    (_commit(commit_message="nil"), 400, "commit_message is required",
+     {"router.repository_family", "router.commits_route", "router.method_known",
+      "commits.parse", "commits.project_ok", "commits.branch_ok", "commits.message_missing"}),
+    (_api("POST", _P + "commits", '{"branch":"master","commit_message":"\xff"}'), 400,
+     "commit_message must be valid UTF-8",
+     {"router.repository_family", "router.commits_route", "router.method_known",
+      "commits.parse", "commits.project_ok", "commits.branch_ok",
+      "commits.message_not_utf8"}),
+    (_commit(), 400, "actions are required",
+     {"router.repository_family", "router.commits_route", "router.method_known",
+      "commits.parse", "commits.project_ok", "commits.branch_ok", "commits.message_ok",
+      "commits.action_unknown"}),
+    (_commit(actions="no"), 400, "actions are required",
+     {"router.repository_family", "router.commits_route", "router.method_known",
+      "commits.parse", "commits.project_ok", "commits.branch_ok", "commits.message_ok",
+      "commits.action_unknown"}),
+    (_commit(7), 400, "bad action entry",
+     {"router.repository_family", "router.commits_route", "router.method_known",
+      "commits.parse", "commits.project_ok", "commits.branch_ok", "commits.message_ok",
+      "commits.action_unknown"}),
+    (_commit({"action": "frobnicate", "file_path": "f"}), 400, "unknown action",
+     {"router.repository_family", "router.commits_route", "router.method_known",
+      "commits.parse", "commits.project_ok", "commits.branch_ok", "commits.message_ok",
+      "commits.action_unknown"}),
+    (_commit({"action": "create", "file_path": "nil"}), 400, "file_path is required",
+     {"router.repository_family", "router.commits_route", "router.method_known",
+      "commits.parse", "commits.project_ok", "commits.branch_ok", "commits.message_ok",
+      "commits.action_known", "commits.file_path_missing"}),
+    (_api("POST", _P + "commits", '{"branch":"master","commit_message":"m",'
+          '"actions":[{"action":"create","file_path":"\xff\xfe"}]}'), 500,
+     "internal server error: cannot decode file_path '\xff\xfe'",
+     {"router.repository_family", "router.commits_route", "router.method_known",
+      "commits.parse", "commits.project_ok", "commits.branch_ok", "commits.message_ok",
+      "commits.action_known", "commits.file_path_present", "commits.file_path_decode_fault"}),
+]
+_PROBES += [
+    (_commit({"action": action, "file_path": "f"}), 400, "file does not exist",
+     {"router.repository_family", "router.commits_route", "router.method_known",
+      "commits.parse", "commits.project_ok", "commits.branch_ok", "commits.message_ok",
+      "commits.action_known", "commits.file_path_present", "commits.act_%s_missing" % action})
+    for action in ("delete", "move", "update", "chmod")
+]
+_PROBES += [
+    (_commit(*({"action": a, "file_path": "f"} for a in ("create", "chmod", "update", "move"))),
+     201, "m",
+     {"router.repository_family", "router.commits_route", "router.method_known",
+      "commits.parse", "commits.project_ok", "commits.branch_ok", "commits.message_ok",
+      "commits.action_known", "commits.file_path_present", "commits.act_create_ok",
+      "commits.created"}),
+    # a second create keeps the file; an action after a failing one is not run
+    (_commit({"action": "create", "file_path": "f"}, {"action": "move", "file_path": "g"},
+             {"action": "delete", "file_path": "f"}), 400, "file does not exist",
+     {"router.repository_family", "router.commits_route", "router.method_known",
+      "commits.parse", "commits.project_ok", "commits.branch_ok", "commits.message_ok",
+      "commits.action_known", "commits.file_path_present", "commits.act_create_ok",
+      "commits.act_move_missing"}),
+    (_commit({"action": "delete", "file_path": "f"}), 201, "m",
+     {"router.repository_family", "router.commits_route", "router.method_known",
+      "commits.parse", "commits.project_ok", "commits.branch_ok", "commits.message_ok",
+      "commits.action_known", "commits.file_path_present", "commits.act_delete_ok",
+      "commits.created"}),
+    (_commit({"action": "delete", "file_path": "f"}, branch="dev"), 400, "file does not exist",
+     {"router.repository_family", "router.commits_route", "router.method_known",
+      "commits.parse", "commits.project_ok", "commits.branch_ok", "commits.message_ok",
+      "commits.action_known", "commits.file_path_present", "commits.act_delete_missing"}),
+    (b"POST /__reset__ HTTP/1.1\r\n\r\n", 200, None, set()),
+    (_api("GET", "/api/projects/1"), 404, "404 Project Not Found",
+     {"router.project_item", "router.method_known", "projects.item_missing"}),
+]
+
+
+def _probe_wire(request, token):
+    if isinstance(request, bytes):
+        return request
+    method, path, body = request
+    payload = body.encode("latin-1")
+    return (
+        "%s %s HTTP/1.1\r\nHost: h\r\nX-Coverage-Window: 1\r\nPRIVATE-TOKEN: %s\r\n"
+        "Content-Length: %d\r\n\r\n" % (method, path, token, len(payload))
+    ).encode("latin-1") + payload
+
+
+def test_probe_table_pins_status_message_and_blocks():
+    # each API request asks for its window on the response; a request
+    # rejected before routing, and a side channel, carries none, so its
+    # blocks are read from the side channel
+    reasons = {200: "OK", 201: "Created", 400: "Bad Request", 401: "Unauthorized",
+               404: "Not Found", 405: "Method Not Allowed", 500: "Internal Server Error"}
+    srv = ReferenceTarget().start()
+    cfg = TargetConfig(base_url=srv.base_url)
+    try:
+        names = cov.fetch_manifest(cfg)
+        reset_target_state(cfg)
+        cov.reset_coverage(cfg)
+        seen = set()
+        for request, status, message, blocks in _PROBES:
+            want = blocks if isinstance(request, bytes) else _ROUTED | blocks
+            with socket.create_connection((srv.host, srv.port), timeout=5) as sock:
+                sock.sendall(_probe_wire(request, srv.token))
+                sock.shutdown(socket.SHUT_WR)
+                got_status, reason, body, _closing, window = _recv_response(sock)
+            bitmap = cov.fetch_and_reset_coverage(cfg, window)
+            got = {names[i] for i in bitmap.indices()}
+            data = json.loads(body)
+            got_message = data.get("message") if isinstance(data, dict) else None
+            assert (got_status, reason, got_message, got) == (
+                status, reasons[status], message, want
+            ), request
+            assert (window is None) == isinstance(request, bytes), request
+            seen |= got
+    finally:
+        cfg.close()
+        srv.stop()
+    assert seen == set(names) and len(names) == 66
+    assert {b["block"] for b in injected_bug_catalog()} <= seen
+
+
 def _read_all(sock):
     chunks = []
     while True:
