@@ -9,6 +9,13 @@ request with an ``X-Coverage-Window`` header is answered with the window
 it closes, as ``X-Coverage-Window: <block_count>:<hex>``, and clears the
 bitmap as ``POST /__coverage__/reset`` would right after it.
 
+Two tables route a request.  ``ReferenceTarget._SIDE_CHANNELS`` maps
+``(path, method)`` to a side-channel handler, looked up once where the
+request line is parsed.  ``ReferenceTarget._ROUTES`` maps an API path,
+with the project id written ``{id}``, to its route block and its
+``{method: handler}`` table.  A request is rejected early by recording
+its block and raising ``_Reply``, whose response becomes the answer.
+
 Injected bugs (each returns status 500 and hits its own fault block):
 
   B1  commit ``file_path`` with invalid UTF-8 crashes the path decoder
@@ -27,6 +34,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+from http import HTTPStatus
 
 DEFAULT_TOKEN = "DRiX47nuEP2AR"
 KNOWN_METHODS = ("GET", "POST", "PUT", "DELETE", "PATCH")
@@ -61,16 +69,6 @@ def injected_bug_catalog():
 
 class FaultInjected(Exception):
     """Raised at an injected fault site; becomes a 500 response."""
-
-
-_SIDE_CHANNELS = frozenset(
-    [
-        ("/__coverage__", "GET"),
-        ("/__coverage__/reset", "POST"),
-        ("/__coverage__/manifest", "GET"),
-        ("/__reset__", "POST"),
-    ]
-)
 
 
 class BlockRegistry:
@@ -114,25 +112,24 @@ class _Response:
         self.window = None  # "<block_count>:<hex>", sent as X-Coverage-Window
 
 
-_REASONS = {
-    200: "OK",
-    201: "Created",
-    400: "Bad Request",
-    401: "Unauthorized",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    500: "Internal Server Error",
-}
+class _Reply(Exception):
+    """Raised to answer a request early with ``{"message": message}``;
+    the raiser has recorded the request's last block."""
+
+    def __init__(self, status, message, close=False):
+        super().__init__(message)
+        self.response = _Response(status, {"message": message}, close)
 
 
 class ReferenceTarget:
     """Socket server around the instrumented API: one accept thread and
     one worker thread per connection.  Each request reads its head and
-    body without a lock, then records its blocks, is routed (side
-    channels included) and, when asked, reads and clears its coverage
-    window under one lock, so concurrent clients see requests applied one
-    at a time.  ``stop`` shuts down the connections still
-    open, so a kept-alive client gets no further response."""
+    body without a lock, then records its blocks, is answered by its
+    side-channel handler or routed through ``_ROUTES`` and, when asked,
+    reads and clears its coverage window under one lock, so concurrent
+    clients see requests applied one at a time.  ``stop`` shuts down the
+    connections still open, so a kept-alive client gets no further
+    response."""
 
     def __init__(self, host="127.0.0.1", port=0, token=DEFAULT_TOKEN):
         self.host = host
@@ -343,44 +340,51 @@ class ReferenceTarget:
         # blocks seen while reading are recorded with the routing, under the
         # lock; no socket read holds it
         hits: list[str] = []
-        request, resp, buf = self._read_request(conn, head, buf, hits.append)
+        try:
+            side_channel, request, buf = self._read_request(conn, head, buf, hits.append)
+        except _Reply as reply:
+            side_channel, request, buf, resp = None, None, b"", reply.response
         with self._lock:
             for block in hits:
                 self.registry.hit(block)
-            if request is not None:
-                try:
-                    resp = self._route(*request)
-                except FaultInjected as exc:
-                    resp = _Response(500, {"message": "internal server error: %s" % exc})
-                except Exception as exc:  # unplanned crash: still a 500, visible in tests
-                    resp = _Response(500, {"message": "unexpected error: %r" % exc})
-                method, raw_path, headers, _body = request
-                if "x-coverage-window" in headers and (
-                    raw_path.split("?", 1)[0], method
-                ) not in _SIDE_CHANNELS:
-                    # what POST /__coverage__/reset would answer right after
-                    resp.window = "%d:%s" % (
-                        self.registry.block_count, self.registry.bitmap_hex()
-                    )
-                    self.registry.reset()
+            if side_channel is not None:
+                return side_channel(self), buf
+            if request is None:
+                return resp, buf
+            method, path, headers, body = request
+            try:
+                resp = self._route(method, path, headers, body)
+            except _Reply as reply:
+                resp = reply.response
+            except FaultInjected as exc:
+                resp = _Response(500, {"message": "internal server error: %s" % exc})
+            except Exception as exc:  # unplanned crash: still a 500, visible in tests
+                resp = _Response(500, {"message": "unexpected error: %r" % exc})
+            if "x-coverage-window" in headers:
+                # what POST /__coverage__/reset would answer right after
+                resp.window = "%d:%s" % (self.registry.block_count, self.registry.bitmap_hex())
+                self.registry.reset()
         return resp, buf
 
     def _read_request(self, conn, head: bytes, buf: bytes, hit):
-        """Parse the head and read the body.  Returns ``(request, None,
-        rest)`` with request = (method, path, headers, body), or ``(None,
-        error response, b"")``."""
+        """Parse the head and read the body.  Returns ``(side_channel,
+        request, rest)``: the handler of a side channel, or None, and
+        request = (method, path, headers, body) with the query cut from
+        the path.  A malformed request raises ``_Reply`` with
+        ``Connection: close``."""
         text = head.decode("latin-1")
         lines = text.split("\r\n") if "\r\n" in text else text.split("\n")
         parts = lines[0].split(" ")
         if len(parts) < 2 or not parts[0]:
             hit("http.request_received")
             hit("http.request_line_bad")
-            return None, _Response(400, {"message": "malformed request line"}, close=True), b""
+            raise _Reply(400, "malformed request line", close=True)
         method = parts[0]
-        raw_path = parts[1]
-        # introspection traffic must leave the bitmap untouched, including
-        # the front-door blocks below
-        if (raw_path.split("?", 1)[0], method) in _SIDE_CHANNELS:
+        path = parts[1].split("?", 1)[0]
+        side_channel = self._SIDE_CHANNELS.get((path, method))
+        if side_channel is not None:
+            # introspection traffic must leave the bitmap untouched,
+            # including the front-door blocks below
             hit = lambda _block: None  # noqa: E731
         hit("http.request_received")
         headers: dict[str, str] = {}
@@ -389,36 +393,32 @@ class ReferenceTarget:
                 continue
             if ":" not in ln:
                 hit("http.header_bad")
-                return None, _Response(400, {"message": "malformed header"}, close=True), b""
+                raise _Reply(400, "malformed header", close=True)
             key, _, val = ln.partition(":")
             headers[key.strip().lower()] = val.strip()
         hit("http.request_line_ok")
-        # read the body if one is declared
-        body = b""
-        length_text = headers.get("content-length", "0")
         try:
-            length = int(length_text)
+            length = int(headers.get("content-length", "0"))
         except ValueError:
-            hit("http.header_bad")
-            return None, _Response(400, {"message": "bad content-length"}, close=True), b""
+            length = -1
         if length < 0 or length > MAX_BODY:
             hit("http.header_bad")
-            return None, _Response(400, {"message": "bad content-length"}, close=True), b""
+            raise _Reply(400, "bad content-length", close=True)
         while len(buf) < length:
             try:
                 chunk = conn.recv(65536)
-            except (TimeoutError, OSError):
-                return None, _Response(400, {"message": "short body"}, close=True), b""
+            except OSError:
+                chunk = b""
             if not chunk:
-                return None, _Response(400, {"message": "short body"}, close=True), b""
+                raise _Reply(400, "short body", close=True)
             buf += chunk
         body, buf = buf[:length], buf[length:]
         hit("http.body_read")
-        return (method, raw_path, headers, body), None, buf
+        return side_channel, (method, path, headers, body), buf
 
     def _send_response(self, conn, resp: _Response):
         payload = json.dumps(resp.payload).encode("utf-8")
-        reason = _REASONS.get(resp.status, "Status")
+        reason = HTTPStatus(resp.status).phrase
         head = (
             "HTTP/1.1 %d %s\r\n" % (resp.status, reason)
             + "Content-Type: application/json\r\n"
@@ -432,321 +432,236 @@ class ReferenceTarget:
         except OSError:
             pass
 
+    # -- side channels: no auth, never touch the bitmap --------------------
+
+    def _peek_coverage(self) -> _Response:
+        window = {"bitmap": self.registry.bitmap_hex(), "block_count": self.registry.block_count}
+        return _Response(200, window)
+
+    def _reset_coverage(self) -> _Response:
+        resp = self._peek_coverage()
+        self.registry.reset()
+        return resp
+
+    def _manifest(self) -> _Response:
+        return _Response(200, {"blocks": self.registry.block_ids})
+
+    def _reset_api_state(self) -> _Response:
+        self._reset_state()
+        return _Response(200, {"ok": True})
+
     # -- routing -----------------------------------------------------------
 
-    def _route(self, method, raw_path, headers, body) -> _Response:
+    def _route(self, method, path, headers, body) -> _Response:
         hit = self.registry.hit
-        path = raw_path.split("?", 1)[0]
-
-        # side channels bypass auth and never touch the bitmap
-        # GET peeks at the window since the last reset; POST also clears it
-        if (path, method) in (("/__coverage__", "GET"), ("/__coverage__/reset", "POST")):
-            window = {
-                "bitmap": self.registry.bitmap_hex(),
-                "block_count": self.registry.block_count,
-            }
-            if method == "POST":
-                self.registry.reset()
-            return _Response(200, window)
-        if path == "/__coverage__/manifest" and method == "GET":
-            return _Response(200, {"blocks": self.registry.block_ids})
-        if path == "/__reset__" and method == "POST":
-            self._reset_state()
-            return _Response(200, {"ok": True})
-
         if headers.get("private-token") != self.token:
             hit("router.auth_bad")
-            return _Response(401, {"message": "401 Unauthorized"})
+            raise _Reply(401, "401 Unauthorized")
         hit("router.auth_ok")
-
         segments = [s for s in path.split("/") if s != ""]
-
-        if len(segments) == 2 and segments[0] == "api" and segments[1] == "projects":
-            hit("router.projects_collection")
-            if method == "POST":
-                hit("router.method_known")
-                return self._create_project(body)
-            if method == "GET":
-                hit("router.method_known")
-                hit("projects.list_ok")
-                return _Response(
-                    200,
-                    {"projects": [{"id": pid} for pid in sorted(self.projects)]},
-                )
-            return self._method_rejected(method)
-
-        if len(segments) == 3 and segments[0] == "api" and segments[1] == "projects":
-            hit("router.project_item")
-            if method == "GET":
-                hit("router.method_known")
-                return self._get_project(segments[2])
-            return self._method_rejected(method)
-
-        if (
-            len(segments) == 5
-            and segments[0] == "api"
-            and segments[1] == "projects"
-            and segments[3] == "repository"
-        ):
+        key = "/".join("{id}" if i == 2 else s for i, s in enumerate(segments))
+        repository = len(segments) == 5 and key.startswith("api/projects/{id}/repository/")
+        if repository:
             hit("router.repository_family")
-            sub = segments[4]
-            if sub == "branches":
-                hit("router.branches_route")
-                if method == "POST":
-                    hit("router.method_known")
-                    return self._create_branch(segments[2], body)
-                if method == "GET":
-                    hit("router.method_known")
-                    return self._list_branches(segments[2])
-                return self._method_rejected(method)
-            if sub == "commits":
-                hit("router.commits_route")
-                if method == "POST":
-                    hit("router.method_known")
-                    return self._create_commit(segments[2], body)
-                if method == "GET":
-                    hit("router.method_known")
-                    return self._list_commits(segments[2])
-                if method in KNOWN_METHODS:
-                    hit("router.method_not_allowed")
-                    return _Response(405, {"message": "405 Method Not Allowed"})
-                # Injected bug B3: the commits route consults a secondary
-                # method table that has no default entry.
-                hit("router.commits_method_fault")
-                raise FaultInjected("unhandled method %r in commits dispatch" % method)
+        route = self._ROUTES.get(key)
+        if route is None and repository:
             # Unknown subresource: an action-suffix splitter runs here
             # ("<name>|<action>" is a legacy call form).
             hit("router.subresource_parse")
-            if sub.startswith("|"):
+            if segments[4].startswith("|"):
                 # Injected bug B2: an empty name before '|' bypasses the
                 # default entry and indexes the handler table with "".
                 hit("router.subresource_split_fault")
-                raise FaultInjected("no handler for empty subresource in %r" % sub)
+                raise FaultInjected("no handler for empty subresource in %r" % segments[4])
             hit("router.subresource_unknown")
-            return _Response(404, {"message": "404 Not Found"})
+            raise _Reply(404, "404 Not Found")
+        if route is None:
+            hit("router.no_route")
+            raise _Reply(404, "404 Not Found")
+        block, handlers = route
+        hit(block)
+        handler = handlers.get(method)
+        if handler is not None:
+            hit("router.method_known")
+            return handler(self, segments[2] if len(segments) > 2 else None, body)
+        if block == "router.commits_route" and method not in KNOWN_METHODS:
+            # Injected bug B3: the commits route consults a secondary
+            # method table that has no default entry.
+            hit("router.commits_method_fault")
+            raise FaultInjected("unhandled method %r in commits dispatch" % method)
+        hit("router.method_not_allowed")
+        raise _Reply(405, "405 Method Not Allowed")
 
-        hit("router.no_route")
-        return _Response(404, {"message": "404 Not Found"})
+    # -- validation: each records its block and raises _Reply on a miss ----
 
-    def _method_rejected(self, method) -> _Response:
-        self.registry.hit("router.method_not_allowed")
-        return _Response(405, {"message": "405 Method Not Allowed"})
-
-    # -- helpers -----------------------------------------------------------
-
-    @staticmethod
-    def _json_body(body: bytes):
+    def _json_object(self, body: bytes, bad_block: str) -> dict:
         """Parse the body leniently: raw bytes are mapped through latin-1
         first so invalid UTF-8 still reaches the field validators."""
         try:
-            return json.loads(body.decode("latin-1"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return None
+            data = json.loads(body.decode("latin-1"))
+        except json.JSONDecodeError:
+            data = None
+        if not isinstance(data, dict):
+            self.registry.hit(bad_block)
+            raise _Reply(400, "invalid json")
+        return data
 
-    @staticmethod
-    def _utf8_ok(value: str) -> bool:
+    def _required(self, data: dict, key: str, missing_block: str) -> str:
+        value = data.get(key)
+        if not isinstance(value, str) or value == "" or value == "nil":
+            self.registry.hit(missing_block)
+            raise _Reply(400, "%s is required" % key)
+        return value
+
+    def _text_field(self, data: dict, key: str, block_prefix: str) -> str:
+        """A required valid-UTF-8 text field; hits ``<block_prefix>_missing``,
+        ``_not_utf8`` or ``_ok``."""
+        value = self._required(data, key, block_prefix + "_missing")
+        if not _utf8_ok(value):
+            self.registry.hit(block_prefix + "_not_utf8")
+            raise _Reply(400, "%s must be valid UTF-8" % key)
+        self.registry.hit(block_prefix + "_ok")
+        return value
+
+    def _project(self, id_text: str, missing_block: str) -> dict:
         try:
-            value.encode("latin-1").decode("utf-8")
-        except (UnicodeEncodeError, UnicodeDecodeError):
-            return False
-        return True
-
-    @staticmethod
-    def _required_str(data, key):
-        v = data.get(key)
-        if not isinstance(v, str) or v == "" or v == "nil":
-            return None
-        return v
-
-    def _lookup_project(self, id_text: str):
-        try:
-            pid = int(id_text)
+            project = self.projects.get(int(id_text))
         except ValueError:
-            return None
-        return self.projects.get(pid)
+            project = None
+        if project is None:
+            self.registry.hit(missing_block)
+            raise _Reply(404, "404 Project Not Found")
+        return project
 
-    # -- handlers ----------------------------------------------------------
+    # -- handlers: (self, project id text or None, body) -> _Response --------
 
-    def _create_project(self, body) -> _Response:
+    def _create_project(self, _id_text, body) -> _Response:
         hit = self.registry.hit
         hit("projects.create_parse")
-        data = self._json_body(body)
-        if not isinstance(data, dict):
-            hit("projects.create_bad_json")
-            return _Response(400, {"message": "invalid json"})
-        name = self._required_str(data, "name")
-        if name is None:
-            hit("projects.create_name_missing")
-            return _Response(400, {"message": "name is required"})
-        if not self._utf8_ok(name):
-            hit("projects.create_name_not_utf8")
-            return _Response(400, {"message": "name must be valid UTF-8"})
-        hit("projects.create_name_ok")
+        data = self._json_object(body, "projects.create_bad_json")
+        name = self._text_field(data, "name", "projects.create_name")
         pid = self._next_project_id
         self._next_project_id += 1
         self.projects[pid] = {"name": name, "branches": {"master": {"files": set()}}}
         hit("projects.created")
         return _Response(201, {"id": pid, "name": name})
 
-    def _get_project(self, id_text) -> _Response:
-        hit = self.registry.hit
-        project = self._lookup_project(id_text)
-        if project is None:
-            hit("projects.item_missing")
-            return _Response(404, {"message": "404 Project Not Found"})
-        hit("projects.item_found")
-        hit("projects.item_ok")
-        pid = int(id_text)
-        return _Response(200, {"id": pid, "name": project["name"]})
+    def _list_projects(self, _id_text, _body) -> _Response:
+        self.registry.hit("projects.list_ok")
+        return _Response(200, {"projects": [{"id": pid} for pid in sorted(self.projects)]})
+
+    def _get_project(self, id_text, _body) -> _Response:
+        project = self._project(id_text, "projects.item_missing")
+        self.registry.hit("projects.item_found")
+        self.registry.hit("projects.item_ok")
+        return _Response(200, {"id": int(id_text), "name": project["name"]})
 
     def _create_branch(self, id_text, body) -> _Response:
         hit = self.registry.hit
         hit("branches.parse")
-        data = self._json_body(body)
-        if not isinstance(data, dict):
-            hit("branches.bad_json")
-            return _Response(400, {"message": "invalid json"})
-        project = self._lookup_project(id_text)
-        if project is None:
-            hit("branches.project_missing")
-            return _Response(404, {"message": "404 Project Not Found"})
+        data = self._json_object(body, "branches.bad_json")
+        project = self._project(id_text, "branches.project_missing")
         hit("branches.project_ok")
-        name = self._required_str(data, "branch")
-        if name is None:
-            hit("branches.name_missing")
-            return _Response(400, {"message": "branch is required"})
-        if not self._utf8_ok(name):
-            hit("branches.name_not_utf8")
-            return _Response(400, {"message": "branch must be valid UTF-8"})
-        hit("branches.name_ok")
-        ref = self._required_str(data, "ref")
-        if ref is None:
-            hit("branches.ref_missing")
-            return _Response(400, {"message": "ref is required"})
-        if not self._utf8_ok(ref):
-            hit("branches.ref_not_utf8")
-            return _Response(400, {"message": "ref must be valid UTF-8"})
-        hit("branches.ref_ok")
+        name = self._text_field(data, "branch", "branches.name")
+        self._text_field(data, "ref", "branches.ref")
         if name in project["branches"]:
             hit("branches.duplicate")
-            return _Response(400, {"message": "branch already exists"})
+            raise _Reply(400, "branch already exists")
         project["branches"][name] = {"files": set()}
         hit("branches.created")
-        return _Response(
-            201,
-            {"branch": name, "commit": {"id": "c%06d" % self._next_commit}},
-        )
+        return _Response(201, {"branch": name, "commit": {"id": "c%06d" % self._next_commit}})
 
-    def _list_branches(self, id_text) -> _Response:
-        hit = self.registry.hit
-        project = self._lookup_project(id_text)
-        if project is None:
-            hit("branches.list_project_missing")
-            return _Response(404, {"message": "404 Project Not Found"})
-        hit("branches.list_ok")
-        return _Response(
-            200, {"branches": [{"name": b} for b in sorted(project["branches"])]}
-        )
+    def _list_branches(self, id_text, _body) -> _Response:
+        project = self._project(id_text, "branches.list_project_missing")
+        self.registry.hit("branches.list_ok")
+        return _Response(200, {"branches": [{"name": b} for b in sorted(project["branches"])]})
 
     def _create_commit(self, id_text, body) -> _Response:
         hit = self.registry.hit
         hit("commits.parse")
-        data = self._json_body(body)
-        if not isinstance(data, dict):
-            hit("commits.bad_json")
-            return _Response(400, {"message": "invalid json"})
-        project = self._lookup_project(id_text)
-        if project is None:
-            hit("commits.project_missing")
-            return _Response(404, {"message": "404 Project Not Found"})
+        data = self._json_object(body, "commits.bad_json")
+        project = self._project(id_text, "commits.project_missing")
         hit("commits.project_ok")
         branch_name = data.get("branch")
-        branch = (
-            project["branches"].get(branch_name)
-            if isinstance(branch_name, str)
-            else None
-        )
+        branch = project["branches"].get(branch_name) if isinstance(branch_name, str) else None
         if branch is None:
             hit("commits.branch_missing")
-            return _Response(404, {"message": "404 Branch Not Found"})
+            raise _Reply(404, "404 Branch Not Found")
         hit("commits.branch_ok")
-        message = self._required_str(data, "commit_message")
-        if message is None:
-            hit("commits.message_missing")
-            return _Response(400, {"message": "commit_message is required"})
-        if not self._utf8_ok(message):
-            hit("commits.message_not_utf8")
-            return _Response(400, {"message": "commit_message must be valid UTF-8"})
-        hit("commits.message_ok")
+        message = self._text_field(data, "commit_message", "commits.message")
         actions = data.get("actions")
         if not isinstance(actions, list) or not actions:
             hit("commits.action_unknown")
-            return _Response(400, {"message": "actions are required"})
+            raise _Reply(400, "actions are required")
+        files = branch["files"]
         for action in actions:
             if not isinstance(action, dict):
                 hit("commits.action_unknown")
-                return _Response(400, {"message": "bad action entry"})
+                raise _Reply(400, "bad action entry")
             kind = action.get("action")
             if kind not in ("create", "delete", "move", "update", "chmod"):
                 hit("commits.action_unknown")
-                return _Response(400, {"message": "unknown action"})
+                raise _Reply(400, "unknown action")
             hit("commits.action_known")
-            file_path = action.get("file_path")
-            if not isinstance(file_path, str) or file_path == "" or file_path == "nil":
-                hit("commits.file_path_missing")
-                return _Response(400, {"message": "file_path is required"})
+            file_path = self._required(action, "file_path", "commits.file_path_missing")
             hit("commits.file_path_present")
-            if not self._utf8_ok(file_path):
+            if not _utf8_ok(file_path):
                 # Injected bug B1: file_path is re-encoded for storage
                 # without validation; invalid byte sequences blow up.
                 hit("commits.file_path_decode_fault")
                 raise FaultInjected("cannot decode file_path %r" % file_path)
-            resp = self._apply_action(branch, kind, file_path)
-            if resp is not None:
-                return resp
+            if kind == "create":
+                hit("commits.act_create_ok")
+                files.add(file_path)
+            elif file_path not in files:
+                hit("commits.act_%s_missing" % kind)
+                raise _Reply(400, "file does not exist")
+            elif kind == "delete":
+                hit("commits.act_delete_ok")
+                files.discard(file_path)
         cid = "c%06d" % self._next_commit
         self._next_commit += 1
         hit("commits.created")
         return _Response(201, {"id": cid, "message": message})
 
-    def _apply_action(self, branch, kind, file_path):
-        hit = self.registry.hit
-        files = branch["files"]
-        if kind == "create":
-            hit("commits.act_create_ok")
-            files.add(file_path)
-            return None
-        if kind == "delete":
-            if file_path not in files:
-                hit("commits.act_delete_missing")
-                return _Response(400, {"message": "file does not exist"})
-            hit("commits.act_delete_ok")
-            files.discard(file_path)
-            return None
-        if kind == "move":
-            if file_path not in files:
-                hit("commits.act_move_missing")
-                return _Response(400, {"message": "file does not exist"})
-            return None
-        if kind == "update":
-            if file_path not in files:
-                hit("commits.act_update_missing")
-                return _Response(400, {"message": "file does not exist"})
-            return None
-        # chmod
-        if file_path not in files:
-            hit("commits.act_chmod_missing")
-            return _Response(400, {"message": "file does not exist"})
-        return None
-
-    def _list_commits(self, id_text) -> _Response:
-        hit = self.registry.hit
-        project = self._lookup_project(id_text)
-        if project is None:
-            hit("commits.list_project_missing")
-            return _Response(404, {"message": "404 Project Not Found"})
-        hit("commits.list_ok")
+    def _list_commits(self, id_text, _body) -> _Response:
+        self._project(id_text, "commits.list_project_missing")
+        self.registry.hit("commits.list_ok")
         return _Response(200, {"commits": []})
+
+    # -- tables ------------------------------------------------------------
+
+    _SIDE_CHANNELS = {
+        # GET peeks at the window since the last reset; POST also clears it
+        ("/__coverage__", "GET"): _peek_coverage,
+        ("/__coverage__/reset", "POST"): _reset_coverage,
+        ("/__coverage__/manifest", "GET"): _manifest,
+        ("/__reset__", "POST"): _reset_api_state,
+    }
+    _ROUTES = {
+        "api/projects": (
+            "router.projects_collection",
+            {"POST": _create_project, "GET": _list_projects},
+        ),
+        "api/projects/{id}": ("router.project_item", {"GET": _get_project}),
+        "api/projects/{id}/repository/branches": (
+            "router.branches_route",
+            {"POST": _create_branch, "GET": _list_branches},
+        ),
+        "api/projects/{id}/repository/commits": (
+            "router.commits_route",
+            {"POST": _create_commit, "GET": _list_commits},
+        ),
+    }
+
+
+def _utf8_ok(value: str) -> bool:
+    try:
+        value.encode("latin-1").decode("utf-8")
+    except (UnicodeEncodeError, UnicodeDecodeError):
+        return False
+    return True
+
 
 
 def serve(host="127.0.0.1", port=0, token=DEFAULT_TOKEN) -> ReferenceTarget:
@@ -772,3 +687,4 @@ if __name__ == "__main__":
             time.sleep(3600)
     except KeyboardInterrupt:
         server.stop()
+
