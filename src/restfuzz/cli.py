@@ -28,6 +28,7 @@ from .coverage import (
     CorpusEntry,
     CoverageAccumulator,
     CoverageBitmap,
+    CoverageDataError,
     distill,
     fetch_and_reset_coverage,
     fetch_manifest,
@@ -310,6 +311,8 @@ def _learned_case_stream(seeds, g, model, rng, n_scales, noise_norm, mutate_depe
 
 
 def _unreachable(target, exc) -> CliError:
+    if isinstance(exc, CoverageDataError):
+        return CliError("bad coverage data from %s (%s)" % (target.base_url, exc))
     return CliError("target unreachable at %s (%s)" % (target.base_url, exc))
 
 
@@ -340,7 +343,7 @@ def _run_case(tc, g, target, width, case_id, transform=None):
     for rec in result.records:
         if rec.bitmap is not None:
             if rec.bitmap.width != width:
-                raise TransportError(
+                raise CoverageDataError(
                     "coverage window of %d blocks, manifest lists %d" % (rec.bitmap.width, width)
                 )
             bitmap = bitmap | rec.bitmap

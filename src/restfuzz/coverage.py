@@ -43,7 +43,12 @@ class CoverageBitmap:
 
     @classmethod
     def from_hex(cls, width: int, hex_text: str) -> "CoverageBitmap":
-        return cls(width=width, bits=bytes.fromhex(hex_text))
+        """Parse outside input; a bit set at or beyond ``width`` is a
+        ``ValueError``."""
+        bits = bytes.fromhex(hex_text)
+        if width % 8 and bits and bits[-1] >> (width % 8):
+            raise ValueError("bitmap sets bits beyond width %d" % width)
+        return cls(width=width, bits=bits)
 
     def hex(self) -> str:
         return self.bits.hex()
@@ -184,8 +189,12 @@ def _side_channel(cfg, method, path, what) -> str:
     return body
 
 
+class CoverageDataError(execution.TransportError):
+    """The target answered, but its coverage data is malformed."""
+
+
 def _malformed(what, text):
-    return execution.TransportError("malformed %s %r" % (what, text[:80]))
+    return CoverageDataError("malformed %s %r" % (what, text[:80]))
 
 
 def _window(text: str) -> CoverageBitmap:

@@ -496,6 +496,8 @@ def test_fuzz_rejects_a_coverage_window_wider_than_the_manifest(pipeline, tmp_pa
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "coverage window of 16 blocks, manifest lists 8" in err
+    # the target answered: its coverage data, not its reachability, is at fault
+    assert "unreachable" not in err and "bad coverage data from %s" % url in err
     meta = json.loads((out / cli.SESSION_JSON).read_text())
     assert meta["tests_executed"] == 0
     assert (out / cli.EVENTS_CSV).read_text() == cli.CSV_HEADER + "\n"

@@ -47,6 +47,13 @@ def test_bitmap_width_padding():
         cov.CoverageBitmap(width=10, bits=b"\x00")
 
 
+def test_bitmap_from_hex_rejects_bits_beyond_width():
+    # 66 blocks fill 9 bytes; the 6 high bits of the last one must be clear
+    assert cov.CoverageBitmap.from_hex(66, "ff" * 8 + "03").count() == 66
+    with pytest.raises(ValueError, match="beyond width 66"):
+        cov.CoverageBitmap.from_hex(66, "ff" * 9)
+
+
 def test_bitmap_union_and_new_versus():
     a = bm(16, 1, 2)
     b = bm(16, 2, 9)

@@ -449,6 +449,7 @@ def _ok(body, headers=b""):
         b'{"block_count": 9, "bitmap": "00"}',  # 9 blocks need 2 bytes
         b'{"block_count": "x", "bitmap": ""}',
         b'{"block_count": 8, "bitmap": 5}',
+        b'{"block_count": 66, "bitmap": "%s"}' % (b"ff" * 9),  # bits past block 66
     ],
 )
 def test_malformed_coverage_answer_is_a_transport_error(body):
@@ -560,7 +561,7 @@ def test_fetch_takes_a_carried_window_without_a_request(ref_grammar):
     assert lines == ["POST %s HTTP/1.1" % cov.COVERAGE_RESET_PATH, "POST /api/projects HTTP/1.1"]
 
 
-@pytest.mark.parametrize("value", [b"8:zz", b"8:0000", b"05", b"-1:", b"8:05:05"])
+@pytest.mark.parametrize("value", [b"8:zz", b"8:0000", b"05", b"-1:", b"8:05:05", b"3:08"])
 def test_malformed_coverage_window_header_is_a_transport_error(ref_grammar, value):
     answer = _ok(b'{"id": 1}', b"X-Coverage-Window: %s\r\n" % value)
     with pytest.raises(ex.TransportError, match="malformed coverage window"):
