@@ -312,14 +312,9 @@ def _parse_body(body_text: str):
         return None
 
 
-def extract_resource_id(body_text: str, spec: str):
-    """Pull the value at a dotted JSON path; None signals a miss."""
-    return _value_at(_parse_body(body_text), spec)
-
-
-def _value_at(value, spec: str):
-    """The text at dotted path ``spec`` inside a parsed JSON value; None
-    signals a miss."""
+def extract_resource_id(value, spec: str):
+    """The text at dotted path ``spec`` inside a response body's parsed
+    JSON value (None for a body that is not JSON); None signals a miss."""
     for part in spec.split("."):
         if isinstance(value, dict):
             if part not in value:
@@ -446,7 +441,7 @@ def execute_test_case(
         )
         doc = _parse_body(body) if cfg.extractions else None
         for resource, path_spec in cfg.extractions.items():
-            value = _value_at(doc, path_spec)
+            value = extract_resource_id(doc, path_spec)
             if value is not None:
                 bindings[resource] = value
         for resource, value in resolver.sent_producer_values.items():

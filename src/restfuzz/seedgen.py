@@ -65,8 +65,6 @@ def enumerate_chains(g: Grammar, max_len: int) -> list[tuple[str, ...]]:
                 if chain and not (consumed & produced):
                     # nothing ties this request to the prefix
                     continue
-                if not chain and consumed:
-                    continue  # redundant with the subset check; explicit
                 new_chain = chain + (layout.name,)
                 nxt.append((new_chain, produced | layout.produced_resources()))
         chains.extend(c for c, _ in nxt)

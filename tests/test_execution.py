@@ -1,6 +1,7 @@
 """Tests for HTTP execution: wire conversion, dependency resolution,
 transcripts, and replay against the live reference service."""
 
+import json
 import socket
 import threading
 import time
@@ -60,20 +61,20 @@ def test_request_wire_multi_line_body_sticks_together():
 
 
 def test_extract_resource_id_paths():
-    assert ex.extract_resource_id('{"id": 42}', "id") == "42"
-    assert ex.extract_resource_id('{"a": {"b": "x"}}', "a.b") == "x"
-    assert ex.extract_resource_id('{"items": [{"id": 5}]}', "items.0.id") == "5"
-    assert ex.extract_resource_id('{"on": true}', "on") == "true"
-    assert ex.extract_resource_id('{"on": false}', "on") == "false"
+    assert ex.extract_resource_id({"id": 42}, "id") == "42"
+    assert ex.extract_resource_id({"a": {"b": "x"}}, "a.b") == "x"
+    assert ex.extract_resource_id({"items": [{"id": 5}]}, "items.0.id") == "5"
+    assert ex.extract_resource_id({"on": True}, "on") == "true"
+    assert ex.extract_resource_id({"on": False}, "on") == "false"
 
 
 def test_extract_resource_id_misses():
-    assert ex.extract_resource_id('{"id": null}', "id") is None
-    assert ex.extract_resource_id('{"id": 1}', "nope") is None
-    assert ex.extract_resource_id("not json", "id") is None
-    assert ex.extract_resource_id('{"id": 1}', "id.deeper") is None
-    assert ex.extract_resource_id('{"items": [1]}', "items.5") is None
-    assert ex.extract_resource_id('{"items": [1]}', "items.x") is None
+    assert ex.extract_resource_id({"id": None}, "id") is None
+    assert ex.extract_resource_id({"id": 1}, "nope") is None
+    assert ex.extract_resource_id(None, "id") is None
+    assert ex.extract_resource_id({"id": 1}, "id.deeper") is None
+    assert ex.extract_resource_id({"items": [1]}, "items.5") is None
+    assert ex.extract_resource_id({"items": [1]}, "items.x") is None
 
 
 # ----------------------------------------------------------- target config
@@ -104,7 +105,7 @@ def test_two_request_chain_resolves_dependency(ref_grammar, target_cfg):
     result = ex.execute_test_case(tc, ref_grammar, target_cfg, case_id="dep")
     assert result.verdict == "pass"
     assert result.statuses == [201, 201]
-    project_id = ex.extract_resource_id(result.records[0].response_body, "id")
+    project_id = ex.extract_resource_id(json.loads(result.records[0].response_body), "id")
     assert project_id is not None
     assert "/api/projects/%s/" % project_id in result.records[1].request_text
     assert marker_text("project-id") not in result.records[1].request_text
@@ -182,8 +183,8 @@ def test_latest_extraction_wins(ref_grammar, target_cfg):
     )
     result = ex.execute_test_case(tc, ref_grammar, target_cfg)
     assert result.statuses == [201, 201, 201]
-    first = ex.extract_resource_id(result.records[0].response_body, "id")
-    second = ex.extract_resource_id(result.records[1].response_body, "id")
+    first = ex.extract_resource_id(json.loads(result.records[0].response_body), "id")
+    second = ex.extract_resource_id(json.loads(result.records[1].response_body), "id")
     assert first != second
     assert "/api/projects/%s/" % second in result.records[2].request_text
     assert "/api/projects/%s/" % first not in result.records[2].request_text
