@@ -112,12 +112,14 @@ class _Response:
         self.window = None  # "<block_count>:<hex>", sent as X-Coverage-Window
 
 
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+
+
 class _Reply(Exception):
     """Raised to answer a request early with ``{"message": message}``;
     the raiser has recorded the request's last block."""
 
     def __init__(self, status, message, close=False):
-        super().__init__(message)
         self.response = _Response(status, {"message": message}, close)
 
 
@@ -418,7 +420,7 @@ class ReferenceTarget:
 
     def _send_response(self, conn, resp: _Response):
         payload = json.dumps(resp.payload).encode("utf-8")
-        reason = HTTPStatus(resp.status).phrase
+        reason = _REASONS[resp.status]
         head = (
             "HTTP/1.1 %d %s\r\n" % (resp.status, reason)
             + "Content-Type: application/json\r\n"
@@ -459,7 +461,7 @@ class ReferenceTarget:
             raise _Reply(401, "401 Unauthorized")
         hit("router.auth_ok")
         segments = [s for s in path.split("/") if s != ""]
-        key = "/".join("{id}" if i == 2 else s for i, s in enumerate(segments))
+        key = "/".join(segments[:2] + ["{id}"] * (len(segments) > 2) + segments[3:])
         repository = len(segments) == 5 and key.startswith("api/projects/{id}/repository/")
         if repository:
             hit("router.repository_family")

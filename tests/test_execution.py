@@ -456,7 +456,7 @@ def _ok(body, headers=b""):
 def test_malformed_coverage_answer_is_a_transport_error(body):
     url, thread = _canned_server([_ok(body)])
     cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
-    with pytest.raises(ex.TransportError, match="malformed coverage window"):
+    with pytest.raises(cov.CoverageDataError, match="malformed coverage window"):
         cov.fetch_and_reset_coverage(cfg)
     cfg.close()
     thread.join(timeout=5)
@@ -467,7 +467,7 @@ def test_malformed_coverage_answer_is_a_transport_error(body):
 def test_malformed_manifest_is_a_transport_error(body):
     url, thread = _canned_server([_ok(body)])
     cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
-    with pytest.raises(ex.TransportError, match="malformed coverage manifest"):
+    with pytest.raises(cov.CoverageDataError, match="malformed coverage manifest"):
         cov.fetch_manifest(cfg)
     cfg.close()
     thread.join(timeout=5)
@@ -565,7 +565,7 @@ def test_fetch_takes_a_carried_window_without_a_request(ref_grammar):
 @pytest.mark.parametrize("value", [b"8:zz", b"8:0000", b"05", b"-1:", b"8:05:05", b"3:08"])
 def test_malformed_coverage_window_header_is_a_transport_error(ref_grammar, value):
     answer = _ok(b'{"id": 1}', b"X-Coverage-Window: %s\r\n" % value)
-    with pytest.raises(ex.TransportError, match="malformed coverage window"):
+    with pytest.raises(cov.CoverageDataError, match="malformed coverage window"):
         _windowed_case(ref_grammar, answer)
 
 
