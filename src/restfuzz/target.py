@@ -665,7 +665,6 @@ def _utf8_ok(value: str) -> bool:
     return True
 
 
-
 def serve(host="127.0.0.1", port=0, token=DEFAULT_TOKEN) -> ReferenceTarget:
     """Start a reference target in a background thread and return it."""
     return ReferenceTarget(host=host, port=port, token=token).start()
