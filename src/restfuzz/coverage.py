@@ -211,7 +211,7 @@ def _window(text: str) -> CoverageBitmap:
         if match is None:
             raise ValueError(count_hex)
         return CoverageBitmap.from_hex(int(match[1]), match[2])
-    except (ValueError, KeyError, TypeError):
+    except (ValueError, KeyError, TypeError, RecursionError):
         raise _malformed("coverage window", text) from None
 
 
@@ -220,7 +220,7 @@ def fetch_manifest(cfg) -> list[str]:
     body = _side_channel(cfg, "GET", COVERAGE_MANIFEST_PATH, "manifest fetch")
     try:
         blocks = json.loads(body)["blocks"]
-    except (ValueError, KeyError, TypeError):
+    except (ValueError, KeyError, TypeError, RecursionError):
         blocks = None
     if not isinstance(blocks, list) or not all(isinstance(b, str) for b in blocks):
         raise _malformed("coverage manifest", body)

@@ -305,10 +305,11 @@ def reset_target_state(cfg: TargetConfig) -> None:
 
 
 def _parse_body(body_text: str):
-    """A response body's JSON value; None when it is not JSON."""
+    """A response body's JSON value; None when it is not JSON, or is JSON
+    that ``json.loads`` cannot take (a huge int literal, deep nesting)."""
     try:
         return json.loads(body_text)
-    except (json.JSONDecodeError, UnicodeDecodeError):
+    except (ValueError, RecursionError):
         return None
 
 

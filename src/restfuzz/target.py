@@ -1,8 +1,8 @@
 """Instrumented reference REST service with three injected bugs.
 
 A deliberately small GitLab-style API (projects / branches / commits)
-served over raw sockets so that malformed methods, paths and bodies
-reach application logic instead of being rejected by an HTTP library.
+served over raw sockets by one thread, so that malformed methods, paths
+and bodies reach application logic instead of an HTTP library's checks.
 Every basic block is declared up front and recorded into a coverage
 bitmap exposed through ``/__coverage__`` side-channel endpoints.  An API
 request with an ``X-Coverage-Window`` header is answered with the window
@@ -32,8 +32,10 @@ deterministic: ids restart from 1 after ``POST /__reset__``.
 from __future__ import annotations
 
 import json
+import selectors
 import socket
 import threading
+import traceback
 from http import HTTPStatus
 
 DEFAULT_TOKEN = "DRiX47nuEP2AR"
@@ -111,6 +113,18 @@ class _Response:
         self.close = close
         self.window = None  # "<block_count>:<hex>", sent as X-Coverage-Window
 
+    def wire(self) -> bytes:
+        payload = json.dumps(self.payload).encode("utf-8")
+        head = (
+            "HTTP/1.1 %d %s\r\n" % (self.status, _REASONS[self.status])
+            + "Content-Type: application/json\r\n"
+            + "Content-Length: %d\r\n" % len(payload)
+            + ("Connection: close\r\n" if self.close else "")
+            + ("X-Coverage-Window: %s\r\n" % self.window if self.window else "")
+            + "\r\n"
+        )
+        return head.encode("latin-1") + payload
+
 
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
 
@@ -124,14 +138,14 @@ class _Reply(Exception):
 
 
 class ReferenceTarget:
-    """Socket server around the instrumented API: one accept thread and
-    one worker thread per connection.  Each request reads its head and
-    body without a lock, then records its blocks, is answered by its
-    side-channel handler or routed through ``_ROUTES`` and, when asked,
-    reads and clears its coverage window under one lock, so concurrent
-    clients see requests applied one at a time.  ``stop`` shuts down the
-    connections still open, so a kept-alive client gets no further
-    response."""
+    """Socket server around the instrumented API, run by one thread that
+    owns every connection through a ``selectors`` loop.  It appends what a
+    connection sends to that connection's buffer and answers each complete
+    request there in order: it records the request's blocks, answers its
+    side channel or routes it through ``_ROUTES`` and, when asked, reads and
+    clears its coverage window, so requests apply one at a time.  An idle
+    kept-alive connection stays open until its client or ``stop`` closes
+    it; ``stop`` ends the thread, which closes every socket it owns."""
 
     def __init__(self, host="127.0.0.1", port=0, token=DEFAULT_TOKEN):
         self.host = host
@@ -142,10 +156,8 @@ class ReferenceTarget:
         self._reset_state()
         self._sock = None
         self._thread = None
-        self._stopping = threading.Event()
-        self._lock = threading.Lock()
-        self._conns: set[socket.socket] = set()  # accepted and still open
-        self._conns_lock = threading.Lock()
+        self._stopping = False
+        self._conns: dict[socket.socket, bytes] = {}  # open -> bytes not yet parsed
 
     # -- lifecycle --------------------------------------------------------
 
@@ -154,30 +166,22 @@ class ReferenceTarget:
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((self.host, self.port))
         self._sock.listen(16)
+        self._sock.setblocking(False)
         self.port = self._sock.getsockname()[1]
-        self._thread = threading.Thread(target=self._serve_loop, daemon=True)
+        self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
         return self
 
     def stop(self) -> None:
-        self._stopping.set()
+        self._stopping = True
         try:
-            # unblock accept() with a throwaway connection
+            # wake the serving thread's select() with a throwaway connection
             poke = socket.create_connection((self.host, self.port), timeout=1)
             poke.close()
         except OSError:
             pass
         if self._thread is not None:
             self._thread.join(timeout=5)
-        if self._sock is not None:
-            self._sock.close()
-        # a kept-alive client must get no further response
-        with self._conns_lock:
-            for conn in self._conns:
-                try:
-                    conn.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
 
     @property
     def base_url(self) -> str:
@@ -274,106 +278,109 @@ class ReferenceTarget:
 
     # -- serving -----------------------------------------------------------
 
-    def _serve_loop(self):
-        # one worker thread per connection: the fuzzer keeps its case
-        # connection open while polling the coverage side channel from a
-        # second one, so a serial accept loop would deadlock
-        while not self._stopping.is_set():
-            try:
-                conn, _addr = self._sock.accept()
-            except OSError:
-                break
-            if self._stopping.is_set():
-                conn.close()
-                break
-            with self._conns_lock:
-                self._conns.add(conn)
-            worker = threading.Thread(
-                target=self._conn_worker, args=(conn,), daemon=True
-            )
-            worker.start()
-
-    def _conn_worker(self, conn: socket.socket):
+    def _serve(self):
+        sel = selectors.DefaultSelector()
+        sel.register(self._sock, selectors.EVENT_READ)
         try:
-            self._serve_connection(conn)
-        except Exception:
-            pass
+            while not self._stopping:
+                for key, _events in sel.select():
+                    if key.fileobj is not self._sock:
+                        self._receive(sel, key.fileobj)
+                        continue
+                    try:
+                        conn, _addr = self._sock.accept()
+                    except OSError:  # the client gave up before it was accepted
+                        continue
+                    conn.settimeout(2.0)  # bounds a send to a client that stops reading
+                    sel.register(conn, selectors.EVENT_READ)
+                    self._conns[conn] = b""
         finally:
-            with self._conns_lock:
-                self._conns.discard(conn)
-            try:
+            for conn in self._conns:
                 conn.close()
-            except OSError:
-                pass
+            self._conns.clear()
+            sel.close()
+            self._sock.close()
 
-    def _serve_connection(self, conn: socket.socket):
-        conn.settimeout(10.0)
-        buf = b""
-        while not self._stopping.is_set():
-            head, buf, eof = self._read_head(conn, buf)
-            if head is None:
-                return  # client closed or timed out
-            response, buf = self._handle_head(conn, head, buf)
-            self._send_response(conn, response)
+    def _receive(self, sel, conn):
+        """Read what ``conn`` sent and answer the requests it completed; close
+        it at its end, after a ``Connection: close`` answer or on an error."""
+        try:
+            chunk = conn.recv(65536)
+        except OSError:
+            chunk = b""  # as at the end of the stream
+        try:
+            out, rest = self._answer_all(self._conns[conn] + chunk, not chunk)
+            if out:
+                conn.sendall(out)
+        except OSError:  # the client went away or stopped reading
+            rest = None
+        except Exception:  # a fault serving one connection closes only it
+            traceback.print_exc()
+            rest = None
+        if rest is None:
+            sel.unregister(conn)
+            del self._conns[conn]
+            conn.close()
+        else:
+            self._conns[conn] = rest
+
+    def _answer_all(self, buf: bytes, eof: bool):
+        """Answer the complete requests at the front of a connection's
+        buffer, in order: ``(responses' bytes, rest)``, rest being None once
+        the connection is to close.  At ``eof`` (the client sends no more) a
+        head without its blank line goes unanswered; a short body gets a 400."""
+        out = []
+        while (answered := self._answer_one(buf, eof)) is not None:
+            response, buf = answered
+            out.append(response.wire())
             if response.close:
-                return
-            if eof:
-                return
+                return b"".join(out), None
+        return b"".join(out), None if eof else buf
 
-    def _read_head(self, conn, buf):
-        """Read up to the blank line ending the header section."""
-        eof = False
-        while b"\r\n\r\n" not in buf and b"\n\n" not in buf:
-            try:
-                chunk = conn.recv(65536)
-            except (TimeoutError, OSError):
-                return None, buf, True
-            if not chunk:
-                eof = True
-                break
-            buf += chunk
-        for sep in (b"\r\n\r\n", b"\n\n"):
-            if sep in buf:
-                head, rest = buf.split(sep, 1)
-                return head, rest, eof
-        return None, buf, True
-
-    def _handle_head(self, conn, head: bytes, buf: bytes):
-        # blocks seen while reading are recorded with the routing, under the
-        # lock; no socket read holds it
+    def _answer_one(self, buf: bytes, eof: bool):
+        """Answer the first request in ``buf``: ``(response, rest)``, or
+        None while its head or body is still arriving."""
+        split = _read_head(buf)
+        if split is None:
+            return None
+        # a request's blocks are recorded once, when it is complete, so one
+        # read in pieces lands whole in the window that answers it
         hits: list[str] = []
         try:
-            side_channel, request, buf = self._read_request(conn, head, buf, hits.append)
+            read = self._read_request(*split, eof, hits.append)
+            if read is None:
+                return None
+            side_channel, request, rest = read
         except _Reply as reply:
-            side_channel, request, buf, resp = None, None, b"", reply.response
-        with self._lock:
-            for block in hits:
-                self.registry.hit(block)
-            if side_channel is not None:
-                return side_channel(self), buf
-            if request is None:
-                return resp, buf
-            method, path, headers, body = request
-            try:
-                resp = self._route(method, path, headers, body)
-            except _Reply as reply:
-                resp = reply.response
-            except FaultInjected as exc:
-                resp = _Response(500, {"message": "internal server error: %s" % exc})
-            except Exception as exc:  # unplanned crash: still a 500, visible in tests
-                resp = _Response(500, {"message": "unexpected error: %r" % exc})
-            if "x-coverage-window" in headers:
-                # what POST /__coverage__/reset would answer right after
-                resp.window = "%d:%s" % (self.registry.block_count, self.registry.bitmap_hex())
-                self.registry.reset()
-        return resp, buf
+            side_channel, request, rest, resp = None, None, b"", reply.response
+        for block in hits:
+            self.registry.hit(block)
+        if side_channel is not None:
+            return side_channel(self), rest
+        if request is None:
+            return resp, rest
+        method, path, headers, body = request
+        try:
+            resp = self._route(method, path, headers, body)
+        except _Reply as reply:
+            resp = reply.response
+        except FaultInjected as exc:
+            resp = _Response(500, {"message": "internal server error: %s" % exc})
+        except Exception as exc:  # unplanned crash: still a 500, visible in tests
+            resp = _Response(500, {"message": "unexpected error: %r" % exc})
+        if "x-coverage-window" in headers:
+            # what POST /__coverage__/reset would answer right after
+            resp.window = "%d:%s" % (self.registry.block_count, self.registry.bitmap_hex())
+            self.registry.reset()
+        return resp, rest
 
-    def _read_request(self, conn, head: bytes, buf: bytes, hit):
-        """Parse the head and read the body.  Returns ``(side_channel,
-        request, rest)``: the handler of a side channel, or None, and
-        request = (method, path, headers, body) with the query cut from
-        the path.  A malformed request raises ``_Reply`` with
-        ``Connection: close``."""
+    def _read_request(self, head: bytes, rest: bytes, eof: bool, hit):
+        """Parse the head and take the body from ``rest``.  Returns
+        ``(side_channel, request, rest)``: the handler of a side channel,
+        or None, and request = (method, path, headers, body) with the query
+        cut from the path; or None while the body is still arriving.  A
+        malformed request, or a short body at ``eof``, raises ``_Reply``
+        with ``Connection: close``."""
         text = head.decode("latin-1")
         lines = text.split("\r\n") if "\r\n" in text else text.split("\n")
         parts = lines[0].split(" ")
@@ -406,33 +413,12 @@ class ReferenceTarget:
         if length < 0 or length > MAX_BODY:
             hit("http.header_bad")
             raise _Reply(400, "bad content-length", close=True)
-        while len(buf) < length:
-            try:
-                chunk = conn.recv(65536)
-            except OSError:
-                chunk = b""
-            if not chunk:
-                raise _Reply(400, "short body", close=True)
-            buf += chunk
-        body, buf = buf[:length], buf[length:]
+        if len(rest) < length:
+            if not eof:
+                return None
+            raise _Reply(400, "short body", close=True)
         hit("http.body_read")
-        return side_channel, (method, path, headers, body), buf
-
-    def _send_response(self, conn, resp: _Response):
-        payload = json.dumps(resp.payload).encode("utf-8")
-        reason = _REASONS[resp.status]
-        head = (
-            "HTTP/1.1 %d %s\r\n" % (resp.status, reason)
-            + "Content-Type: application/json\r\n"
-            + "Content-Length: %d\r\n" % len(payload)
-            + ("Connection: close\r\n" if resp.close else "")
-            + ("X-Coverage-Window: %s\r\n" % resp.window if resp.window else "")
-            + "\r\n"
-        )
-        try:
-            conn.sendall(head.encode("latin-1") + payload)
-        except OSError:
-            pass
+        return side_channel, (method, path, headers, rest[:length]), rest[length:]
 
     # -- side channels: no auth, never touch the bitmap --------------------
 
@@ -501,7 +487,7 @@ class ReferenceTarget:
         first so invalid UTF-8 still reaches the field validators."""
         try:
             data = json.loads(body.decode("latin-1"))
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # a huge int literal, deep nesting
             data = None
         if not isinstance(data, dict):
             self.registry.hit(bad_block)
@@ -657,6 +643,16 @@ class ReferenceTarget:
     }
 
 
+def _read_head(buf: bytes):
+    """Split ``buf`` at the blank line that ends its header section:
+    ``(head, rest)``, or None while it has none."""
+    for sep in (b"\r\n\r\n", b"\n\n"):
+        head, found, rest = buf.partition(sep)
+        if found:
+            return head, rest
+    return None
+
+
 def _utf8_ok(value: str) -> bool:
     try:
         value.encode("latin-1").decode("utf-8")
@@ -682,7 +678,7 @@ if __name__ == "__main__":
     )
     opts = ap.parse_args()
     server = serve(opts.host, opts.port, opts.token)
-    print("reference target listening at %s (Ctrl-C to stop)" % server.base_url)
+    print("reference target listening at %s (Ctrl-C to stop)" % server.base_url, flush=True)
     try:
         while True:
             time.sleep(3600)

@@ -451,6 +451,7 @@ def _ok(body, headers=b""):
         b'{"block_count": "x", "bitmap": ""}',
         b'{"block_count": 8, "bitmap": 5}',
         b'{"block_count": 66, "bitmap": "%s"}' % (b"ff" * 9),  # bits past block 66
+        pytest.param(b'{"a": ' + b"[" * 100000, id="deep-nesting"),  # RecursionError
     ],
 )
 def test_malformed_coverage_answer_is_a_transport_error(body):
@@ -463,13 +464,37 @@ def test_malformed_coverage_answer_is_a_transport_error(body):
     assert not thread.is_alive()
 
 
-@pytest.mark.parametrize("body", [b"{}", b"not json", b'{"blocks": [1]}', b'{"blocks": "ab"}'])
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"{}",
+        b"not json",
+        b'{"blocks": [1]}',
+        b'{"blocks": "ab"}',
+        pytest.param(b"[" * 100000, id="deep-nesting"),  # RecursionError
+    ],
+)
 def test_malformed_manifest_is_a_transport_error(body):
     url, thread = _canned_server([_ok(body)])
     cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
     with pytest.raises(cov.CoverageDataError, match="malformed coverage manifest"):
         cov.fetch_manifest(cfg)
     cfg.close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_answer_json_cannot_take_extracts_nothing(ref_grammar):
+    # past Python's int-string limit: json.loads raises ValueError
+    url, thread = _canned_server([_ok(b'{"id": %s}' % (b"1" * 5000))])
+    cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
+    try:
+        tc = _mkcase(ref_grammar, ("create-project",), [["testString"]])
+        result = ex.execute_test_case(tc, ref_grammar, cfg)
+    finally:
+        cfg.close()
+    assert (result.verdict, result.statuses) == ("pass", [200])
+    assert "project-id" not in result.resolved_bindings
     thread.join(timeout=5)
     assert not thread.is_alive()
 
@@ -600,9 +625,8 @@ def test_case_connection_dropped_between_cases_is_reopened_once(ref_grammar, mon
     opened = _count_connections(monkeypatch)
     try:
         assert _run_two_request_case(ref_grammar, cfg).statuses == [201, 201]
-        with srv._conns_lock:  # the server drops it without saying so
-            for conn in srv._conns:
-                conn.shutdown(socket.SHUT_RDWR)
+        for conn in list(srv._conns):  # the server drops it without saying so
+            conn.shutdown(socket.SHUT_RDWR)
         assert _run_two_request_case(ref_grammar, cfg).statuses == [201, 201]
         assert len(opened) == 2
     finally:

@@ -3,19 +3,25 @@ auth, reset determinism, robustness to malformed input, and the three
 injected crash bugs."""
 
 import json
+import os
+import re
+import select
+import signal
 import socket
+import subprocess
 import sys
 import threading
 import time
 
 import pytest
 
+import restfuzz
 from restfuzz import coverage as cov
 from restfuzz.execution import (
     TargetConfig, TransportError, _CaseConnection, _recv_response, http_request,
     reset_target_state,
 )
-from restfuzz.target import KNOWN_METHODS, ReferenceTarget, injected_bug_catalog
+from restfuzz.target import DEFAULT_TOKEN, KNOWN_METHODS, ReferenceTarget, injected_bug_catalog
 
 
 def j(cfg, method, path, obj=None, raw_body=None):
@@ -199,6 +205,77 @@ def test_stop_closes_kept_alive_connections():
         srv.stop()
 
 
+def test_one_thread_serves_every_connection_and_stop_closes_its_sockets():
+    before = set(threading.enumerate())
+    srv = ReferenceTarget().start()
+    cfg = TargetConfig(base_url=srv.base_url, timeout_ms=2000)
+    clients = [_CaseConnection(cfg) for _ in range(3)]
+    wire = b"GET /__coverage__ HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"
+    try:
+        for _ in range(2):  # every client is kept alive between its requests
+            assert [client.roundtrip(wire)[0] for client in clients] == [200] * 3
+        assert set(threading.enumerate()) - before == {srv._thread}
+        accepted = list(srv._conns)
+        assert len(accepted) == 3
+        srv.stop()
+        assert not srv._thread.is_alive()
+        assert srv._sock.fileno() == -1
+        assert all(conn.fileno() == -1 for conn in accepted)
+    finally:
+        for client in clients:
+            client.close()
+        cfg.close()
+        srv.stop()
+
+
+def test_a_fault_serving_one_connection_closes_only_that_connection(monkeypatch, capsys):
+    def fail(_target):
+        raise RuntimeError("side channel failed")
+
+    monkeypatch.setitem(ReferenceTarget._SIDE_CHANNELS, ("/__fail__", "GET"), fail)
+    srv = ReferenceTarget().start()
+    cfg = TargetConfig(base_url=srv.base_url, timeout_ms=2000)
+    kept, failing = _CaseConnection(cfg), _CaseConnection(cfg)
+    peek = b"GET /__coverage__ HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"
+    try:
+        assert kept.roundtrip(peek)[0] == 200
+        with pytest.raises(TransportError):
+            failing.roundtrip(peek.replace(b"__coverage__", b"__fail__"))
+        assert kept.roundtrip(peek)[0] == 200
+        assert "side channel failed" in capsys.readouterr().err
+    finally:
+        kept.close()
+        failing.close()
+        cfg.close()
+        srv.stop()
+
+
+def test_module_entry_point_serves_until_interrupted():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(restfuzz.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)  # the URL line must be flushed to a pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "restfuzz.target", "--port", "0"],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        assert select.select([proc.stdout], [], [], 10)[0], "no line within 10 s"
+        url = re.search(r"http://\S+", proc.stdout.readline())[0]
+        cfg = TargetConfig(base_url=url, timeout_ms=2000)
+        try:
+            assert len(cov.fetch_manifest(cfg)) == 66
+        finally:
+            cfg.close()
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=10) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+
+
 def test_commit_action_matrix(target_cfg):
     reset_target_state(target_cfg)
     pid = make_project(target_cfg)
@@ -352,6 +429,15 @@ _PROBES = [
      {"router.projects_collection", "router.method_known", "projects.create_parse",
       "projects.create_bad_json"}),
     (_api("POST", "/api/projects", "[1, 2]"), 400, "invalid json",
+     {"router.projects_collection", "router.method_known", "projects.create_parse",
+      "projects.create_bad_json"}),
+    # json.loads raises ValueError past the int-string limit
+    (_api("POST", "/api/projects", '{"name": "p", "x": %s}' % ("1" * 5000)), 400,
+     "invalid json",
+     {"router.projects_collection", "router.method_known", "projects.create_parse",
+      "projects.create_bad_json"}),
+    # ... and RecursionError on nesting deeper than the recursion limit
+    (_api("POST", "/api/projects", "[" * 100000), 400, "invalid json",
      {"router.projects_collection", "router.method_known", "projects.create_parse",
       "projects.create_bad_json"}),
     (_api("POST", "/api/projects", {"name": "nil"}), 400, "name is required",
@@ -558,6 +644,40 @@ def test_probe_table_pins_status_message_and_blocks():
         srv.stop()
     assert seen == set(names) and len(names) == 66
     assert {b["block"] for b in injected_bug_catalog()} <= seen
+
+
+_FRONT = ["http.request_received", "http.request_line_ok", "http.body_read", "router.auth_ok",
+          "router.projects_collection", "router.method_known"]
+_CREATE = _probe_wire(_api("POST", "/api/projects", {"name": "p"}), DEFAULT_TOKEN)
+_CREATE_HITS = _FRONT + ["projects.create_parse", "projects.create_name_ok", "projects.created"]
+_BODY_AT = _CREATE.index(b"\r\n\r\n") + 4
+
+
+@pytest.mark.parametrize(
+    "reads, answers, hits",
+    [
+        ([_CREATE + _probe_wire(_api("GET", "/api/projects"), DEFAULT_TOKEN)],
+         [[201, 200], []], _CREATE_HITS + _FRONT + ["projects.list_ok"]),
+        ([_CREATE[:20], _CREATE[20:]], [[], [201], []], _CREATE_HITS),
+        ([_CREATE[:_BODY_AT + 3], _CREATE[_BODY_AT + 3:]], [[], [201], []], _CREATE_HITS),
+        ([_CREATE[:-2]], [[], [400]], _FRONT[:2]),
+        ([_CREATE[:20]], [[], []], []),
+    ],
+    ids=["pipelined", "split-head", "split-body", "short-body-at-eof", "cut-head-at-eof"],
+)
+def test_buffer_parser_answers_each_complete_request_once(reads, answers, hits):
+    # one connection's reads, then its end, handed to the parser without a
+    # socket: each request is answered once it is complete, and its blocks
+    # are recorded once, however many reads it took
+    srv = ReferenceTarget()
+    recorded, record = [], srv.registry.hit
+    srv.registry.hit = lambda block: (recorded.append(block), record(block))
+    buf, got = b"", []
+    for data in reads + [b""]:
+        out, buf = srv._answer_all(buf + data, not data)
+        got.append([int(status) for status in re.findall(rb"HTTP/1\.1 (\d{3}) ", out)])
+    assert buf is None  # the end of the stream closes the connection
+    assert (got, recorded) == (answers, hits)
 
 
 def _read_all(sock):
