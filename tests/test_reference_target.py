@@ -205,15 +205,17 @@ def test_stop_closes_kept_alive_connections():
         srv.stop()
 
 
+_PEEK = b"GET /__coverage__ HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"
+
+
 def test_one_thread_serves_every_connection_and_stop_closes_its_sockets():
     before = set(threading.enumerate())
     srv = ReferenceTarget().start()
     cfg = TargetConfig(base_url=srv.base_url, timeout_ms=2000)
     clients = [_CaseConnection(cfg) for _ in range(3)]
-    wire = b"GET /__coverage__ HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"
     try:
         for _ in range(2):  # every client is kept alive between its requests
-            assert [client.roundtrip(wire)[0] for client in clients] == [200] * 3
+            assert [client.roundtrip(_PEEK)[0] for client in clients] == [200] * 3
         assert set(threading.enumerate()) - before == {srv._thread}
         accepted = list(srv._conns)
         assert len(accepted) == 3
@@ -236,12 +238,11 @@ def test_a_fault_serving_one_connection_closes_only_that_connection(monkeypatch,
     srv = ReferenceTarget().start()
     cfg = TargetConfig(base_url=srv.base_url, timeout_ms=2000)
     kept, failing = _CaseConnection(cfg), _CaseConnection(cfg)
-    peek = b"GET /__coverage__ HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"
     try:
-        assert kept.roundtrip(peek)[0] == 200
+        assert kept.roundtrip(_PEEK)[0] == 200
         with pytest.raises(TransportError):
-            failing.roundtrip(peek.replace(b"__coverage__", b"__fail__"))
-        assert kept.roundtrip(peek)[0] == 200
+            failing.roundtrip(_PEEK.replace(b"__coverage__", b"__fail__"))
+        assert kept.roundtrip(_PEEK)[0] == 200
         assert "side channel failed" in capsys.readouterr().err
     finally:
         kept.close()
