@@ -2,6 +2,7 @@
 through ``main(argv)`` against the live reference service."""
 
 import csv
+import hashlib
 import json
 import os
 import re
@@ -552,6 +553,45 @@ def test_fuzz_repeat_runs_agree_modulo_time(pipeline, live_target, tmp_path):
     with open(os.path.join(out2, cli.BUGS_JSON)) as fh:
         bugs2 = [(b["bitmap"], b["statuses"]) for b in json.load(fh)]
     assert bugs1 == bugs2
+
+
+# (strategy, --seed, tests_executed, blocks_covered, bugs_found, sha256 of
+# mutations.log, sha256 of bugs.json without transcript paths) of 400-case
+# sessions on the pipeline corpus; a change that keeps what a session does
+# keeps them.  The learned strategy is left out: its model's bits depend on
+# the BLAS thread count.
+PINNED_SESSIONS = (
+    (
+        "byte", 25, 400, 53, 2,
+        "38412bf07bbc3fd2d94e157edb6515aaf47e0df26b70987b26b9bf1f27452ceb",
+        "7b1875cc3745219b3afc50cc3f9b82d130ea171c4ed421a368c8efaaeb39fc66",
+    ),
+    (
+        "tree", 2, 400, 46, 1,
+        "f9fd98f6cb8af62355e0eb331145db5a95ac3e96d5412f7f2b9d035b55610342",
+        "d595ef85795befa67bdc7aff425d4435ed9a86d06e32d47e5bd8ea5186c1cbb1",
+    ),
+)
+
+
+def test_fuzz_session_fingerprints_are_pinned(pipeline, live_target, tmp_path):
+    # the shared target still holds blocks from seed validation and earlier
+    # tests, which must not leak into a session
+    for strategy, seed, *fingerprint in PINNED_SESSIONS:
+        out = tmp_path / strategy
+        extra = ["--max-cases", "400", "--seed", str(seed)]
+        assert _fuzz(pipeline, live_target, strategy, str(out), extra) == 0
+        meta = json.loads((out / cli.SESSION_JSON).read_text())
+        bugs = json.loads((out / cli.BUGS_JSON).read_text())
+        stripped = [{k: v for k, v in bug.items() if k != "transcript"} for bug in bugs]
+        got = [
+            meta["tests_executed"],
+            meta["blocks_covered"],
+            meta["bugs_found"],
+            hashlib.sha256((out / cli.MUTATION_LOG).read_bytes()).hexdigest(),
+            hashlib.sha256(json.dumps(stripped, sort_keys=True).encode()).hexdigest(),
+        ]
+        assert got == fingerprint, strategy
 
 
 def test_fuzz_rejects_unknown_strategy_flag(pipeline, live_target):
