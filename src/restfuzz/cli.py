@@ -36,6 +36,7 @@ from .coverage import (
 )
 from .execution import (
     DEFAULT_AUTH_VALUE,
+    NO_RESPONSE_STATUS,
     TargetConfig,
     TransportError,
     execute_test_case,
@@ -317,20 +318,29 @@ def _unreachable(target, exc) -> CliError:
 
 
 def _connect(target) -> int:
-    """Reset the target's state and return its coverage width."""
+    """Reset the target's state, clear its coverage and return its
+    coverage width.  This is the session's one coverage clear: seed
+    validation and transcript replays leave blocks whose windows nobody
+    read, and from here on every answered case request's window is read
+    and cleared (see ``_run_case``)."""
     try:
         reset_target_state(target)
+        reset_coverage(target)
         return len(fetch_manifest(target))
     except (TransportError, OSError) as exc:
         raise _unreachable(target, exc) from None
 
 
-def _run_case(tc, g, target, width, case_id, transform=None):
-    """Reset target state and coverage, then execute ``tc`` with one
-    coverage window per answered request.  Returns the result and the
-    union of its windows, whose width must be the manifest's."""
+def _run_case(tc, g, target, width, case_id, transform=None, unread=False):
+    """Reset target state, then execute ``tc`` with one coverage window
+    per answered request.  Each window is read and cleared, so a case
+    leaves the bitmap empty for the next unless its last request got no
+    answer: pass ``unread`` after such a case to clear coverage first.
+    Returns the result and the union of its windows, whose width must be
+    the manifest's."""
     reset_target_state(target)
-    reset_coverage(target)
+    if unread:
+        reset_coverage(target)
     result = execute_test_case(
         tc,
         g,
@@ -409,6 +419,7 @@ def cmd_fuzz(args) -> int:
         rows: list[tuple[float, int, int, int]] = []
         tests = 0
         lost = None
+        unread = False  # the last case's last request got no answer
         t0 = time.monotonic()
 
         log_path = os.path.join(out_dir, MUTATION_LOG)
@@ -423,13 +434,14 @@ def cmd_fuzz(args) -> int:
                 seed_id, tc, transform, plan = next(stream)
                 case_id = "%s-%06d" % (strategy, tests)
                 try:
-                    result, bitmap = _run_case(tc, g, target, width, case_id, transform)
+                    result, bitmap = _run_case(tc, g, target, width, case_id, transform, unread)
                 except (TransportError, OSError) as exc:
                     lost = exc  # keep the artifacts of the cases already run
                     break
                 acc.add(bitmap)
                 tests += 1
                 status = result.statuses[-1] if result.records else 0
+                unread = status == NO_RESPONSE_STATUS
                 log_fh.write(mu.format_mutation_log(plan, status) + "\n")
                 report = dedup.add(result)
                 if report is not None:
@@ -498,8 +510,10 @@ def cmd_distill(args) -> int:
         width = _connect(target)
         acc = CoverageAccumulator(width)
         entries = []
+        unread = False
         for seed_id, tc in seeds:
-            _result, bitmap = _run_case(tc, g, target, width, seed_id)
+            result, bitmap = _run_case(tc, g, target, width, seed_id, unread=unread)
+            unread = result.statuses[-1] == NO_RESPONSE_STATUS
             acc.add(bitmap)
             entries.append(CorpusEntry(case_id=seed_id, bitmap=bitmap))
     except (TransportError, OSError) as exc:

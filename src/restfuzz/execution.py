@@ -402,7 +402,12 @@ def execute_test_case(
     request (the crash-deduplication granularity).  Given it, each case
     request asks for its window in an ``X-Coverage-Window`` header, and
     ``window`` is the header's value on the response, or None when the
-    response carried none.
+    response carried none.  With ``coverage.fetch_and_reset_coverage``
+    every answered request's window is read and cleared, so a case that
+    starts on an empty bitmap leaves it empty.  A request that got no
+    answer ends the case with a ``NO_RESPONSE_STATUS`` record and may
+    leave its blocks unread: the caller clears coverage before the next
+    case.
     """
     tc = x if isinstance(x, TestCase) else TestCase.from_sequence(x, g)
     bindings: dict[str, str] = {}

@@ -644,12 +644,15 @@ class ReferenceTarget:
 
 
 def _read_head(buf: bytes):
-    """Split ``buf`` at the blank line that ends its header section:
-    ``(head, rest)``, or None while it has none."""
-    for sep in (b"\r\n\r\n", b"\n\n"):
-        head, found, rest = buf.partition(sep)
-        if found:
-            return head, rest
+    """Split ``buf`` at its first blank line, CRLF or bare LF, which ends
+    its header section: ``(head, rest)``, or None while it has none.  The
+    body may hold either kind of blank line."""
+    crlf = buf.find(b"\r\n\r\n")
+    lf = buf.find(b"\n\n", 0, crlf if crlf >= 0 else None)
+    if lf >= 0:
+        return buf[:lf], buf[lf + 2 :]
+    if crlf >= 0:
+        return buf[:crlf], buf[crlf + 4 :]
     return None
 
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from restfuzz import cli, execution
+from restfuzz import cli, coverage, execution
 from restfuzz.execution import execute_test_case, reset_target_state, write_transcript
 from restfuzz.seedgen import build_case, load_corpus
 from restfuzz.target import serve
@@ -21,8 +21,8 @@ from .conftest import TESTS_DIR, chain_by_names
 from .test_execution import _ok, _path_server
 
 DEAD_URL = "http://127.0.0.1:9"  # discard port; nothing listens there
-# names the benchmark's tracer and case counter patch in ``cli``; the
-# fuzz loop must keep calling them through the module's globals
+# names the benchmark's tracer and case counter patch in ``cli``; a fuzz
+# session must keep calling them through the module's globals
 BENCHMARK_HOOKS = (
     "execute_test_case",
     "fetch_and_reset_coverage",
@@ -338,7 +338,7 @@ def test_fuzz_calls_benchmark_hooks_through_cli(pipeline, live_target, tmp_path,
     out = str(tmp_path / "s")
     assert _fuzz(pipeline, live_target, "byte", out, extra=["--max-cases", "7"]) == 0
     assert calls["execute_test_case"] == 7
-    assert calls["reset_coverage"] == 7
+    assert calls["reset_coverage"] == 1  # once per session, when it connects
     assert calls["reset_target_state"] == 8  # plus the reachability check
     assert calls["fetch_and_reset_coverage"] >= 7
     assert calls["load_grammar"] == calls["load_corpus"] == calls["_byte_case_stream"] == 1
@@ -371,8 +371,9 @@ def test_fuzz_session_keeps_one_case_connection(pipeline, live_target, tmp_path,
 def test_fuzz_session_reads_coverage_only_for_responses_without_a_window(
     pipeline, live_target, tmp_path, monkeypatch
 ):
-    # the side channel is read once per case reset, plus once after each
-    # answered case request whose response carried no coverage window
+    # the side channel is read once by the session's coverage reset, plus
+    # once after each answered case request whose response carried no
+    # coverage window
     counts = dict.fromkeys(["resets", "coverage_reads", "control", "windowed", "windowless"], 0)
     send, recv, reset = execution.http_request, execution._recv_response, cli.reset_coverage
 
@@ -396,9 +397,119 @@ def test_fuzz_session_reads_coverage_only_for_responses_without_a_window(
     out = str(tmp_path / "s")
     assert _fuzz(pipeline, live_target, "byte", out, extra=["--max-cases", "20"]) == 0
     case_windowless = counts["windowless"] - counts["control"]  # control answers carry none
-    assert counts["resets"] == 20
+    assert counts["resets"] == 1
     assert counts["windowed"] > 0
     assert counts["coverage_reads"] == counts["resets"] + case_windowless
+
+
+def _peek_before_each_case(monkeypatch, peek_cfg):
+    """Patch ``cli.execute_test_case`` to peek at the target's coverage
+    bitmap before each case; returns the list of bitmaps seen."""
+    seen = []
+    execute = cli.execute_test_case
+
+    def peeked(*args, **kwargs):
+        status, body = execution.http_request(peek_cfg, "GET", "/__coverage__")
+        assert status == 200
+        seen.append(int(json.loads(body)["bitmap"], 16))
+        return execute(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "execute_test_case", peeked)
+    return seen
+
+
+@pytest.mark.parametrize("strategy", cli.STRATEGIES)
+def test_each_fuzz_case_starts_on_an_empty_bitmap(
+    pipeline, live_target, strategy, tmp_path, monkeypatch
+):
+    # coverage is cleared once per session: every answered request's window
+    # is read and cleared, so the next case finds nothing left over
+    peek_cfg = execution.TargetConfig(base_url=live_target.base_url)
+    try:
+        seen = _peek_before_each_case(monkeypatch, peek_cfg)
+        out = str(tmp_path / "s")
+        assert _fuzz(pipeline, live_target, strategy, out, extra=["--max-cases", "100"]) == 0
+    finally:
+        peek_cfg.close()
+    assert len(seen) == 100 and not any(seen)
+
+
+_LEFTOVER_TRANSCRIPT = (
+    "POST /api/projects HTTP/1.1\nPRIVATE-TOKEN: %(token)s\n{\"name\": \"p\"}\n"
+    "HTTP/1.1 201 Created\n\n"
+    "FROB /api/projects/1/repository/commits HTTP/1.1\nPRIVATE-TOKEN: %(token)s\n"
+    "HTTP/1.1 500 Internal Server Error\n"
+)
+
+
+def _session_artifacts(out):
+    events = [ln.split(",", 1)[1] for ln in (out / cli.EVENTS_CSV).read_text().splitlines()]
+    return events, [
+        (out / name).read_bytes() for name in (cli.MUTATION_LOG, cli.BUGS_JSON, cli.SESSION_JSON)
+    ]
+
+
+def test_blocks_left_before_a_session_do_not_change_its_artifacts(
+    pipeline, live_target, target_cfg, tmp_path
+):
+    # a transcript replayed without coverage windows, as a benchmark does
+    # between sessions, leaves its blocks on the bitmap
+    coverage.reset_coverage(target_cfg)
+    clean = tmp_path / "clean"
+    assert _fuzz(pipeline, live_target, "byte", str(clean)) == 0
+    reset_target_state(target_cfg)
+    replayed = execution.replay_transcript(
+        _LEFTOVER_TRANSCRIPT % {"token": live_target.token}, target_cfg
+    )
+    assert replayed.actual == [201, 500]
+    _, peek = execution.http_request(target_cfg, "GET", "/__coverage__")
+    assert int(json.loads(peek)["bitmap"], 16)
+    left = tmp_path / "left"
+    assert _fuzz(pipeline, live_target, "byte", str(left)) == 0
+    assert _session_artifacts(left) == _session_artifacts(clean)
+
+
+@pytest.mark.parametrize("command", ["fuzz", "distill"])
+def test_blocks_of_an_unanswered_request_never_reach_the_next_case(
+    pipeline, live_target, target_cfg, ref_grammar, command, tmp_path, monkeypatch
+):
+    # the first case's only request is rejected before routing, so the
+    # target answers it without a window, and its answer is then lost: its
+    # blocks stay unread on the bitmap, and must not land in the window of
+    # the next case's first request
+    _seed_id, tc = load_corpus(pipeline["seeds_dir"], ref_grammar)[0]
+    assert len(tc.requests) == 1
+    results = []
+    execute = cli.execute_test_case
+    roundtrip = execution._CaseConnection.roundtrip
+
+    def bad_header(text, _idx):
+        return text.replace("\n", "\nno colon here\n", 1)
+
+    def fixed_cases(_tc, g, cfg, case_id, request_text_transform=None, **kwargs):
+        transform = None if results else bad_header
+        results.append(execute(tc, g, cfg, case_id, request_text_transform=transform, **kwargs))
+        return results[-1]
+
+    def answer_lost(conn, wire):
+        answer = roundtrip(conn, wire)
+        if b"no colon here" in wire:
+            raise execution.TransportError("answer lost")
+        return answer
+
+    monkeypatch.setattr(cli, "execute_test_case", fixed_cases)
+    monkeypatch.setattr(execution._CaseConnection, "roundtrip", answer_lost)
+    argv = [command, "--target", live_target.base_url, "--seeds-dir", pipeline["seeds_dir"]]
+    if command == "fuzz":
+        argv += ["--strategy", "tree", "--max-cases", "3", "--out", str(tmp_path / "s")]
+    else:
+        argv += ["--out", str(tmp_path / "kept.txt")]
+    assert cli.main(argv) == 0
+    assert results[0].statuses == [execution.NO_RESPONSE_STATUS]
+    after_lost, after_answered = (r.records[0].bitmap for r in results[1:3])
+    header_bad = coverage.fetch_manifest(target_cfg).index("http.header_bad")
+    assert header_bad not in after_lost.indices()
+    assert after_lost == after_answered
 
 
 def test_fuzz_leaves_no_connection_open_on_the_target(pipeline, tmp_path):
@@ -502,6 +613,31 @@ def test_fuzz_rejects_a_coverage_window_wider_than_the_manifest(pipeline, tmp_pa
     meta = json.loads((out / cli.SESSION_JSON).read_text())
     assert meta["tests_executed"] == 0
     assert (out / cli.EVENTS_CSV).read_text() == cli.CSV_HEADER + "\n"
+
+
+@pytest.mark.parametrize("command", ["fuzz", "distill"])
+def test_a_failed_coverage_reset_at_connect_is_reported(pipeline, command, tmp_path, capsys):
+    url, _heads, stop = _path_server(
+        {
+            "/__reset__": _ok(b"{}"),
+            "/__coverage__/manifest": _ok(json.dumps({"blocks": list("abcdefgh")}).encode()),
+            "/__coverage__/reset": b"HTTP/1.1 500 Internal Server Error\r\n"
+            b"Content-Length: 2\r\n\r\n{}",
+            None: _ok(b"{}"),
+        }
+    )
+    out = tmp_path / "out"
+    argv = [command, "--target", url, "--seeds-dir", pipeline["seeds_dir"], "--out", str(out)]
+    if command == "fuzz":
+        argv += ["--strategy", "tree", "--max-cases", "3"]
+    try:
+        rc = cli.main(argv)
+    finally:
+        stop()
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: target unreachable at %s (coverage reset returned 500)\n" % url
+    assert not out.exists()  # the session never started
 
 
 def test_byte_flips_land_on_the_sent_text(ref_grammar, target_cfg):

@@ -652,6 +652,11 @@ _FRONT = ["http.request_received", "http.request_line_ok", "http.body_read", "ro
 _CREATE = _probe_wire(_api("POST", "/api/projects", {"name": "p"}), DEFAULT_TOKEN)
 _CREATE_HITS = _FRONT + ["projects.create_parse", "projects.create_name_ok", "projects.created"]
 _BODY_AT = _CREATE.index(b"\r\n\r\n") + 4
+# an LF-only head whose body holds a CRLF blank line
+_LF_HEAD = (
+    b"POST /api/projects HTTP/1.1\nPRIVATE-TOKEN: %s\nContent-Length: 8\n\nab\r\n\r\ncd"
+    % DEFAULT_TOKEN.encode()
+)
 
 
 @pytest.mark.parametrize(
@@ -663,8 +668,13 @@ _BODY_AT = _CREATE.index(b"\r\n\r\n") + 4
         ([_CREATE[:_BODY_AT + 3], _CREATE[_BODY_AT + 3:]], [[], [201], []], _CREATE_HITS),
         ([_CREATE[:-2]], [[], [400]], _FRONT[:2]),
         ([_CREATE[:20]], [[], []], []),
+        ([_LF_HEAD + _probe_wire(_api("GET", "/api/projects"), DEFAULT_TOKEN)],
+         [[400, 200], []],
+         _FRONT + ["projects.create_parse", "projects.create_bad_json"] + _FRONT
+         + ["projects.list_ok"]),
     ],
-    ids=["pipelined", "split-head", "split-body", "short-body-at-eof", "cut-head-at-eof"],
+    ids=["pipelined", "split-head", "split-body", "short-body-at-eof", "cut-head-at-eof",
+         "lf-head-crlf-in-body"],
 )
 def test_buffer_parser_answers_each_complete_request_once(reads, answers, hits):
     # one connection's reads, then its end, handed to the parser without a
