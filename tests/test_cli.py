@@ -402,35 +402,29 @@ def test_fuzz_session_reads_coverage_only_for_responses_without_a_window(
     assert counts["coverage_reads"] == counts["resets"] + case_windowless
 
 
-def _peek_before_each_case(monkeypatch, peek_cfg):
-    """Patch ``cli.execute_test_case`` to peek at the target's coverage
-    bitmap before each case; returns the list of bitmaps seen."""
-    seen = []
-    execute = cli.execute_test_case
-
-    def peeked(*args, **kwargs):
-        status, body = execution.http_request(peek_cfg, "GET", "/__coverage__")
-        assert status == 200
-        seen.append(int(json.loads(body)["bitmap"], 16))
-        return execute(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "execute_test_case", peeked)
-    return seen
+def _coverage_bits(cfg) -> int:
+    """The target's coverage bitmap as an int, read without clearing it."""
+    status, body = execution.http_request(cfg, "GET", "/__coverage__")
+    assert status == 200
+    return int(json.loads(body)["bitmap"], 16)
 
 
 @pytest.mark.parametrize("strategy", cli.STRATEGIES)
 def test_each_fuzz_case_starts_on_an_empty_bitmap(
-    pipeline, live_target, strategy, tmp_path, monkeypatch
+    pipeline, live_target, target_cfg, strategy, tmp_path, monkeypatch
 ):
     # coverage is cleared once per session: every answered request's window
     # is read and cleared, so the next case finds nothing left over
-    peek_cfg = execution.TargetConfig(base_url=live_target.base_url)
-    try:
-        seen = _peek_before_each_case(monkeypatch, peek_cfg)
-        out = str(tmp_path / "s")
-        assert _fuzz(pipeline, live_target, strategy, out, extra=["--max-cases", "100"]) == 0
-    finally:
-        peek_cfg.close()
+    seen = []
+    execute = cli.execute_test_case
+
+    def peeked(*args, **kwargs):
+        seen.append(_coverage_bits(target_cfg))
+        return execute(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "execute_test_case", peeked)
+    out = str(tmp_path / "s")
+    assert _fuzz(pipeline, live_target, strategy, out, extra=["--max-cases", "100"]) == 0
     assert len(seen) == 100 and not any(seen)
 
 
@@ -462,8 +456,7 @@ def test_blocks_left_before_a_session_do_not_change_its_artifacts(
         _LEFTOVER_TRANSCRIPT % {"token": live_target.token}, target_cfg
     )
     assert replayed.actual == [201, 500]
-    _, peek = execution.http_request(target_cfg, "GET", "/__coverage__")
-    assert int(json.loads(peek)["bitmap"], 16)
+    assert _coverage_bits(target_cfg)
     left = tmp_path / "left"
     assert _fuzz(pipeline, live_target, "byte", str(left)) == 0
     assert _session_artifacts(left) == _session_artifacts(clean)
