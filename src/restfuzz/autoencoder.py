@@ -18,8 +18,8 @@ GRU cell (single matrix per side, gates stacked [update|reset|cand]):
     c  = tanh(xW_c + r * hU_c)
     h' = (1 - u) * c + u * h
 
-The decoder sees the embedding summary both as its initial state and —
-when ``z_per_step`` is on — concatenated to every input embedding.
+The decoder sees the embedding summary both as its initial state and
+concatenated to every input embedding.
 
 Training runs each time loop depth by depth on packed positions (after
 Appleyard et al., arXiv:1604.01946, and the dynamic batching of Looks
@@ -69,7 +69,7 @@ import numpy as np
 PAD, SOS, EOS = 0, 1, 2
 N_SPECIALS = 3
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -81,7 +81,6 @@ class Hyperparams:
     hidden_dim: int = 256
     max_seq_len: int = 128
     rng_seed: int = 0
-    z_per_step: bool = True
     shuffle: bool = True  # off = cyclic batches (reproducible corpora tests)
     dtype: str = "float32"
 
@@ -114,7 +113,6 @@ class Model:
 def _init_params(hp: Hyperparams, vocab_size: int, rng: np.random.Generator):
     dt = hp.np_dtype()
     E, H = hp.embedding_dim, hp.hidden_dim
-    dec_in = E + (H if hp.z_per_step else 0)
 
     def glorot(shape):
         limit = np.sqrt(6.0 / (shape[0] + shape[1]))
@@ -126,7 +124,7 @@ def _init_params(hp: Hyperparams, vocab_size: int, rng: np.random.Generator):
         "enc_U": glorot((H, 3 * H)),
         "enc_b": np.zeros(3 * H, dtype=dt),
         "dec_emb": (rng.normal(0.0, 0.1, size=(vocab_size, E))).astype(dt),
-        "dec_W": glorot((dec_in, 3 * H)),
+        "dec_W": glorot((E + H, 3 * H)),
         "dec_U": glorot((H, 3 * H)),
         "dec_b": np.zeros(3 * H, dtype=dt),
         "out_W": glorot((H, vocab_size)),
@@ -408,8 +406,7 @@ def _forward_backward(params, hp: Hyperparams, batch, compute_grads=True):
     # decoder (teacher forcing); z's input columns are projected once
     dec_x = p["dec_emb"][dec_tok]
     xW = dec_x @ p["dec_W"][:E] + p["dec_b"]
-    if hp.z_per_step:
-        xW += (z @ p["dec_W"][E:])[rr]
+    xW += (z @ p["dec_W"][E:])[rr]
     S_dec, dec_cache = _gru_forward(xW, z, p["dec_U"], dec)
     del xW  # not needed by the backward pass: free it before that peaks
 
@@ -437,10 +434,9 @@ def _forward_backward(params, hp: Hyperparams, batch, compute_grads=True):
         np.zeros((B, H), dtype=dt), dl @ p["out_W"].T, h_prev, dec_cache, p["dec_U"], dec, G, Gc
     )
     _weight_grads(grads, p, "dec", dec_x, dec_tok, h_prev, G, Gc)
-    if hp.z_per_step:
-        Gz = _onehot(rr, B, dt) @ G
-        grads["dec_W"] = np.concatenate([grads["dec_W"], z.T @ Gz])
-        dz += Gz @ p["dec_W"][E:].T
+    Gz = _onehot(rr, B, dt) @ G
+    grads["dec_W"] = np.concatenate([grads["dec_W"], z.T @ Gz])
+    dz += Gz @ p["dec_W"][E:].T
     G, Gc, h_prev = G[: len(enc_x)], Gc[: len(enc_x)], S_enc[enc.prev]
     dleaf = dz if fold is None else fold @ dz
     _gru_backward(dleaf, None, h_prev, enc_cache, p["enc_U"], enc, G, Gc)
@@ -593,8 +589,7 @@ def decode(m: Model, z) -> list[int]:
     with np.errstate(over="ignore"):
         for _ in range(hp.max_seq_len):
             emb = m.params["dec_emb"][np.asarray([prev])]
-            x = np.concatenate([emb, z_row], axis=1) if hp.z_per_step else emb
-            xW = x @ m.params["dec_W"] + m.params["dec_b"]
+            xW = np.concatenate([emb, z_row], axis=1) @ m.params["dec_W"] + m.params["dec_b"]
             _gru_step(xW, h, m.params["dec_U"], hU, ur, rh, c, h_new)
             h, h_new = h_new, h
             logits = h @ m.params["out_W"] + m.params["out_b"]

@@ -36,7 +36,6 @@ from .coverage import (
 )
 from .execution import (
     DEFAULT_AUTH_VALUE,
-    NO_RESPONSE_STATUS,
     TargetConfig,
     TransportError,
     execute_test_case,
@@ -319,10 +318,9 @@ def _unreachable(target, exc) -> CliError:
 
 def _connect(target) -> int:
     """Reset the target's state, clear its coverage and return its
-    coverage width.  This is the session's one coverage clear: seed
-    validation and transcript replays leave blocks whose windows nobody
-    read, and from here on every answered case request's window is read
-    and cleared (see ``_run_case``)."""
+    coverage width.  The target clears its bitmap with each window it
+    sends, so this one clear per session only guards against a target
+    that holds blocks from before it."""
     try:
         reset_target_state(target)
         reset_coverage(target)
@@ -331,16 +329,12 @@ def _connect(target) -> int:
         raise _unreachable(target, exc) from None
 
 
-def _run_case(tc, g, target, width, case_id, transform=None, unread=False):
-    """Reset target state, then execute ``tc`` with one coverage window
-    per answered request.  Each window is read and cleared, so a case
-    leaves the bitmap empty for the next unless its last request got no
-    answer: pass ``unread`` after such a case to clear coverage first.
-    Returns the result and the union of its windows, whose width must be
-    the manifest's."""
+def _run_case(tc, g, target, width, case_id, transform=None):
+    """Reset target state, then execute ``tc`` with the coverage window
+    that each answer carries (a missing or malformed one is a
+    ``CoverageDataError``).  Returns the result and the union of its
+    windows, whose width must be the manifest's."""
     reset_target_state(target)
-    if unread:
-        reset_coverage(target)
     result = execute_test_case(
         tc,
         g,
@@ -381,6 +375,16 @@ def cmd_fuzz(args) -> int:
     )
     noise_norm = _get(cfg, args.noise_norm, "fuzz.noise_norm", "z")
     max_cases = _get(cfg, args.max_cases, "fuzz.max_cases", 0, int)
+    if not budget_s > 0:  # NaN included: it would never run out
+        raise CliError("budget_s must be > 0, got %r" % budget_s)
+    if n_scales < 1:
+        raise CliError("n_scales must be >= 1, got %d" % n_scales)
+    if noise_norm not in mu.NOISE_NORMS:
+        raise CliError(
+            "unknown noise_norm %r (choose from %s)" % (noise_norm, "/".join(mu.NOISE_NORMS))
+        )
+    if max_cases < 0:
+        raise CliError("max_cases must be >= 0 (0 = no cap), got %d" % max_cases)
     out_dir = _get(cfg, args.out, "fuzz.out_dir", "session-%s" % strategy)
 
     seeds = _load_seeds(cfg, args, g)
@@ -393,7 +397,10 @@ def cmd_fuzz(args) -> int:
                 "learned strategy needs a model checkpoint (missing: %s); "
                 "run `train` first" % checkpoint
             )
-        model = ae.load_model(checkpoint)
+        try:
+            model = ae.load_model(checkpoint)
+        except (OSError, ValueError, KeyError) as exc:
+            raise CliError("cannot load checkpoint %s: %s" % (checkpoint, exc)) from None
         if model.grammar_hash and model.grammar_hash != g.grammar_hash():
             raise CliError("checkpoint %s was trained on a different grammar" % checkpoint)
 
@@ -419,7 +426,6 @@ def cmd_fuzz(args) -> int:
         rows: list[tuple[float, int, int, int]] = []
         tests = 0
         lost = None
-        unread = False  # the last case's last request got no answer
         t0 = time.monotonic()
 
         log_path = os.path.join(out_dir, MUTATION_LOG)
@@ -434,14 +440,13 @@ def cmd_fuzz(args) -> int:
                 seed_id, tc, transform, plan = next(stream)
                 case_id = "%s-%06d" % (strategy, tests)
                 try:
-                    result, bitmap = _run_case(tc, g, target, width, case_id, transform, unread)
+                    result, bitmap = _run_case(tc, g, target, width, case_id, transform)
                 except (TransportError, OSError) as exc:
                     lost = exc  # keep the artifacts of the cases already run
                     break
                 acc.add(bitmap)
                 tests += 1
                 status = result.statuses[-1] if result.records else 0
-                unread = status == NO_RESPONSE_STATUS
                 log_fh.write(mu.format_mutation_log(plan, status) + "\n")
                 report = dedup.add(result)
                 if report is not None:
@@ -510,10 +515,8 @@ def cmd_distill(args) -> int:
         width = _connect(target)
         acc = CoverageAccumulator(width)
         entries = []
-        unread = False
         for seed_id, tc in seeds:
-            result, bitmap = _run_case(tc, g, target, width, seed_id, unread=unread)
-            unread = result.statuses[-1] == NO_RESPONSE_STATUS
+            _result, bitmap = _run_case(tc, g, target, width, seed_id)
             acc.add(bitmap)
             entries.append(CorpusEntry(case_id=seed_id, bitmap=bitmap))
     except (TransportError, OSError) as exc:
@@ -676,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-cases", type=int, help="stop after this many executed cases (0 = no cap)")
     p.add_argument("--seed", type=int, help="rng seed")
     p.add_argument("--n-scales", type=int, help="noise scales tried per perturbation")
-    p.add_argument("--noise-norm", choices=("z", "delta"), help="noise normalisation mode")
+    p.add_argument("--noise-norm", choices=mu.NOISE_NORMS, help="noise normalisation mode")
     p.add_argument("--mutate-dependencies", action="store_true", help="allow producer/consumer leaves as targets")
     p.add_argument("--checkpoint", help="model checkpoint (learned strategy)")
     p.add_argument("--out", help="session output directory")

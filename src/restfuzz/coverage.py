@@ -1,16 +1,16 @@
 """Coverage bitmaps, corpus distillation and bug deduplication.
 
-The instrumented target exposes a fixed-width bitmap over its declared
-basic blocks via a ``/__coverage__`` side channel.  After every answered
-request the executor reads and clears it, so each request carries its
-own coverage window and a test case's coverage is the union of its
-windows.  The read uses the window carried on the response, which a
-case request asks for in an ``X-Coverage-Window`` header; otherwise it
-makes one side-channel ``POST /__coverage__/reset``, which answers with
-the window it cleared.  Distillation greedily keeps the first test case
-contributing each new block.  Bugs are deduplicated on the crash window:
-the window of the first request answered 500, which the same fault
-reached from different seeds shares.
+The instrumented target records its declared basic blocks into a
+fixed-width bitmap.  It answers every API request with the window that
+request closes, in an ``X-Coverage-Window: <block_count>:<hex>``
+header, and clears the bitmap as it does so; ``fetch_and_reset_coverage``
+parses that header, and an answer without one is a ``CoverageDataError``.
+So each request carries its own coverage window, and a test case's
+coverage is the union of its windows.  The ``/__coverage__`` side
+channels serve the manifest of block ids and a clear.  Distillation
+greedily keeps the first test case contributing each new block.  Bugs
+are deduplicated on the crash window: the window of the first request
+answered 500, which the same fault reached from different seeds shares.
 """
 
 from __future__ import annotations
@@ -77,23 +77,13 @@ class CoverageBitmap:
 
     __or__ = union
 
-    def new_versus(self, accumulated: "CoverageBitmap") -> int:
-        """Number of bits set in self but not in ``accumulated``."""
-        fresh = self._as_int() & ~accumulated._as_int()
-        return bin(fresh).count("1")
-
 
 class CoverageAccumulator:
-    """Mutable union of bitmaps plus new-path bookkeeping."""
+    """Mutable union of bitmaps that counts the blocks each one adds."""
 
     def __init__(self, width: int):
         self.width = width
         self._mask = 0
-
-    def is_new_path(self, bm: CoverageBitmap) -> bool:
-        if bm.width != self.width:
-            raise ValueError("bitmap width mismatch")
-        return bool(bm._as_int() & ~self._mask)
 
     def add(self, bm: CoverageBitmap) -> int:
         """Fold a bitmap in; returns the number of newly covered blocks."""
@@ -174,8 +164,9 @@ class BugDeduplicator:
         return report
 
 
-# --- side-channel client -------------------------------------------------
-# Requests go through ``execution.http_request``, looked up at call time.
+# --- coverage client -------------------------------------------------------
+# Side-channel requests go through ``execution.http_request``, looked up at
+# call time.
 
 COVERAGE_RESET_PATH = "/__coverage__/reset"
 COVERAGE_MANIFEST_PATH = "/__coverage__/manifest"
@@ -197,24 +188,6 @@ def _malformed(what, text):
     return CoverageDataError("malformed %s %r" % (what, text[:80]))
 
 
-def _window(text: str) -> CoverageBitmap:
-    """One coverage window as the target sends it: the side channel's
-    JSON answer ``{"block_count": n, "bitmap": hex}`` or an
-    ``X-Coverage-Window`` value ``n:hex``."""
-    try:
-        if text.startswith("{"):
-            data = json.loads(text)
-            count_hex = "%s:%s" % (data["block_count"], data["bitmap"])
-        else:
-            count_hex = text
-        match = _WINDOW_RE.fullmatch(count_hex)
-        if match is None:
-            raise ValueError(count_hex)
-        return CoverageBitmap.from_hex(int(match[1]), match[2])
-    except (ValueError, KeyError, TypeError, RecursionError):
-        raise _malformed("coverage window", text) from None
-
-
 def fetch_manifest(cfg) -> list[str]:
     """Ordered declared-block ids from the target's manifest endpoint."""
     body = _side_channel(cfg, "GET", COVERAGE_MANIFEST_PATH, "manifest fetch")
@@ -232,14 +205,18 @@ def reset_coverage(cfg) -> None:
     _side_channel(cfg, "POST", COVERAGE_RESET_PATH, "coverage reset")
 
 
-def fetch_and_reset_coverage(cfg, window: str | None = None) -> CoverageBitmap:
-    """Read and clear the bitmap accumulated since the last read or reset.
-
-    ``window`` is the ``X-Coverage-Window`` value carried on the last
-    response, if any: the target cleared its bitmap when it sent it, so
-    no request is sent.  Without one, as for a request rejected before
-    routing, one side-channel reset is read; it answers with the window
-    it cleared."""
+def fetch_and_reset_coverage(window: str | None) -> CoverageBitmap:
+    """Parse the coverage window an answer carried: ``window`` is its
+    ``X-Coverage-Window`` value ``<block_count>:<hex>``, or None when it
+    had none.  The target cleared its bitmap when it sent the window, so
+    nothing is sent.  A missing or malformed window is a
+    ``CoverageDataError``."""
     if window is None:
-        window = _side_channel(cfg, "POST", COVERAGE_RESET_PATH, "coverage fetch")
-    return _window(window)
+        raise CoverageDataError("answer carries no %s header" % execution.COVERAGE_WINDOW_HEADER)
+    match = _WINDOW_RE.fullmatch(window)
+    if match is not None:
+        try:
+            return CoverageBitmap.from_hex(int(match[1]), match[2])
+        except ValueError:
+            pass
+    raise _malformed("coverage window", window)

@@ -10,11 +10,12 @@ A ``TargetConfig`` owns two keep-alive connections, each opened on
 first use and closed by ``TargetConfig.close``: the case connection,
 which carries every test case, replay and seed validation sent with
 that config, and the control connection for side-channel calls (state
-reset, coverage).  They stay apart so that mutated case bytes can never
-misframe a coverage read.  Both are a ``_CaseConnection``: a request
+reset, coverage manifest and clear).  They stay apart so that mutated case bytes can never
+misframe a side-channel call.  Both are a ``_CaseConnection``: a request
 that fails on a reused socket is resent once on a fresh one; a failure
 on a fresh socket is final.  A round trip returns the response's
-``X-Coverage-Window`` value for ``coverage.fetch_and_reset_coverage``.
+``X-Coverage-Window`` value, the coverage window the target attaches to
+every API answer, for ``coverage.fetch_and_reset_coverage``.
 Every request/response pair is recorded in a replayable transcript
 using the seed-file text format plus response status lines.
 """
@@ -44,8 +45,8 @@ DEFAULT_EXTRACTIONS = {
 
 _STATUS_LINE_RE = re.compile(r"^HTTP/1\.1 (\d{3})(?: (.*))?$")
 NO_RESPONSE_STATUS = 0
-# asked for on a case request, the target answers with that request's
-# coverage window in this response header (see ``coverage``)
+# the target answers each API request with that request's coverage
+# window in this response header (see ``coverage``)
 COVERAGE_WINDOW_HEADER = "X-Coverage-Window"
 
 
@@ -204,14 +205,13 @@ def _recv_response(sock: socket.socket):
     return status, reason, body.decode("latin-1"), closing or bool(rest), window
 
 
-def request_wire(text: str, host: str, coverage_window: bool = False) -> bytes:
+def request_wire(text: str, host: str) -> bytes:
     """Convert one seed-format request block to HTTP/1.1 wire bytes.
 
     The block's first line is the request line; following lines are
     headers until the first line opening a JSON value, which starts the
     body.  Host and Content-Length are supplied here since the seed
-    format omits them.  ``coverage_window`` asks the target for the
-    request's coverage window with a header right after Host.
+    format omits them.
     """
     lines = text.split("\n")
     body_start = None
@@ -223,8 +223,6 @@ def request_wire(text: str, host: str, coverage_window: bool = False) -> bytes:
     body = "\n".join(lines[body_start:]) if body_start is not None else ""
     body_bytes = body.encode("latin-1")
     out = [lines[0], "Host: %s" % host]
-    if coverage_window:
-        out.append("%s: 1" % COVERAGE_WINDOW_HEADER)
     out.extend(ln for ln in header_lines if ln)
     out.append("Content-Length: %d" % len(body_bytes))
     wire = "\r\n".join(out).encode("latin-1") + b"\r\n\r\n" + body_bytes
@@ -396,18 +394,14 @@ def execute_test_case(
     byte-level strategy corrupt the rendered request just before the
     wire conversion.  Stops early only when the transport fails.
 
-    ``per_request_bitmaps(cfg, window)`` is called after each answered
+    ``per_request_bitmaps(window)`` is called after each answered
     request and its return value stored on that request's record — pass
     ``coverage.fetch_and_reset_coverage`` to get one coverage window per
-    request (the crash-deduplication granularity).  Given it, each case
-    request asks for its window in an ``X-Coverage-Window`` header, and
-    ``window`` is the header's value on the response, or None when the
-    response carried none.  With ``coverage.fetch_and_reset_coverage``
-    every answered request's window is read and cleared, so a case that
-    starts on an empty bitmap leaves it empty.  A request that got no
-    answer ends the case with a ``NO_RESPONSE_STATUS`` record and may
-    leave its blocks unread: the caller clears coverage before the next
-    case.
+    request (the crash-deduplication granularity).  ``window`` is the
+    response's ``X-Coverage-Window`` value, or None when it carried none.
+    A request that got no answer ends the case with a
+    ``NO_RESPONSE_STATUS`` record.  The target clears a request's blocks
+    when it builds the answer, so a lost answer leaves none behind.
     """
     tc = x if isinstance(x, TestCase) else TestCase.from_sequence(x, g)
     bindings: dict[str, str] = {}
@@ -419,7 +413,7 @@ def execute_test_case(
         text = render_request(view, resolver.value_of)
         if request_text_transform is not None:
             text = request_text_transform(text, idx)
-        wire = request_wire(text, cfg.host, per_request_bitmaps is not None)
+        wire = request_wire(text, cfg.host)
         t0 = time.monotonic()
         try:
             status, reason, body, window = cfg._case.roundtrip(wire)
@@ -442,7 +436,7 @@ def execute_test_case(
                 reason=reason,
                 response_body=body,
                 latency_s=time.monotonic() - t0,
-                bitmap=per_request_bitmaps(cfg, window) if per_request_bitmaps else None,
+                bitmap=per_request_bitmaps(window) if per_request_bitmaps else None,
             )
         )
         doc = _parse_body(body) if cfg.extractions else None

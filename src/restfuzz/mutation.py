@@ -31,6 +31,7 @@ DEFAULT_N_SCALES = 8
 DEFAULT_K_MAX = 4
 DEFAULT_POLLUTION_RATE = 0.5
 NORM_FALLBACK = 1.0
+NOISE_NORMS = ("z", "delta")
 
 # Half of all pollution bytes come from this dictionary of delimiters,
 # quote/escape characters and non-ASCII bytes; uniform bytes alone
@@ -118,7 +119,7 @@ def perturb_and_select(
     """
     if n_scales < 1:
         raise ValueError("n_scales must be >= 1")
-    if noise_norm not in ("z", "delta"):
+    if noise_norm not in NOISE_NORMS:
         raise ValueError("noise_norm must be 'z' or 'delta'")
     z = encode(m, x).vector.astype(np.float64)
     z_norm = float(np.linalg.norm(z))

@@ -4,10 +4,11 @@ A deliberately small GitLab-style API (projects / branches / commits)
 served over raw sockets by one thread, so that malformed methods, paths
 and bodies reach application logic instead of an HTTP library's checks.
 Every basic block is declared up front and recorded into a coverage
-bitmap exposed through ``/__coverage__`` side-channel endpoints.  An API
-request with an ``X-Coverage-Window`` header is answered with the window
-it closes, as ``X-Coverage-Window: <block_count>:<hex>``, and clears the
-bitmap as ``POST /__coverage__/reset`` would right after it.
+bitmap.  Every answer to a request that is not a side channel, one
+rejected before routing included, carries the window that request
+closes, as ``X-Coverage-Window: <block_count>:<hex>``, and the bitmap is
+cleared as it is built.  The ``/__coverage__`` side channels serve the
+block manifest, a peek and a clear, and record no blocks.
 
 Two tables route a request.  ``ReferenceTarget._SIDE_CHANNELS`` maps
 ``(path, method)`` to a side-channel handler, looked up once where the
@@ -142,8 +143,8 @@ class ReferenceTarget:
     owns every connection through a ``selectors`` loop.  It appends what a
     connection sends to that connection's buffer and answers each complete
     request there in order: it records the request's blocks, answers its
-    side channel or routes it through ``_ROUTES`` and, when asked, reads and
-    clears its coverage window, so requests apply one at a time.  An idle
+    side channel or routes it through ``_ROUTES`` and attaches the coverage
+    window it closes, so requests apply one at a time.  An idle
     kept-alive connection stays open until its client or ``stop`` closes
     it; ``stop`` ends the thread, which closes every socket it owns."""
 
@@ -357,19 +358,16 @@ class ReferenceTarget:
             self.registry.hit(block)
         if side_channel is not None:
             return side_channel(self), rest
-        if request is None:
-            return resp, rest
-        method, path, headers, body = request
-        try:
-            resp = self._route(method, path, headers, body)
-        except _Reply as reply:
-            resp = reply.response
-        except FaultInjected as exc:
-            resp = _Response(500, {"message": "internal server error: %s" % exc})
-        except Exception as exc:  # unplanned crash: still a 500, visible in tests
-            resp = _Response(500, {"message": "unexpected error: %r" % exc})
-        if "x-coverage-window" in headers:
-            # what POST /__coverage__/reset would answer right after
+        if request is not None:
+            try:
+                resp = self._route(*request)
+            except _Reply as reply:
+                resp = reply.response
+            except FaultInjected as exc:
+                resp = _Response(500, {"message": "internal server error: %s" % exc})
+            except Exception as exc:  # unplanned crash: still a 500, visible in tests
+                resp = _Response(500, {"message": "unexpected error: %r" % exc})
+        if hits:  # empty only for a side channel, which records no blocks
             resp.window = "%d:%s" % (self.registry.block_count, self.registry.bitmap_hex())
             self.registry.reset()
         return resp, rest

@@ -1,10 +1,11 @@
+import json
 import os
 import socket
 
 import pytest
 
 from restfuzz import autoencoder as ae
-from restfuzz import execution
+from restfuzz import coverage, execution
 from restfuzz.execution import TargetConfig
 from restfuzz.grammar import load_grammar, packaged_reference_grammar
 from restfuzz.seedgen import build_case, enumerate_chains, generate_seeds, write_corpus
@@ -57,6 +58,25 @@ def connection_counts(monkeypatch):
     monkeypatch.setattr(socket, "create_connection", counted_connect)
     monkeypatch.setattr(execution, "_recv_response", counted_recv)
     return counts
+
+
+def windowed_request(cfg, method, path, body=""):
+    """Send one API request with ``cfg``'s token on its case connection:
+    the answer's status, its body text and the coverage window it
+    carried."""
+    payload = body.encode("latin-1")
+    head = "%s %s HTTP/1.1\r\nHost: %s\r\n%s: %s\r\nContent-Length: %d\r\n\r\n" % (
+        method, path, cfg.host, cfg.auth_header, cfg.auth_value, len(payload)
+    )
+    status, _reason, text, window = cfg._case.roundtrip(head.encode("latin-1") + payload)
+    return status, text, coverage.fetch_and_reset_coverage(window)
+
+
+def peek_coverage(cfg) -> int:
+    """The target's coverage bitmap as an int, read without clearing it."""
+    status, body = execution.http_request(cfg, "GET", "/__coverage__")
+    assert status == 200
+    return int(json.loads(body)["bitmap"], 16)
 
 
 def chain_by_names(g, max_len, names):

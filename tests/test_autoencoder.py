@@ -127,9 +127,8 @@ def _expanded_batch(token_lists, hp, prepare=ae._prepare_batch):
     )
 
 
-@pytest.mark.parametrize("z_per_step", [True, False])
-def test_repeated_rows_fold_into_multiplicity_weights(three_lengths, z_per_step):
-    hp = tiny_hp(steps=5, batch_size=3, dtype="float64", z_per_step=z_per_step)
+def test_repeated_rows_fold_into_multiplicity_weights(three_lengths):
+    hp = tiny_hp(steps=5, batch_size=3, dtype="float64")
     m = ae.train(three_lengths, hp)
     a, b = three_lengths[0].tokens, three_lengths[2].tokens
     folded = ae._prepare_batch([a, b, a], hp.max_seq_len, hp.np_dtype())
@@ -202,7 +201,7 @@ def _reference_loss_grads(p, hp, batch):
     z, dec = h, []
     for t in range(T):
         x = p["dec_emb"][dec_ids[:, t]]
-        h, cache = step(np.concatenate([x, z], 1) if hp.z_per_step else x, h, "dec")
+        h, cache = step(np.concatenate([x, z], 1), h, "dec")
         dec.append((cache, h))
     loss, dh, dz = 0.0, np.zeros((B, H)), np.zeros((B, H))
     for t in reversed(range(T)):
@@ -219,8 +218,7 @@ def _reference_loss_grads(p, hp, batch):
         g["out_b"] += dl.sum(0)
         dx, dh = backstep(dh + dl @ p["out_W"].T, cache, "dec")
         np.add.at(g["dec_emb"], dec_ids[:, t], dx[:, :E])
-        if hp.z_per_step:
-            dz += dx[:, E:]
+        dz += dx[:, E:]
     dh = dh + dz
     for t in reversed(range(T)):
         cache, m = enc[t]
@@ -230,9 +228,8 @@ def _reference_loss_grads(p, hp, batch):
     return loss, g
 
 
-@pytest.mark.parametrize("z_per_step", [True, False])
-def test_forward_backward_matches_per_step_reference(three_lengths, z_per_step):
-    hp = tiny_hp(steps=5, batch_size=3, dtype="float64", z_per_step=z_per_step)
+def test_forward_backward_matches_per_step_reference(three_lengths):
+    hp = tiny_hp(steps=5, batch_size=3, dtype="float64")
     m = ae.train(three_lengths, hp)
     seqs = [three_lengths[i] for i in (1, 0, 2, 0)]
     batch = ae._prepare_batch([x.tokens for x in seqs], hp.max_seq_len, hp.np_dtype())
@@ -259,9 +256,8 @@ def _prefix_batches(hp):
     ]
 
 
-@pytest.mark.parametrize("z_per_step", [True, False])
-def test_shared_prefixes_match_per_step_reference(z_per_step):
-    hp = tiny_hp(steps=5, batch_size=3, dtype="float64", z_per_step=z_per_step)
+def test_shared_prefixes_match_per_step_reference():
+    hp = tiny_hp(steps=5, batch_size=3, dtype="float64")
     m = ae.train(PREFIX_ROWS, hp)
     for batch in _prefix_batches(hp):
         loss, _, grads = ae._forward_backward(m.params, hp, batch)

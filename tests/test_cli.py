@@ -17,7 +17,7 @@ from restfuzz.execution import execute_test_case, reset_target_state, write_tran
 from restfuzz.seedgen import build_case, load_corpus
 from restfuzz.target import serve
 
-from .conftest import TESTS_DIR, chain_by_names
+from .conftest import TESTS_DIR, chain_by_names, peek_coverage
 from .test_execution import _ok, _path_server
 
 DEAD_URL = "http://127.0.0.1:9"  # discard port; nothing listens there
@@ -371,9 +371,8 @@ def test_fuzz_session_keeps_one_case_connection(pipeline, live_target, tmp_path,
 def test_fuzz_session_reads_coverage_only_for_responses_without_a_window(
     pipeline, live_target, tmp_path, monkeypatch
 ):
-    # the side channel is read once by the session's coverage reset, plus
-    # once after each answered case request whose response carried no
-    # coverage window
+    # every case answer carries its coverage window, so the side channel
+    # is read only by the session's one coverage reset
     counts = dict.fromkeys(["resets", "coverage_reads", "control", "windowed", "windowless"], 0)
     send, recv, reset = execution.http_request, execution._recv_response, cli.reset_coverage
 
@@ -397,16 +396,8 @@ def test_fuzz_session_reads_coverage_only_for_responses_without_a_window(
     out = str(tmp_path / "s")
     assert _fuzz(pipeline, live_target, "byte", out, extra=["--max-cases", "20"]) == 0
     case_windowless = counts["windowless"] - counts["control"]  # control answers carry none
-    assert counts["resets"] == 1
-    assert counts["windowed"] > 0
-    assert counts["coverage_reads"] == counts["resets"] + case_windowless
-
-
-def _coverage_bits(cfg) -> int:
-    """The target's coverage bitmap as an int, read without clearing it."""
-    status, body = execution.http_request(cfg, "GET", "/__coverage__")
-    assert status == 200
-    return int(json.loads(body)["bitmap"], 16)
+    assert counts["windowed"] > 0 and case_windowless == 0
+    assert counts["coverage_reads"] == counts["resets"] == 1
 
 
 @pytest.mark.parametrize("strategy", cli.STRATEGIES)
@@ -419,7 +410,7 @@ def test_each_fuzz_case_starts_on_an_empty_bitmap(
     execute = cli.execute_test_case
 
     def peeked(*args, **kwargs):
-        seen.append(_coverage_bits(target_cfg))
+        seen.append(peek_coverage(target_cfg))
         return execute(*args, **kwargs)
 
     monkeypatch.setattr(cli, "execute_test_case", peeked)
@@ -446,9 +437,8 @@ def _session_artifacts(out):
 def test_blocks_left_before_a_session_do_not_change_its_artifacts(
     pipeline, live_target, target_cfg, tmp_path
 ):
-    # a transcript replayed without coverage windows, as a benchmark does
-    # between sessions, leaves its blocks on the bitmap
-    coverage.reset_coverage(target_cfg)
+    # a transcript replayed between sessions, as a benchmark does, reads
+    # none of its windows; the target cleared them all as it sent them
     clean = tmp_path / "clean"
     assert _fuzz(pipeline, live_target, "byte", str(clean)) == 0
     reset_target_state(target_cfg)
@@ -456,7 +446,7 @@ def test_blocks_left_before_a_session_do_not_change_its_artifacts(
         _LEFTOVER_TRANSCRIPT % {"token": live_target.token}, target_cfg
     )
     assert replayed.actual == [201, 500]
-    assert _coverage_bits(target_cfg)
+    assert peek_coverage(target_cfg) == 0
     left = tmp_path / "left"
     assert _fuzz(pipeline, live_target, "byte", str(left)) == 0
     assert _session_artifacts(left) == _session_artifacts(clean)
@@ -735,6 +725,34 @@ def test_fuzz_rejects_unknown_strategy_from_config(tmp_path, capsys):
     rc = cli.main(["fuzz", "--config", str(cfg)])
     assert rc == 1
     assert "strategy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, extra, message",
+    [
+        ("fuzz.noise_norm = foo\n", [], "unknown noise_norm 'foo' (choose from z/delta)"),
+        ("", ["--n-scales", "0"], "n_scales must be >= 1, got 0"),
+        ("", ["--budget", "nan"], "budget_s must be > 0, got nan"),
+        ("", ["--max-cases", "-1"], "max_cases must be >= 0 (0 = no cap), got -1"),
+        ("", ["--checkpoint", "old.npz"], "cannot load checkpoint old.npz: "
+         "unsupported checkpoint version 1"),
+    ],
+    ids=["noise-norm-from-config", "n-scales", "budget", "max-cases", "checkpoint-version"],
+)
+def test_fuzz_checks_its_settings_before_it_connects(
+    pipeline, tmp_path, monkeypatch, capsys, config, extra, message
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.cfg").write_text(config)
+    header = json.dumps({"version": 1}).encode()  # written before the last version bump
+    np.savez(tmp_path / "old.npz", header=np.frombuffer(header, dtype=np.uint8))
+    argv = [
+        "fuzz", "--config", "c.cfg", "--target", DEAD_URL, "--seeds-dir", pipeline["seeds_dir"],
+        "--strategy", "learned", "--checkpoint", pipeline["checkpoint"], "--out", "s",
+    ]
+    assert cli.main(argv + extra) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not (tmp_path / "s").exists()
 
 
 def test_fuzz_learned_needs_checkpoint(pipeline, live_target, tmp_path, capsys):

@@ -12,9 +12,10 @@ import pytest
 from restfuzz import coverage as cov
 from restfuzz import execution as ex
 from restfuzz.execution import ExecutionResult, RequestRecord, http_request, write_transcript
-from restfuzz.seedgen import build_case, load_corpus
+from restfuzz.seedgen import build_case
+from restfuzz.target import serve
 
-from .conftest import chain_by_names
+from .conftest import chain_by_names, peek_coverage, windowed_request
 
 
 def bm(width, *indices):
@@ -60,8 +61,6 @@ def test_bitmap_union_and_new_versus():
     u = a | b
     assert u.indices() == [1, 2, 9]
     assert a.union(b) == u
-    assert b.new_versus(a) == 1  # only bit 9 is new
-    assert a.new_versus(u) == 0
     with pytest.raises(ValueError, match="width mismatch"):
         a.union(bm(8, 1))
 
@@ -71,9 +70,6 @@ def test_accumulator_counts_new_blocks():
     new = [acc.add(bm(16, 1, 2)), acc.add(bm(16, 2, 3)), acc.add(bm(16, 1))]
     assert new == [2, 1, 0]
     assert acc.count() == sum(new) == 3
-    assert not acc.is_new_path(bm(16, 1, 2, 3))  # so the union is {1, 2, 3}
-    assert acc.is_new_path(bm(16, 9))
-    assert not acc.is_new_path(bm(16, 1, 3))
     with pytest.raises(ValueError, match="width mismatch"):
         acc.add(bm(8, 0))
 
@@ -213,52 +209,62 @@ def test_manifest_lists_declared_blocks(target_cfg):
     blocks = cov.fetch_manifest(target_cfg)
     assert len(blocks) == len(set(blocks))
     assert all(isinstance(b, str) and b for b in blocks)
-    bmp = cov.fetch_and_reset_coverage(target_cfg)
-    assert bmp.width == len(blocks)
+    _status, _body, window = windowed_request(target_cfg, "GET", "/api/projects")
+    assert window.width == len(blocks)
 
 
-def test_side_channels_hit_no_blocks(target_cfg):
-    cov.reset_coverage(target_cfg)
-    cov.fetch_manifest(target_cfg)
-    cov.reset_coverage(target_cfg)
-    assert cov.fetch_and_reset_coverage(target_cfg).count() == 0
+def test_side_channels_hit_no_blocks():
+    # a block left on the bitmap stays there through every side channel but
+    # the clear
+    srv = serve()
+    cfg = ex.TargetConfig(base_url=srv.base_url)
+    try:
+        srv.registry.hit("projects.list_ok")
+        left = peek_coverage(cfg)
+        cov.fetch_manifest(cfg)
+        ex.reset_target_state(cfg)
+        assert peek_coverage(cfg) == left != 0
+        cov.reset_coverage(cfg)
+        assert peek_coverage(cfg) == 0
+    finally:
+        cfg.close()
+        srv.stop()
 
 
 def test_fetch_and_reset_clears_the_map(target_cfg):
-    cov.reset_coverage(target_cfg)
-    status, _ = http_request(target_cfg, "GET", "/api/projects")
-    assert status == 200
-    first = cov.fetch_and_reset_coverage(target_cfg)
-    assert first.count() > 0
-    assert cov.fetch_and_reset_coverage(target_cfg).count() == 0
+    status, _, first = windowed_request(target_cfg, "GET", "/api/projects")
+    assert status == 200 and first.count() > 0
+    assert peek_coverage(target_cfg) == 0  # the window took every block
+    assert windowed_request(target_cfg, "GET", "/api/projects")[2] == first
 
 
 def test_distinct_endpoints_cover_distinct_blocks(target_cfg):
-    cov.reset_coverage(target_cfg)
-    http_request(target_cfg, "GET", "/api/projects")
-    listing = cov.fetch_and_reset_coverage(target_cfg)
-    http_request(target_cfg, "POST", "/api/projects", body='{"name":"x"}')
-    creating = cov.fetch_and_reset_coverage(target_cfg)
-    assert creating.new_versus(listing) > 0
+    listing = windowed_request(target_cfg, "GET", "/api/projects")[2]
+    creating = windowed_request(target_cfg, "POST", "/api/projects", '{"name":"x"}')[2]
     acc = cov.CoverageAccumulator(listing.width)
     assert acc.add(listing) > 0
     assert acc.add(creating) > 0
 
 
-def test_coverage_reset_answers_with_the_window_it_cleared(target_cfg):
-    cov.reset_coverage(target_cfg)
-    http_request(target_cfg, "GET", "/api/projects")
-    _, peek = http_request(target_cfg, "GET", "/__coverage__")
-    status, cleared = http_request(target_cfg, "POST", "/__coverage__/reset")
-    window = json.loads(peek)
-    assert status == 200 and json.loads(cleared) == window
-    assert cov.CoverageBitmap.from_hex(window["block_count"], window["bitmap"]).count() > 0
-    assert cov.fetch_and_reset_coverage(target_cfg).count() == 0
+def test_coverage_reset_answers_with_the_window_it_cleared():
+    srv = serve()
+    cfg = ex.TargetConfig(base_url=srv.base_url)
+    try:
+        srv.registry.hit("projects.list_ok")
+        _, peek = http_request(cfg, "GET", "/__coverage__")
+        status, cleared = http_request(cfg, "POST", "/__coverage__/reset")
+        window = json.loads(peek)
+        assert status == 200 and json.loads(cleared) == window
+        names = cov.fetch_manifest(cfg)
+        bitmap = cov.CoverageBitmap.from_hex(window["block_count"], window["bitmap"])
+        assert bitmap.indices() == [names.index("projects.list_ok")]
+        assert peek_coverage(cfg) == 0
+    finally:
+        cfg.close()
+        srv.stop()
 
 
 # ------------------------------------------------------ carried windows
-
-RESET = ("POST", cov.COVERAGE_RESET_PATH)
 
 
 @pytest.fixture
@@ -275,41 +281,7 @@ def side_channel_log(monkeypatch):
     return log
 
 
-def _run_windowed(tc, g, cfg, log, transform=None):
-    """Reset the target, then run ``tc`` with one coverage window per
-    answered request; returns the result and the side-channel requests
-    the case sent."""
-    ex.reset_target_state(cfg)
-    cov.reset_coverage(cfg)
-    del log[:]
-    result = ex.execute_test_case(
-        tc,
-        g,
-        cfg,
-        request_text_transform=transform,
-        per_request_bitmaps=cov.fetch_and_reset_coverage,
-    )
-    return result, list(log)
-
-
-def test_carried_windows_equal_side_channel_windows_on_every_seed(
-    ref_grammar, target_cfg, validated_corpus_dir, side_channel_log, monkeypatch
-):
-    corpus = [tc for _, tc in load_corpus(validated_corpus_dir, ref_grammar)]
-    carried = [_run_windowed(tc, ref_grammar, target_cfg, side_channel_log) for tc in corpus]
-    wire = ex.request_wire  # the same runs with no window asked for
-    monkeypatch.setattr(ex, "request_wire", lambda text, host, coverage_window=False: wire(text, host))
-    read = [_run_windowed(tc, ref_grammar, target_cfg, side_channel_log) for tc in corpus]
-    assert len(corpus) == 14
-    for (c, c_log), (r, r_log) in zip(carried, read):
-        assert c.statuses == r.statuses
-        assert [rec.bitmap for rec in c.records] == [rec.bitmap for rec in r.records]
-        assert all(rec.bitmap.count() > 0 for rec in c.records)
-        assert c_log == []
-        assert r_log == [RESET] * len(r.records)
-
-
-def test_a_request_rejected_before_routing_is_read_on_the_side_channel(
+def test_a_request_rejected_before_routing_carries_its_window(
     ref_grammar, target_cfg, side_channel_log
 ):
     idx = {name: i for i, name in enumerate(cov.fetch_manifest(target_cfg))}
@@ -319,10 +291,48 @@ def test_a_request_rejected_before_routing_is_read_on_the_side_channel(
     def break_second_header(text, i):
         return text.replace("\n", "\nno colon here\n", 1) if i == 1 else text
 
-    result, log = _run_windowed(tc, ref_grammar, target_cfg, side_channel_log, break_second_header)
+    ex.reset_target_state(target_cfg)
+    del side_channel_log[:]
+    result = ex.execute_test_case(
+        tc,
+        ref_grammar,
+        target_cfg,
+        request_text_transform=break_second_header,
+        per_request_bitmaps=cov.fetch_and_reset_coverage,
+    )
     assert result.statuses == [201, 400]
     first, second = (rec.bitmap for rec in result.records)
-    assert idx["http.header_bad"] in second.indices()
+    assert second.indices() == [idx["http.request_received"], idx["http.header_bad"]]
     assert idx["http.header_bad"] not in first.indices()
-    assert idx["projects.created"] not in second.indices()
-    assert log == [RESET]
+    assert side_channel_log == []
+
+
+def test_another_clients_requests_never_reach_a_case_window(
+    ref_grammar, live_target, target_cfg
+):
+    # a second client's API request, sent before each request of the case,
+    # is answered with its own window
+    idx = {name: i for i, name in enumerate(cov.fetch_manifest(target_cfg))}
+    other = ex.TargetConfig(base_url=live_target.base_url)
+    chain = chain_by_names(ref_grammar, 2, ("create-project", "create-branch"))
+    tc = build_case(ref_grammar, chain, [["testString"], ["master"]])
+
+    def interleave(text, _i):
+        assert http_request(other, "GET", "/api/projects/999")[0] == 404
+        return text
+
+    try:
+        ex.reset_target_state(target_cfg)
+        result = ex.execute_test_case(
+            tc,
+            ref_grammar,
+            target_cfg,
+            request_text_transform=interleave,
+            per_request_bitmaps=cov.fetch_and_reset_coverage,
+        )
+    finally:
+        other.close()
+    assert result.statuses == [201, 201]
+    for rec in result.records:
+        assert idx["router.project_item"] not in rec.bitmap.indices()
+        assert idx["projects.item_missing"] not in rec.bitmap.indices()

@@ -14,7 +14,7 @@ from restfuzz.parsing import marker_text
 from restfuzz.seedgen import build_case
 from restfuzz.target import serve
 
-from .conftest import chain_by_names
+from .conftest import chain_by_names, peek_coverage
 
 
 def _mkcase(g, names, values):
@@ -114,22 +114,19 @@ def test_two_request_chain_resolves_dependency(ref_grammar, target_cfg):
 
 
 def test_per_request_coverage_windows(ref_grammar, target_cfg):
-    from restfuzz.coverage import fetch_and_reset_coverage, fetch_manifest
-
     ex.reset_target_state(target_cfg)
-    manifest = fetch_manifest(target_cfg)
+    manifest = cov.fetch_manifest(target_cfg)
     idx = {name: i for i, name in enumerate(manifest)}
     tc = _mkcase(
         ref_grammar,
         ("create-project", "create-branch"),
         [["testString"], ["master"]],
     )
-    fetch_and_reset_coverage(target_cfg)  # clear the window
     result = ex.execute_test_case(
         tc,
         ref_grammar,
         target_cfg,
-        per_request_bitmaps=fetch_and_reset_coverage,
+        per_request_bitmaps=cov.fetch_and_reset_coverage,
     )
     assert result.statuses == [201, 201]
     first, second = (r.bitmap for r in result.records)
@@ -137,8 +134,8 @@ def test_per_request_coverage_windows(ref_grammar, target_cfg):
     assert idx["branches.created"] not in first.indices()
     assert idx["branches.created"] in second.indices()
     assert idx["projects.created"] not in second.indices()
-    # the per-request fetches drained the side channel completely
-    assert fetch_and_reset_coverage(target_cfg).count() == 0
+    # each window took its request's blocks off the bitmap
+    assert peek_coverage(target_cfg) == 0
     # without the hook no bitmaps are attached
     plain = ex.execute_test_case(tc, ref_grammar, target_cfg)
     assert all(r.bitmap is None for r in plain.records)
@@ -430,8 +427,8 @@ def test_control_connection_is_kept_alive_and_reopened_once_when_dropped(monkeyp
 def test_side_channel_error_status_is_a_transport_error():
     url, thread = _canned_server([b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n"])
     cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
-    with pytest.raises(ex.TransportError, match="coverage fetch returned 404"):
-        cov.fetch_and_reset_coverage(cfg)
+    with pytest.raises(ex.TransportError, match="coverage reset returned 404"):
+        cov.reset_coverage(cfg)
     cfg.close()
     thread.join(timeout=5)
     assert not thread.is_alive()
@@ -439,29 +436,6 @@ def test_side_channel_error_status_is_a_transport_error():
 
 def _ok(body, headers=b""):
     return b"HTTP/1.1 200 OK\r\n%sContent-Length: %d\r\n\r\n%s" % (headers, len(body), body)
-
-
-@pytest.mark.parametrize(
-    "body",
-    [
-        b"{}",
-        b"not json",
-        b"[1, 2]",
-        b'{"block_count": 9, "bitmap": "00"}',  # 9 blocks need 2 bytes
-        b'{"block_count": "x", "bitmap": ""}',
-        b'{"block_count": 8, "bitmap": 5}',
-        b'{"block_count": 66, "bitmap": "%s"}' % (b"ff" * 9),  # bits past block 66
-        pytest.param(b'{"a": ' + b"[" * 100000, id="deep-nesting"),  # RecursionError
-    ],
-)
-def test_malformed_coverage_answer_is_a_transport_error(body):
-    url, thread = _canned_server([_ok(body)])
-    cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
-    with pytest.raises(cov.CoverageDataError, match="malformed coverage window"):
-        cov.fetch_and_reset_coverage(cfg)
-    cfg.close()
-    thread.join(timeout=5)
-    assert not thread.is_alive()
 
 
 @pytest.mark.parametrize(
@@ -553,41 +527,44 @@ def _path_server(answers):
 
 def _windowed_case(g, api_answer):
     """Run a one-request case with per-request windows against a server
-    that answers the API with ``api_answer`` and the coverage side channel
-    with blocks 0 and 2 of 8.  Returns the result and the request lines."""
-    url, heads, stop = _path_server(
-        {
-            "/api/projects": api_answer,
-            cov.COVERAGE_RESET_PATH: _ok(b'{"block_count": 8, "bitmap": "05"}'),
-        }
-    )
+    that answers the API with ``api_answer``.  Returns the result and the
+    request lines."""
+    url, heads, stop = _path_server({"/api/projects": api_answer})
     cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
     try:
-        cov.reset_coverage(cfg)
         tc = _mkcase(g, ("create-project",), [["testString"]])
         result = ex.execute_test_case(tc, g, cfg, per_request_bitmaps=cov.fetch_and_reset_coverage)
     finally:
         cfg.close()
         stop()
-    case_head = next(h for h in heads if h.startswith("POST /api/projects "))
-    assert case_head.split("\r\n")[1:3] == ["Host: 127.0.0.1", "X-Coverage-Window: 1"]
     return result, [h.split("\r\n", 1)[0] for h in heads]
 
 
-def test_fetch_reads_the_side_channel_when_the_target_sends_no_window(ref_grammar):
-    result, lines = _windowed_case(ref_grammar, _ok(b'{"id": 1}'))
-    assert result.records[0].bitmap.indices() == [0, 2]
-    reset = "POST %s HTTP/1.1" % cov.COVERAGE_RESET_PATH
-    assert lines == [reset, "POST /api/projects HTTP/1.1", reset]
+def test_an_answer_without_a_window_is_a_coverage_data_error(ref_grammar):
+    with pytest.raises(cov.CoverageDataError, match="answer carries no X-Coverage-Window"):
+        _windowed_case(ref_grammar, _ok(b'{"id": 1}'))
 
 
 def test_fetch_takes_a_carried_window_without_a_request(ref_grammar):
     result, lines = _windowed_case(ref_grammar, _ok(b'{"id": 1}', b"X-Coverage-Window: 8:82\r\n"))
     assert result.records[0].bitmap.indices() == [1, 7]
-    assert lines == ["POST %s HTTP/1.1" % cov.COVERAGE_RESET_PATH, "POST /api/projects HTTP/1.1"]
+    assert lines == ["POST /api/projects HTTP/1.1"]
 
 
-@pytest.mark.parametrize("value", [b"8:zz", b"8:0000", b"05", b"-1:", b"8:05:05", b"3:08"])
+@pytest.mark.parametrize(
+    "value",
+    [
+        b"8:zz",
+        b"8:0000",
+        b"05",
+        b"-1:",
+        b"8:05:05",
+        b"3:08",
+        b"8:5",  # odd number of hex digits
+        b"9:00",  # 9 blocks need 2 bytes
+        b"66:" + b"ff" * 9,  # bits past block 66
+    ],
+)
 def test_malformed_coverage_window_header_is_a_transport_error(ref_grammar, value):
     answer = _ok(b'{"id": 1}', b"X-Coverage-Window: %s\r\n" % value)
     with pytest.raises(cov.CoverageDataError, match="malformed coverage window"):

@@ -23,6 +23,8 @@ from restfuzz.execution import (
 )
 from restfuzz.target import DEFAULT_TOKEN, KNOWN_METHODS, ReferenceTarget, injected_bug_catalog
 
+from .conftest import windowed_request
+
 
 def j(cfg, method, path, obj=None, raw_body=None):
     body = raw_body if raw_body is not None else (
@@ -43,12 +45,6 @@ def make_project(cfg, name="proj"):
 
 def block_index(cfg, name):
     return cov.fetch_manifest(cfg).index(name)
-
-
-def bitmap_for(cfg, fn):
-    cov.reset_coverage(cfg)
-    out = fn()
-    return out, cov.fetch_and_reset_coverage(cfg)
 
 
 # ------------------------------------------------------------ endpoints
@@ -607,15 +603,15 @@ def _probe_wire(request, token):
     method, path, body = request
     payload = body.encode("latin-1")
     return (
-        "%s %s HTTP/1.1\r\nHost: h\r\nX-Coverage-Window: 1\r\nPRIVATE-TOKEN: %s\r\n"
+        "%s %s HTTP/1.1\r\nHost: h\r\nPRIVATE-TOKEN: %s\r\n"
         "Content-Length: %d\r\n\r\n" % (method, path, token, len(payload))
     ).encode("latin-1") + payload
 
 
 def test_probe_table_pins_status_message_and_blocks():
-    # each API request asks for its window on the response; a request
-    # rejected before routing, and a side channel, carries none, so its
-    # blocks are read from the side channel
+    # every answer but a side channel's carries the window of exactly its
+    # own request, one rejected before routing included; a side channel
+    # hits no block and carries none
     reasons = {200: "OK", 201: "Created", 400: "Bad Request", 401: "Unauthorized",
                404: "Not Found", 405: "Method Not Allowed", 500: "Internal Server Error"}
     srv = ReferenceTarget().start()
@@ -623,7 +619,6 @@ def test_probe_table_pins_status_message_and_blocks():
     try:
         names = cov.fetch_manifest(cfg)
         reset_target_state(cfg)
-        cov.reset_coverage(cfg)
         seen = set()
         for request, status, message, blocks in _PROBES:
             want = blocks if isinstance(request, bytes) else _ROUTED | blocks
@@ -631,14 +626,15 @@ def test_probe_table_pins_status_message_and_blocks():
                 sock.sendall(_probe_wire(request, srv.token))
                 sock.shutdown(socket.SHUT_WR)
                 got_status, reason, body, _closing, window = _recv_response(sock)
-            bitmap = cov.fetch_and_reset_coverage(cfg, window)
-            got = {names[i] for i in bitmap.indices()}
+            assert (window is None) == (not want), request
+            got = set()
+            if window is not None:
+                got = {names[i] for i in cov.fetch_and_reset_coverage(window).indices()}
             data = json.loads(body)
             got_message = data.get("message") if isinstance(data, dict) else None
             assert (got_status, reason, got_message, got) == (
                 status, reasons[status], message, want
             ), request
-            assert (window is None) == isinstance(request, bytes), request
             seen |= got
     finally:
         cfg.close()
@@ -720,34 +716,35 @@ def test_malformed_wire_requests(live_target):
         assert reply.startswith(b"HTTP/1.1 400 "), raw
 
 
-def test_coverage_window_is_answered_only_to_api_requests_that_ask(live_target, target_cfg):
+def test_every_api_answer_carries_its_own_window(live_target, target_cfg):
     names = cov.fetch_manifest(target_cfg)
-    cov.reset_coverage(target_cfg)
 
-    def send(method, path, ask):
+    def send(method, path):
         sock.sendall(
             (
-                "%s %s HTTP/1.1\r\nHost: h\r\n%sPRIVATE-TOKEN: %s\r\n"
-                "Content-Length: 0\r\n\r\n"
-                % (method, path, "X-Coverage-Window: 1\r\n" if ask else "", live_target.token)
+                "%s %s HTTP/1.1\r\nHost: h\r\nPRIVATE-TOKEN: %s\r\nContent-Length: 0\r\n\r\n"
+                % (method, path, live_target.token)
             ).encode("latin-1")
         )
         status, _reason, body, _closing, window = _recv_response(sock)
         return status, body, window
 
     with socket.create_connection((live_target.host, live_target.port), timeout=5) as sock:
-        assert send("GET", "/api/projects/999", False)[::2] == (404, None)
-        status, _, window = send("GET", "/api/projects", True)
-        # the side channels ignore the header; the window left the bitmap clear
-        _, peek, peek_window = send("GET", "/__coverage__", True)
-        _, _, reset_window = send("POST", "/__coverage__/reset", True)
-    assert status == 200 and peek_window is None and reset_window is None
+        missing = send("GET", "/api/projects/999")
+        listing = send("GET", "/api/projects")
+        # the side channels carry none; the windows left the bitmap clear
+        _, peek, peek_window = send("GET", "/__coverage__")
+        _, _, reset_window = send("POST", "/__coverage__/reset")
+    assert (missing[0], listing[0], peek_window, reset_window) == (404, 200, None, None)
     assert int(json.loads(peek)["bitmap"], 16) == 0
-    count, hex_text = window.split(":")
-    assert int(count) == len(names)
-    carried = cov.CoverageBitmap.from_hex(int(count), hex_text).indices()
-    # it holds every block hit since the last clear, the unasked request's too
-    assert {names.index("projects.item_missing"), names.index("projects.list_ok")} <= set(carried)
+    windows = []
+    for _status, _body, window in (missing, listing):
+        count, hex_text = window.split(":")
+        assert int(count) == len(names)
+        windows.append(set(cov.CoverageBitmap.from_hex(int(count), hex_text).indices()))
+    # each holds its own request's blocks only
+    assert names.index("projects.item_missing") in windows[0] - windows[1]
+    assert names.index("projects.list_ok") in windows[1] - windows[0]
 
 
 # --------------------------------------------------------- injected bugs
@@ -755,23 +752,23 @@ def test_coverage_window_is_answered_only_to_api_requests_that_ask(live_target, 
 
 def _trigger_b1(cfg):
     pid = make_project(cfg)
-    return j(
+    return windowed_request(
         cfg,
         "POST",
         "/api/projects/%d/repository/commits" % pid,
-        raw_body='{"branch":"master","commit_message":"m",'
+        '{"branch":"master","commit_message":"m",'
         '"actions":[{"action":"create","file_path":"\xff\xfe"}]}',
     )
 
 
 def _trigger_b2(cfg):
     pid = make_project(cfg)
-    return j(cfg, "GET", "/api/projects/%d/repository/|add_item" % pid)
+    return windowed_request(cfg, "GET", "/api/projects/%d/repository/|add_item" % pid)
 
 
 def _trigger_b3(cfg):
     pid = make_project(cfg)
-    return j(cfg, "FROB", "/api/projects/%d/repository/commits" % pid)
+    return windowed_request(cfg, "FROB", "/api/projects/%d/repository/commits" % pid)
 
 
 def test_injected_bugs_return_500_with_distinct_coverage(target_cfg):
@@ -788,9 +785,9 @@ def test_injected_bugs_return_500_with_distinct_coverage(target_cfg):
         ("B3", _trigger_b3),
     ):
         reset_target_state(target_cfg)
-        (status, data), bitmap = bitmap_for(target_cfg, lambda t=trigger: t(target_cfg))
-        assert status == 500, (bug_id, data)
-        assert "message" in data
+        status, body, bitmap = trigger(target_cfg)
+        assert status == 500, (bug_id, body)
+        assert "message" in json.loads(body)
         assert manifest.index(fault_blocks[bug_id]) in bitmap.indices(), bug_id
         bitmaps[bug_id] = bitmap
     assert bitmaps["B1"] != bitmaps["B2"]
