@@ -52,9 +52,11 @@ A batch drawn with replacement from a small corpus repeats sequences, so
 ``_prepare_batch`` keeps each distinct sequence once and weighs its
 positions by its multiplicity: the GRUs run each distinct row once, and
 the loss, gradients and token accuracy are those of the full batch up to
-float rounding.  Adam keeps the parameters in one flat buffer, which
-``Model.params`` views, and steps it with whole-buffer in-place
-operations.
+float rounding.  Adam keeps the parameters and their gradients in flat
+buffers, which ``Model.params`` and ``_Adam.grads`` view: the backward
+pass writes each gradient into its view, overwriting the last step's,
+and a step walks the buffers in fixed-size chunks in place, so no step
+allocates a buffer the size of the whole parameter set.
 """
 
 from __future__ import annotations
@@ -255,13 +257,15 @@ def _onehot(idx, n, dtype):
 
 def _weight_grads(grads, p, side, x, ids, h_prev, G, Gc):
     """One side's weight and embedding gradients from its stacked gate
-    gradients, one GEMM or reduction each."""
+    gradients, one GEMM or reduction each, written into ``grads``' arrays
+    (the input rows of ``W``; the decoder's z rows are the caller's)."""
     H, E = Gc.shape[1], x.shape[1]
-    grads[side + "_U"] = np.concatenate([h_prev.T @ G[:, : 2 * H], h_prev.T @ Gc], axis=1)
-    grads[side + "_W"] = x.T @ G
-    grads[side + "_b"] = G.sum(axis=0)
+    np.concatenate([h_prev.T @ G[:, : 2 * H], h_prev.T @ Gc], axis=1, out=grads[side + "_U"])
+    np.matmul(x.T, G, out=grads[side + "_W"][:E])
+    G.sum(axis=0, out=grads[side + "_b"])
     emb = p[side + "_emb"]
-    grads[side + "_emb"] = _onehot(ids, emb.shape[0], emb.dtype) @ (G @ p[side + "_W"][:E].T)
+    sel = _onehot(ids, emb.shape[0], emb.dtype)
+    np.matmul(sel, G @ p[side + "_W"][:E].T, out=grads[side + "_emb"])
 
 
 def _prepare_batch(token_lists, max_seq_len, dtype):
@@ -367,11 +371,17 @@ def _prefix_trie(ids, lens, dtype):
     return lay, tt, hr, count[ends, leaf] + (B - 1), fold
 
 
-def _forward_backward(params, hp: Hyperparams, batch, compute_grads=True):
+def _forward_backward(params, hp: Hyperparams, batch, compute_grads=True, out=None):
     """Weighted cross-entropy loss and weighted token accuracy over a
     batch; optionally gradients.  Only positions inside each row's
     ``enc_mask`` length are computed: the rest must carry weight 0, as
     ``_prepare_batch`` gives them.
+
+    Each gradient is written, as it is computed, into its array of
+    ``out``, a dict shaped like ``params``, and ``out`` is returned;
+    without ``out`` they go to views of one new flat buffer (``_views``).
+    ``train`` passes ``_Adam.grads``, so the gradients it gets back are
+    overwritten by the next step's pass.
 
     The rows are sorted by length (stable).  The encoder runs their
     prefix trie and the decoder a trie that shares nothing (see
@@ -425,7 +435,9 @@ def _forward_backward(params, hp: Hyperparams, batch, compute_grads=True):
     dl = ex / sumex[:, None]
     dl[pos, tgt] -= 1.0
     dl *= (w / total_w)[:, None]
-    grads = {"out_W": S_dec[B:].T @ dl, "out_b": dl.sum(axis=0)}
+    grads = _views(np.empty(sum(a.size for a in p.values()), dt), p) if out is None else out
+    np.matmul(S_dec[B:].T, dl, out=grads["out_W"])
+    dl.sum(axis=0, out=grads["out_b"])
     G = np.empty((len(tgt), 3 * H), dtype=dt)  # d(xW), decoder then encoder
     Gc = np.empty((len(tgt), H), dtype=dt)
     # the decoder's leaves are the rows' final states, which feed nothing
@@ -435,7 +447,7 @@ def _forward_backward(params, hp: Hyperparams, batch, compute_grads=True):
     )
     _weight_grads(grads, p, "dec", dec_x, dec_tok, h_prev, G, Gc)
     Gz = _onehot(rr, B, dt) @ G
-    grads["dec_W"] = np.concatenate([grads["dec_W"], z.T @ Gz])
+    np.matmul(z.T, Gz, out=grads["dec_W"][E:])
     dz += Gz @ p["dec_W"][E:].T
     G, Gc, h_prev = G[: len(enc_x)], Gc[: len(enc_x)], S_enc[enc.prev]
     dleaf = dz if fold is None else fold @ dz
@@ -444,11 +456,23 @@ def _forward_backward(params, hp: Hyperparams, batch, compute_grads=True):
     return loss, acc, grads
 
 
+def _views(flat, like):
+    """Views of ``flat``, laid end to end, shaped like ``like``'s arrays."""
+    ends = np.cumsum([a.size for a in like.values()])
+    return {k: flat[e - a.size : e].reshape(a.shape) for (k, a), e in zip(like.items(), ends)}
+
+
 class _Adam:
     """Adam over one flat copy of the parameters.  The constructor moves
-    ``params`` into that buffer and rebinds each entry to a view of it, so
-    a step is a few whole-buffer operations in place.  The update is the
-    per-array ``p -= lr * (m / b1c) / (sqrt(v / b2c) + eps)``, op for op."""
+    ``params`` into that buffer and rebinds each entry to a view of it;
+    ``grads`` views the flat gradient buffer ``g`` the same way, for the
+    backward pass to fill, so the next fill overwrites a step's gradients.
+    ``step()`` reads ``g`` and walks the flat buffers in chunks of
+    ``CHUNK`` elements with the two chunk-sized scratch rows of ``tmp``,
+    so it allocates nothing.  The update is the per-array
+    ``p -= lr * (m / b1c) / (sqrt(v / b2c) + eps)``, op for op."""
+
+    CHUNK = 65536
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -457,34 +481,33 @@ class _Adam:
         self.eps = eps
         self.t = 0
         self.flat = np.concatenate([p.ravel() for p in params.values()])
-        o = 0
-        for k, p in params.items():
-            params[k] = self.flat[o : o + p.size].reshape(p.shape)
-            o += p.size
-        self.keys = list(params)
+        params.update(_views(self.flat, params))
         self.m, self.v = np.zeros_like(self.flat), np.zeros_like(self.flat)
-        self.g, self.tmp = np.empty_like(self.flat), np.empty_like(self.flat)
+        self.g = np.empty_like(self.flat)
+        self.grads = _views(self.g, params)
+        self.tmp = np.empty((2, min(self.CHUNK, self.flat.size)), self.flat.dtype)
 
-    def step(self, grads):
+    def step(self):
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        m, v, g, tmp = self.m, self.v, self.g, self.tmp
-        np.concatenate([grads[k].ravel() for k in self.keys], out=g)
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=tmp)
-        m += tmp
-        g *= g
-        v *= self.beta2
-        g *= 1.0 - self.beta2
-        v += g
-        np.divide(m, b1c, out=tmp)
-        tmp *= self.lr
-        np.divide(v, b2c, out=g)
-        np.sqrt(g, out=g)
-        g += self.eps
-        tmp /= g
-        self.flat -= tmp
+        for a in range(0, self.flat.size, self.CHUNK):
+            p, m, v, g = (x[a : a + self.CHUNK] for x in (self.flat, self.m, self.v, self.g))
+            tmp, g2 = self.tmp[:, : len(p)]
+            m *= self.beta1
+            np.multiply(g, 1.0 - self.beta1, out=tmp)
+            m += tmp
+            np.multiply(g, g, out=g2)
+            v *= self.beta2
+            g2 *= 1.0 - self.beta2
+            v += g2
+            np.divide(m, b1c, out=tmp)
+            tmp *= self.lr
+            np.divide(v, b2c, out=g2)
+            np.sqrt(g2, out=g2)
+            g2 += self.eps
+            tmp /= g2
+            p -= tmp
 
 
 def _corpus_tokens(corpus):
@@ -513,7 +536,8 @@ def train(corpus, hp: Hyperparams, grammar_hash: str | None = None, log=None) ->
     vocab = max(max(t) for t in token_lists if t) + 1 + N_SPECIALS
     rng = np.random.default_rng(hp.rng_seed)
     params = _init_params(hp, vocab, rng)
-    opt = _Adam(params, hp.learning_rate)  # params now view opt.flat
+    # params now view opt.flat; each backward pass overwrites opt.grads
+    opt = _Adam(params, hp.learning_rate)
     model = Model(hp=hp, vocab_size=vocab, grammar_hash=grammar_hash, params=params)
 
     n = len(token_lists)
@@ -526,10 +550,10 @@ def train(corpus, hp: Hyperparams, grammar_hash: str | None = None, log=None) ->
             idx = [(base + j) % n for j in range(hp.batch_size)]
         batch_tokens = [token_lists[i] for i in idx]
         batch = _prepare_batch(batch_tokens, hp.max_seq_len, hp.np_dtype())
-        loss, acc, grads = _forward_backward(params, hp, batch)
+        loss, acc, _ = _forward_backward(params, hp, batch, out=opt.grads)
         if not np.isfinite(loss):
             raise FloatingPointError("non-finite loss at step %d" % step)
-        opt.step(grads)
+        opt.step()
         model.loss_history.append(loss)
         if log and (step % 100 == 0 or step == hp.steps - 1):
             log(

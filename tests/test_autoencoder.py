@@ -2,6 +2,7 @@
 checkpointing, and the numeric gradient check."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -356,19 +357,49 @@ class _ReferenceAdam:
 
 
 def test_flat_adam_is_bit_identical_to_per_parameter_steps():
-    hp = tiny_hp()
-    rng = np.random.default_rng(5)
-    params = ae._init_params(hp, 12, rng)
-    ref = {k: v.copy() for k, v in params.items()}
-    opt, ref_opt = ae._Adam(params, hp.learning_rate), _ReferenceAdam(ref, hp.learning_rate)
-    assert all(np.shares_memory(p, opt.flat) for p in params.values())
-    for _ in range(3):
-        grads = {k: rng.standard_normal(ref[k].shape).astype(hp.dtype) for k in reversed(ref)}
-        opt.step(grads)
-        ref_opt.step(ref, grads)
-        for k in ref:
-            assert params[k].dtype == ref[k].dtype == np.float32, k
-            assert np.array_equal(params[k], ref[k]), k
+    # tiny_hp's parameters fit in one chunk of the step; the second set
+    # spans several, with chunk boundaries inside parameter arrays
+    for hp in (tiny_hp(), tiny_hp(hidden_dim=128, embedding_dim=64)):
+        rng = np.random.default_rng(5)
+        params = ae._init_params(hp, 12, rng)
+        ref = {k: v.copy() for k, v in params.items()}
+        opt, ref_opt = ae._Adam(params, hp.learning_rate), _ReferenceAdam(ref, hp.learning_rate)
+        assert all(np.shares_memory(p, opt.flat) for p in params.values())
+        assert (opt.flat.size > 2 * ae._Adam.CHUNK) == (hp.hidden_dim == 128)
+        for _ in range(3):
+            grads = {k: rng.standard_normal(ref[k].shape).astype(hp.dtype) for k in reversed(ref)}
+            for k, g in grads.items():
+                opt.grads[k][...] = g
+            opt.step()
+            ref_opt.step(ref, grads)
+            for k in ref:
+                assert params[k].dtype == ref[k].dtype == np.float32, k
+                assert np.array_equal(params[k], ref[k]), k
+
+
+def test_training_step_holds_four_parameter_sized_buffers():
+    # flat, m, v and g (3 MB each), plus the step's chunk-sized scratch
+    # (512 KB); nothing parameter-sized is allocated per step
+    hp = ae.Hyperparams()
+    batch = ae._prepare_batch([[0, 1, 2, 3], [4, 5], [0, 1, 6]], hp.max_seq_len, hp.np_dtype())
+    tracemalloc.start()
+    try:
+        params = ae._init_params(hp, 12, np.random.default_rng(0))
+        opt = ae._Adam(params, hp.learning_rate)
+        for _ in range(2):
+            assert ae._forward_backward(params, hp, batch, out=opt.grads)[2] is opt.grads
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+            assert peak - before <= 2**16
+            arrays = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+            )
+            held = sum(t.size for t in arrays.traces)
+            assert held <= 4 * opt.flat.nbytes + 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def test_training_runs_do_not_share_parameter_buffers(two_seed_sequences):

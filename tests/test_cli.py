@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from restfuzz import cli, coverage, execution
+from restfuzz import autoencoder as ae, cli, coverage, execution
 from restfuzz.execution import execute_test_case, reset_target_state, write_transcript
 from restfuzz.seedgen import build_case, load_corpus
 from restfuzz.target import serve
@@ -456,10 +456,10 @@ def test_blocks_left_before_a_session_do_not_change_its_artifacts(
 def test_blocks_of_an_unanswered_request_never_reach_the_next_case(
     pipeline, live_target, target_cfg, ref_grammar, command, tmp_path, monkeypatch
 ):
-    # the first case's only request is rejected before routing, so the
-    # target answers it without a window, and its answer is then lost: its
-    # blocks stay unread on the bitmap, and must not land in the window of
-    # the next case's first request
+    # the first case's only request is rejected before routing; the target
+    # answers it with its own window and clears the bitmap, and that answer
+    # is then lost: its blocks must not land in the window of the next
+    # case's first request
     _seed_id, tc = load_corpus(pipeline["seeds_dir"], ref_grammar)[0]
     assert len(tc.requests) == 1
     results = []
@@ -677,8 +677,10 @@ def test_fuzz_repeat_runs_agree_modulo_time(pipeline, live_target, tmp_path):
 # (strategy, --seed, tests_executed, blocks_covered, bugs_found, sha256 of
 # mutations.log, sha256 of bugs.json without transcript paths) of 400-case
 # sessions on the pipeline corpus; a change that keeps what a session does
-# keeps them.  The learned strategy is left out: its model's bits depend on
-# the BLAS thread count.
+# keeps them.  The learned row also rests on the pipeline model's bits, pinned
+# by the sha256 of its loss history: at the quick-start size they do not
+# depend on the BLAS thread count (at the default size they do).
+PINNED_LOSSES_SHA256 = "c92426f0e58813749a17a2b7064eccb914fb6dbfba1126b37931a5f969ea85af"
 PINNED_SESSIONS = (
     (
         "byte", 25, 400, 53, 2,
@@ -690,10 +692,18 @@ PINNED_SESSIONS = (
         "f9fd98f6cb8af62355e0eb331145db5a95ac3e96d5412f7f2b9d035b55610342",
         "d595ef85795befa67bdc7aff425d4435ed9a86d06e32d47e5bd8ea5186c1cbb1",
     ),
+    (
+        "learned", 1, 400, 26, 0,
+        "f8e2af672a88aaa0c810227c842bc571b144c12bf9d04e971df8e0355d47cd05",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
 )
 
 
 def test_fuzz_session_fingerprints_are_pinned(pipeline, live_target, tmp_path):
+    losses = ae.load_model(pipeline["checkpoint"]).loss_history
+    got = hashlib.sha256(json.dumps([float(x) for x in losses]).encode()).hexdigest()
+    assert got == PINNED_LOSSES_SHA256
     # the shared target still holds blocks from seed validation and earlier
     # tests, which must not leak into a session
     for strategy, seed, *fingerprint in PINNED_SESSIONS:

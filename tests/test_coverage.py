@@ -55,7 +55,7 @@ def test_bitmap_from_hex_rejects_bits_beyond_width():
         cov.CoverageBitmap.from_hex(66, "ff" * 9)
 
 
-def test_bitmap_union_and_new_versus():
+def test_bitmap_union():
     a = bm(16, 1, 2)
     b = bm(16, 2, 9)
     u = a | b
