@@ -86,6 +86,15 @@ class Hyperparams:
     shuffle: bool = True  # off = cyclic batches (reproducible corpora tests)
     dtype: str = "float32"
 
+    def __post_init__(self):
+        # steps=0 is legal: it keeps the untrained initial model
+        sizes = ("batch_size", "hidden_dim", "embedding_dim", "max_seq_len", "steps", "rng_seed")
+        for name, low in zip(sizes, (1, 1, 1, 1, 0, 0)):
+            if getattr(self, name) < low:
+                raise ValueError("%s must be >= %d, got %r" % (name, low, getattr(self, name)))
+        if not self.learning_rate > 0:  # NaN included
+            raise ValueError("learning_rate must be > 0, got %r" % self.learning_rate)
+
     def np_dtype(self):
         return np.dtype(self.dtype)
 
@@ -643,7 +652,14 @@ def exact_reconstructions(m: Model, sequences) -> int:
     return sum(decode(m, encode(m, rs)) == toks for rs, toks in pairs)
 
 
-def save_model(m: Model, path: str) -> None:
+def _npz(path) -> str:
+    """A checkpoint path ends in ``.npz``; ``np.savez`` would append it."""
+    return str(path) if str(path).endswith(".npz") else str(path) + ".npz"
+
+
+def save_model(m: Model, path: str) -> str:
+    """Write ``m`` to ``path`` (``.npz`` appended when missing) and return
+    the path written."""
     header = json.dumps(
         {
             "version": CHECKPOINT_VERSION,
@@ -656,11 +672,13 @@ def save_model(m: Model, path: str) -> None:
     arrays = dict(m.params)
     arrays["loss_history"] = np.asarray(m.loss_history, dtype=np.float64)
     arrays["header"] = np.frombuffer(header.encode("utf-8"), dtype=np.uint8)
+    path = _npz(path)
     np.savez(path, **arrays)
+    return path
 
 
 def load_model(path: str) -> Model:
-    data = np.load(path if str(path).endswith(".npz") else str(path) + ".npz")
+    data = np.load(_npz(path))
     header = json.loads(bytes(data["header"]).decode("utf-8"))
     if header.get("version") != CHECKPOINT_VERSION:
         raise ValueError("unsupported checkpoint version %r" % header.get("version"))

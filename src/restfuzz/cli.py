@@ -9,8 +9,9 @@ Subcommands:
 * ``replay``  re-send a recorded transcript and compare status codes
 * ``report``  emit coverage-over-time and bug-table files for sessions
 
-Configuration comes from an optional key=value file plus flags; flags
-win.  All artifacts are plain files under the session directory.
+Each option is one row of ``CONFIG_KEYS``: its flag wins over its key in
+an optional key=value config file, which wins over its default.  All
+artifacts are plain files under the session directory.
 """
 
 import argparse
@@ -55,31 +56,40 @@ SESSION_JSON = "session.json"
 BUG_DIR = "bugs"
 CSV_HEADER = "elapsed_s,cumulative_new_blocks,tests_executed,bugs_found"
 
+# config key -> (flag, type, default, help).  A command takes the flags of
+# the keys it reads (see ``build_parser``); a bool flag stores the opposite
+# of its default, and a tuple type lists a string's choices.  A train.* key
+# names the ``Hyperparams`` field whose default it takes.
 CONFIG_KEYS = {
-    "target.base_url",
-    "target.token",
-    "grammar.path",
-    "seeds.dir",
-    "seeds.max_len",
-    "seeds.dict_values",
-    "seeds.budget",
-    "seeds.validate",
-    "model.checkpoint",
-    "train.steps",
-    "train.batch_size",
-    "train.hidden_dim",
-    "train.embedding_dim",
-    "train.learning_rate",
-    "train.max_seq_len",
-    "train.rng_seed",
-    "fuzz.strategy",
-    "fuzz.budget_s",
-    "fuzz.n_scales",
-    "fuzz.rng_seed",
-    "fuzz.mutate_dependencies",
-    "fuzz.noise_norm",
-    "fuzz.max_cases",
-    "fuzz.out_dir",
+    "target.base_url": ("--target", str, "http://127.0.0.1:8000", "target base URL"),
+    "target.token": ("--token", str, DEFAULT_AUTH_VALUE, "auth token sent on side-channel "
+                     "requests; case requests carry the grammar's own auth header"),
+    "grammar.path": ("--grammar", str, packaged_reference_grammar(),
+                     "grammar file (default: bundled reference grammar)"),
+    "seeds.dir": ("--seeds-dir", str, "seeds", "seed corpus directory"),
+    "seeds.max_len": ("--max-len", int, 3, "maximum requests per seed chain"),
+    "seeds.dict_values": ("--dict-values", int, 2, "dictionary values per fuzzable type"),
+    "seeds.budget": ("--budget-seeds", int, None, "cap on number of seeds written"),
+    "seeds.validate": ("--no-validate", bool, True, "skip execution-based validation"),
+    "model.checkpoint": ("--checkpoint", str, "model.npz",
+                         "model checkpoint path (.npz is appended when missing)"),
+    "train.steps": ("--steps", int, ae.Hyperparams.steps, "training steps"),
+    "train.batch_size": ("--batch-size", int, ae.Hyperparams.batch_size, None),
+    "train.hidden_dim": ("--hidden-dim", int, ae.Hyperparams.hidden_dim, None),
+    "train.embedding_dim": ("--embedding-dim", int, ae.Hyperparams.embedding_dim, None),
+    "train.learning_rate": ("--learning-rate", float, ae.Hyperparams.learning_rate, None),
+    "train.max_seq_len": ("--max-seq-len", int, ae.Hyperparams.max_seq_len, None),
+    "train.rng_seed": ("--seed", int, ae.Hyperparams.rng_seed, "rng seed"),
+    "fuzz.strategy": ("--strategy", STRATEGIES, None, "mutation strategy"),
+    "fuzz.budget_s": ("--budget", float, 300.0, "wall-clock budget in seconds"),
+    "fuzz.n_scales": ("--n-scales", int, mu.DEFAULT_N_SCALES,
+                      "noise scales tried per perturbation"),
+    "fuzz.rng_seed": ("--seed", int, 0, "rng seed"),
+    "fuzz.mutate_dependencies": ("--mutate-dependencies", bool, False,
+                                 "allow producer/consumer leaves as targets"),
+    "fuzz.noise_norm": ("--noise-norm", mu.NOISE_NORMS, "z", "noise normalisation mode"),
+    "fuzz.max_cases": ("--max-cases", int, 0, "stop after this many executed cases (0 = no cap)"),
+    "fuzz.out_dir": ("--out", str, None, "session output directory (default: session-STRATEGY)"),
 }
 
 
@@ -129,28 +139,32 @@ def _get(cfg: dict, flag_value, key: str, default, cast=str):
     return default
 
 
-def _target_config(cfg: dict, args) -> TargetConfig:
-    return TargetConfig(
-        base_url=_get(cfg, args.target, "target.base_url", "http://127.0.0.1:8000"),
-        auth_value=_get(cfg, args.token, "target.token", DEFAULT_AUTH_VALUE),
-    )
+def _options(args) -> dict:
+    """The value of each config key the command reads, by ``_get``."""
+    cfg = load_config(args.config)
+    opt = {}
+    for key in args.config_keys:
+        _flag, cast, default, _help = CONFIG_KEYS[key]
+        cast = str if isinstance(cast, tuple) else cast  # choices are strings
+        opt[key] = _get(cfg, getattr(args, key), key, default, cast)
+    return opt
 
 
-def _grammar(cfg: dict, args):
-    path = _get(cfg, args.grammar, "grammar.path", packaged_reference_grammar())
+def _target_config(opt: dict) -> TargetConfig:
+    return TargetConfig(base_url=opt["target.base_url"], auth_value=opt["target.token"])
+
+
+def _grammar(opt: dict):
+    path = opt["grammar.path"]
     if not os.path.exists(path):
         raise CliError("grammar file not found: %s" % path)
     return load_grammar(path)
 
 
-def _seeds_dir(cfg: dict, args) -> str:
-    return _get(cfg, args.seeds_dir, "seeds.dir", "seeds")
-
-
-def _load_seeds(cfg: dict, args, g):
+def _load_seeds(opt: dict, g):
     """The seed corpus; an unreadable or empty corpus or an unparsable
     seed file is a ``CliError``."""
-    seeds_dir = _seeds_dir(cfg, args)
+    seeds_dir = opt["seeds.dir"]
     try:
         seeds = load_corpus(seeds_dir, g)
     except OSError as exc:
@@ -166,20 +180,15 @@ def _load_seeds(cfg: dict, args, g):
 
 
 def cmd_seeds(args) -> int:
-    cfg = load_config(args.config)
-    g = _grammar(cfg, args)
-    out_dir = _seeds_dir(cfg, args)
-    max_len = _get(cfg, args.max_len, "seeds.max_len", 3, int)
-    dict_values = _get(cfg, args.dict_values, "seeds.dict_values", 2, int)
-    budget = _get(cfg, args.budget_seeds, "seeds.budget", None, int)
-    validate = _get(cfg, None if not args.no_validate else False, "seeds.validate", True, bool)
-    validate_cfg = _target_config(cfg, args) if validate else None
+    opt = _options(args)
+    g = _grammar(opt)
+    validate_cfg = _target_config(opt) if opt["seeds.validate"] else None
     try:
         corpus = generate_seeds(
             g,
-            max_len=max_len,
-            dict_values_per_type=dict_values,
-            budget=budget,
+            max_len=opt["seeds.max_len"],
+            dict_values_per_type=opt["seeds.dict_values"],
+            budget=opt["seeds.budget"],
             validate_cfg=validate_cfg,
             log=print,
         )
@@ -188,17 +197,19 @@ def cmd_seeds(args) -> int:
             "seed validation needs a reachable target (%s); "
             "pass --no-validate to skip" % exc
         ) from None
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     finally:
         if validate_cfg is not None:
             validate_cfg.close()
-    write_corpus(corpus, out_dir)
+    write_corpus(corpus, opt["seeds.dir"])
     print(
         "wrote %d seeds to %s (max_len=%d dict_values=%d%s)"
         % (
             len(corpus.seeds),
-            out_dir,
-            max_len,
-            dict_values,
+            opt["seeds.dir"],
+            opt["seeds.max_len"],
+            opt["seeds.dict_values"],
             " partial" if corpus.partial else "",
         )
     )
@@ -209,27 +220,19 @@ def cmd_seeds(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    g = _grammar(cfg, args)
-    seeds = _load_seeds(cfg, args, g)
+    opt = _options(args)
+    g = _grammar(opt)
+    seeds = _load_seeds(opt, g)
     sequences = [tc.seq for _, tc in seeds]
-    hp = ae.Hyperparams(
-        steps=_get(cfg, args.steps, "train.steps", 2000, int),
-        batch_size=_get(cfg, args.batch_size, "train.batch_size", 32, int),
-        hidden_dim=_get(cfg, args.hidden_dim, "train.hidden_dim", 256, int),
-        embedding_dim=_get(cfg, args.embedding_dim, "train.embedding_dim", 100, int),
-        learning_rate=_get(cfg, args.learning_rate, "train.learning_rate", 0.001, float),
-        max_seq_len=_get(cfg, args.max_seq_len, "train.max_seq_len", 128, int),
-        rng_seed=_get(cfg, args.seed, "train.rng_seed", 0, int),
-    )
-    checkpoint = _get(cfg, args.checkpoint, "model.checkpoint", "model.npz")
+    hp_fields = {k.split(".")[1]: v for k, v in opt.items() if k.startswith("train.")}
     t0 = time.monotonic()
     try:
+        hp = ae.Hyperparams(**hp_fields)
         model = ae.train(sequences, hp, grammar_hash=g.grammar_hash(), log=print)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     took = time.monotonic() - t0
-    ae.save_model(model, checkpoint)
+    checkpoint = ae.save_model(model, opt["model.checkpoint"])
     line = "trained %d steps on %d sequences in %.1fs; checkpoint %s" % (
         hp.steps,
         len(sequences),
@@ -355,56 +358,52 @@ def _run_case(tc, g, target, width, case_id, transform=None):
 
 
 def cmd_fuzz(args) -> int:
-    cfg = load_config(args.config)
-    g = _grammar(cfg, args)
-    strategy = _get(cfg, args.strategy, "fuzz.strategy", None)
+    opt = _options(args)
+    g = _grammar(opt)
+    strategy = opt["fuzz.strategy"]
     if strategy not in STRATEGIES:
         raise CliError(
             "unknown or missing strategy %r (choose from %s)"
             % (strategy, "/".join(STRATEGIES))
         )
-    budget_s = _get(cfg, args.budget, "fuzz.budget_s", 300.0, float)
-    n_scales = _get(cfg, args.n_scales, "fuzz.n_scales", mu.DEFAULT_N_SCALES, int)
-    rng_seed = _get(cfg, args.seed, "fuzz.rng_seed", 0, int)
-    mutate_dependencies = _get(
-        cfg,
-        True if args.mutate_dependencies else None,
-        "fuzz.mutate_dependencies",
-        False,
-        bool,
-    )
-    noise_norm = _get(cfg, args.noise_norm, "fuzz.noise_norm", "z")
-    max_cases = _get(cfg, args.max_cases, "fuzz.max_cases", 0, int)
+    budget_s = opt["fuzz.budget_s"]
+    n_scales = opt["fuzz.n_scales"]
+    rng_seed = opt["fuzz.rng_seed"]
+    mutate_dependencies = opt["fuzz.mutate_dependencies"]
+    noise_norm = opt["fuzz.noise_norm"]
+    max_cases = opt["fuzz.max_cases"]
     if not budget_s > 0:  # NaN included: it would never run out
         raise CliError("budget_s must be > 0, got %r" % budget_s)
     if n_scales < 1:
         raise CliError("n_scales must be >= 1, got %d" % n_scales)
+    if rng_seed < 0:
+        raise CliError("rng_seed must be >= 0, got %d" % rng_seed)
     if noise_norm not in mu.NOISE_NORMS:
         raise CliError(
             "unknown noise_norm %r (choose from %s)" % (noise_norm, "/".join(mu.NOISE_NORMS))
         )
     if max_cases < 0:
         raise CliError("max_cases must be >= 0 (0 = no cap), got %d" % max_cases)
-    out_dir = _get(cfg, args.out, "fuzz.out_dir", "session-%s" % strategy)
+    out_dir = opt["fuzz.out_dir"] or "session-%s" % strategy
 
-    seeds = _load_seeds(cfg, args, g)
+    seeds = _load_seeds(opt, g)
 
     model = None
     if strategy == "learned":
-        checkpoint = _get(cfg, args.checkpoint, "model.checkpoint", "model.npz")
-        if not os.path.exists(checkpoint):
+        checkpoint = opt["model.checkpoint"]
+        try:
+            model = ae.load_model(checkpoint)
+        except FileNotFoundError:
             raise CliError(
                 "learned strategy needs a model checkpoint (missing: %s); "
                 "run `train` first" % checkpoint
-            )
-        try:
-            model = ae.load_model(checkpoint)
+            ) from None
         except (OSError, ValueError, KeyError) as exc:
             raise CliError("cannot load checkpoint %s: %s" % (checkpoint, exc)) from None
         if model.grammar_hash and model.grammar_hash != g.grammar_hash():
             raise CliError("checkpoint %s was trained on a different grammar" % checkpoint)
 
-    target = _target_config(cfg, args)
+    target = _target_config(opt)
     try:
         width = _connect(target)
 
@@ -507,10 +506,10 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_distill(args) -> int:
-    cfg = load_config(args.config)
-    g = _grammar(cfg, args)
-    seeds = _load_seeds(cfg, args, g)
-    target = _target_config(cfg, args)
+    opt = _options(args)
+    g = _grammar(opt)
+    seeds = _load_seeds(opt, g)
+    target = _target_config(opt)
     try:
         width = _connect(target)
         acc = CoverageAccumulator(width)
@@ -524,7 +523,7 @@ def cmd_distill(args) -> int:
     finally:
         target.close()
     kept = distill(entries)
-    out_path = args.out or os.path.join(_seeds_dir(cfg, args), "distilled.txt")
+    out_path = args.out or os.path.join(opt["seeds.dir"], "distilled.txt")
     with open(out_path, "w", encoding="utf-8") as fh:
         for e in kept:
             fh.write(e.case_id + "\n")
@@ -539,8 +538,7 @@ def cmd_distill(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    cfg = load_config(args.config)
-    target = _target_config(cfg, args)
+    target = _target_config(_options(args))
     if not os.path.exists(args.transcript):
         raise CliError("transcript not found: %s" % args.transcript)
     with open(args.transcript, "r", encoding="latin-1") as fh:
@@ -640,67 +638,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="key=value config file")
-        p.add_argument("--grammar", help="grammar file (default: bundled reference grammar)")
-        p.add_argument("--target", help="target base URL")
-        p.add_argument("--token", help="auth token sent with every request")
-        p.add_argument("--seeds-dir", help="seed corpus directory")
+    def command(name, func, help_text, *reads):
+        """Subcommand ``name`` with ``--config`` and a flag for each config
+        key that is, or is under, one of ``reads``."""
+        keys = [k for k in CONFIG_KEYS if any(k == r or k.startswith(r + ".") for r in reads)]
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func, config_keys=keys)
+        if keys:
+            p.add_argument("--config", help="key=value config file")
+        for key in keys:
+            flag, cast, default, flag_help = CONFIG_KEYS[key]
+            if cast is bool:
+                p.add_argument(flag, dest=key, action="store_const", const=not default,
+                               help=flag_help)
+            elif isinstance(cast, tuple):
+                p.add_argument(flag, dest=key, choices=cast, help=flag_help)
+            else:
+                p.add_argument(flag, dest=key, type=cast, help=flag_help)
+        return p
 
-    p = sub.add_parser("seeds", help="generate a seed corpus")
-    common(p)
-    p.add_argument("--max-len", type=int, help="maximum requests per seed chain")
-    p.add_argument("--dict-values", type=int, help="dictionary values per fuzzable type")
-    p.add_argument("--budget-seeds", type=int, help="cap on number of seeds written")
-    p.add_argument("--no-validate", action="store_true", help="skip execution-based validation")
-    p.set_defaults(func=cmd_seeds)
-
-    p = sub.add_parser("train", help="train the autoencoder on a corpus")
-    common(p)
-    p.add_argument("--checkpoint", help="model checkpoint path to write")
-    p.add_argument("--steps", type=int, help="training steps")
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--hidden-dim", type=int)
-    p.add_argument("--embedding-dim", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--max-seq-len", type=int)
-    p.add_argument("--seed", type=int, help="rng seed")
+    command("seeds", cmd_seeds, "generate a seed corpus", "target", "grammar", "seeds")
+    p = command("train", cmd_train, "train the autoencoder on a corpus",
+                "grammar", "seeds.dir", "model", "train")
     p.add_argument(
         "--eval",
         action="store_true",
         help="report reconstruction accuracy and exactly decoded seeds after training",
     )
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("fuzz", help="run a fuzz session")
-    common(p)
-    p.add_argument("--strategy", choices=STRATEGIES, help="mutation strategy")
-    p.add_argument("--budget", type=float, help="wall-clock budget in seconds")
-    p.add_argument("--max-cases", type=int, help="stop after this many executed cases (0 = no cap)")
-    p.add_argument("--seed", type=int, help="rng seed")
-    p.add_argument("--n-scales", type=int, help="noise scales tried per perturbation")
-    p.add_argument("--noise-norm", choices=mu.NOISE_NORMS, help="noise normalisation mode")
-    p.add_argument("--mutate-dependencies", action="store_true", help="allow producer/consumer leaves as targets")
-    p.add_argument("--checkpoint", help="model checkpoint (learned strategy)")
-    p.add_argument("--out", help="session output directory")
-    p.set_defaults(func=cmd_fuzz)
-
-    p = sub.add_parser("distill", help="minimize a corpus by coverage")
-    common(p)
+    command("fuzz", cmd_fuzz, "run a fuzz session",
+            "target", "grammar", "seeds.dir", "model", "fuzz")
+    p = command("distill", cmd_distill, "minimize a corpus by coverage",
+                "target", "grammar", "seeds.dir")
     p.add_argument("--out", help="file to write kept seed ids to")
-    p.set_defaults(func=cmd_distill)
-
-    p = sub.add_parser("replay", help="re-send a recorded transcript")
-    common(p)
+    p = command("replay", cmd_replay, "re-send a recorded transcript", "target")
     p.add_argument("transcript", help="transcript file from a fuzz session")
     p.add_argument("--no-reset", action="store_true", help="do not reset target state first")
-    p.set_defaults(func=cmd_replay)
-
-    p = sub.add_parser("report", help="emit coverage and bug tables for sessions")
+    p = command("report", cmd_report, "emit coverage and bug tables for sessions")
     p.add_argument("--session", nargs="+", required=True, help="fuzz session directories")
     p.add_argument("--out", help="directory for report files (default: first session)")
-    p.set_defaults(func=cmd_report)
-
     return parser
 
 

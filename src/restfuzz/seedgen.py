@@ -135,6 +135,11 @@ def generate_seeds(
 ) -> SeedCorpus:
     """Enumerate and instantiate seeds; optionally keep only seeds whose
     execution against ``validate_cfg`` yields all-2xx responses."""
+    for name, value in (
+        ("max_len", max_len), ("dict_values_per_type", dict_values_per_type), ("budget", budget)
+    ):
+        if value is not None and value < 1:
+            raise ValueError("%s must be >= 1, got %d" % (name, value))
     if validate_cfg is not None:
         from .execution import execute_test_case, reset_target_state
 

@@ -94,6 +94,45 @@ def test_get_precedence_and_casts():
         cli._get(cfg, None, "fuzz.budget_s", 1.0, float)
 
 
+def test_config_keys_are_unchanged():
+    assert set(cli.CONFIG_KEYS) == {
+        "target.base_url", "target.token", "grammar.path", "model.checkpoint",
+        "seeds.dir", "seeds.max_len", "seeds.dict_values", "seeds.budget", "seeds.validate",
+        "train.steps", "train.batch_size", "train.hidden_dim", "train.embedding_dim",
+        "train.learning_rate", "train.max_seq_len", "train.rng_seed",
+        "fuzz.strategy", "fuzz.budget_s", "fuzz.n_scales", "fuzz.rng_seed",
+        "fuzz.mutate_dependencies", "fuzz.noise_norm", "fuzz.max_cases", "fuzz.out_dir",
+    }
+
+
+def test_each_command_takes_the_flags_it_reads():
+    # train and replay take no --target/--token or --grammar/--seeds-dir:
+    # they never read those keys
+    common = {"-h", "--help", "--config"}
+    target, corpus = {"--target", "--token"}, {"--grammar", "--seeds-dir"}
+    expected = {
+        "seeds": common | target | corpus
+        | {"--max-len", "--dict-values", "--budget-seeds", "--no-validate"},
+        "train": common | corpus | {
+            "--checkpoint", "--steps", "--batch-size", "--hidden-dim", "--embedding-dim",
+            "--learning-rate", "--max-seq-len", "--seed", "--eval",
+        },
+        "fuzz": common | target | corpus | {
+            "--strategy", "--budget", "--max-cases", "--seed", "--n-scales", "--noise-norm",
+            "--mutate-dependencies", "--checkpoint", "--out",
+        },
+        "distill": common | target | corpus | {"--out"},
+        "replay": common | target | {"--no-reset"},
+        "report": {"-h", "--help", "--session", "--out"},
+    }
+    (sub,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    got = {
+        name: {s for action in p._actions for s in action.option_strings}
+        for name, p in sub.choices.items()
+    }
+    assert got == expected
+
+
 # ------------------------------------------------------ pipeline fixture
 
 
@@ -286,6 +325,63 @@ def test_train_needs_seeds(tmp_path, capsys):
     )
     assert rc == 1
     assert "no seeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", "--hidden-dim", "0"], "hidden_dim must be >= 1, got 0"),
+        (["train", "--batch-size", "0"], "batch_size must be >= 1, got 0"),
+        (["train", "--steps", "-3"], "steps must be >= 0, got -3"),
+        (["train", "--learning-rate", "nan"], "learning_rate must be > 0, got nan"),
+        (["train", "--seed", "-1"], "rng_seed must be >= 0, got -1"),
+        (["seeds", "--dict-values", "0"], "dict_values_per_type must be >= 1, got 0"),
+        (["seeds", "--max-len", "0"], "max_len must be >= 1, got 0"),
+        (["seeds", "--budget-seeds", "0"], "budget must be >= 1, got 0"),
+    ],
+    ids=["hidden-dim", "batch-size", "steps", "learning-rate", "seed", "dict-values", "max-len",
+         "budget-seeds"],
+)
+def test_train_and_seeds_reject_out_of_range_values(pipeline, tmp_path, capsys, argv, message):
+    # seeds validates against a dead target: the check comes before any request
+    if argv[0] == "train":
+        where = ["--seeds-dir", pipeline["seeds_dir"], "--checkpoint", str(tmp_path / "m")]
+    else:
+        where = ["--target", DEAD_URL, "--seeds-dir", str(tmp_path / "seeds")]
+    assert cli.main(argv + where) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_and_fuzz_agree_on_a_checkpoint_path_without_suffix(
+    pipeline, live_target, tmp_path, capsys
+):
+    model = str(tmp_path / "model")
+    argv = ["train", "--seeds-dir", pipeline["seeds_dir"], "--checkpoint", model,
+            "--steps", "2", "--hidden-dim", "8", "--embedding-dim", "4"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.endswith("; checkpoint %s.npz\n" % model)
+    argv = ["fuzz", "--target", live_target.base_url, "--seeds-dir", pipeline["seeds_dir"],
+            "--strategy", "learned", "--checkpoint", model, "--max-cases", "3",
+            "--out", str(tmp_path / "s")]
+    assert cli.main(argv) == 0
+
+
+def test_train_hyperparams_default_to_hyperparams(pipeline, tmp_path, monkeypatch):
+    seen = []
+
+    def captured(sequences, hp, **kwargs):
+        seen.append(hp)
+        raise ValueError("captured")  # skip the training itself
+
+    monkeypatch.setattr(ae, "train", captured)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("train.hidden_dim = 8\ntrain.steps = 9\n")
+    argv = ["train", "--seeds-dir", pipeline["seeds_dir"], "--checkpoint", str(tmp_path / "m")]
+    assert cli.main(argv) == 1
+    assert cli.main(argv + ["--config", str(cfg), "--steps", "5"]) == 1
+    assert seen == [ae.Hyperparams(), ae.Hyperparams(hidden_dim=8, steps=5)]
+    assert not (tmp_path / "m.npz").exists()
 
 
 @pytest.mark.parametrize("strategy", cli.STRATEGIES)
@@ -744,10 +840,11 @@ def test_fuzz_rejects_unknown_strategy_from_config(tmp_path, capsys):
         ("", ["--n-scales", "0"], "n_scales must be >= 1, got 0"),
         ("", ["--budget", "nan"], "budget_s must be > 0, got nan"),
         ("", ["--max-cases", "-1"], "max_cases must be >= 0 (0 = no cap), got -1"),
+        ("", ["--seed", "-1"], "rng_seed must be >= 0, got -1"),
         ("", ["--checkpoint", "old.npz"], "cannot load checkpoint old.npz: "
          "unsupported checkpoint version 1"),
     ],
-    ids=["noise-norm-from-config", "n-scales", "budget", "max-cases", "checkpoint-version"],
+    ids=["noise-norm-from-config", "n-scales", "budget", "max-cases", "seed", "checkpoint-version"],
 )
 def test_fuzz_checks_its_settings_before_it_connects(
     pipeline, tmp_path, monkeypatch, capsys, config, extra, message
