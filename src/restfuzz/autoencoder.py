@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from typing import NamedTuple
 
 import numpy as np
@@ -682,6 +682,10 @@ def load_model(path: str) -> Model:
     header = json.loads(bytes(data["header"]).decode("utf-8"))
     if header.get("version") != CHECKPOINT_VERSION:
         raise ValueError("unsupported checkpoint version %r" % header.get("version"))
+    unknown = sorted(set(header["hp"]) - {f.name for f in fields(Hyperparams)})
+    if unknown:
+        names = ", ".join(map(repr, unknown))
+        raise ValueError("unknown hyperparameter %s in checkpoint header" % names)
     hp = Hyperparams(**header["hp"])
     params = {
         k: data[k] for k in data.files if k not in ("header", "loss_history")

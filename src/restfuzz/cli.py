@@ -45,7 +45,7 @@ from .execution import (
 )
 from .grammar import load_grammar, packaged_reference_grammar
 from .parsing import ParseError, TestCase
-from .seedgen import generate_seeds, load_corpus, write_corpus
+from .seedgen import check_seed_settings, generate_seeds, load_corpus, write_corpus
 
 STRATEGIES = ("byte", "tree", "learned")
 
@@ -85,9 +85,6 @@ CONFIG_KEYS = {
     "fuzz.n_scales": ("--n-scales", int, mu.DEFAULT_N_SCALES,
                       "noise scales tried per perturbation"),
     "fuzz.rng_seed": ("--seed", int, 0, "rng seed"),
-    "fuzz.mutate_dependencies": ("--mutate-dependencies", bool, False,
-                                 "allow producer/consumer leaves as targets"),
-    "fuzz.noise_norm": ("--noise-norm", mu.NOISE_NORMS, "z", "noise normalisation mode"),
     "fuzz.max_cases": ("--max-cases", int, 0, "stop after this many executed cases (0 = no cap)"),
     "fuzz.out_dir": ("--out", str, None, "session output directory (default: session-STRATEGY)"),
 }
@@ -182,6 +179,13 @@ def _load_seeds(opt: dict, g):
 def cmd_seeds(args) -> int:
     opt = _options(args)
     g = _grammar(opt)
+    try:
+        check_seed_settings(opt["seeds.max_len"], opt["seeds.dict_values"], opt["seeds.budget"])
+        os.makedirs(opt["seeds.dir"], exist_ok=True)  # before any validation request
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    except OSError as exc:
+        raise CliError("cannot write seeds: %s" % exc) from None
     validate_cfg = _target_config(opt) if opt["seeds.validate"] else None
     try:
         corpus = generate_seeds(
@@ -202,7 +206,10 @@ def cmd_seeds(args) -> int:
     finally:
         if validate_cfg is not None:
             validate_cfg.close()
-    write_corpus(corpus, opt["seeds.dir"])
+    try:
+        write_corpus(corpus, opt["seeds.dir"])
+    except OSError as exc:
+        raise CliError("cannot write seeds: %s" % exc) from None
     print(
         "wrote %d seeds to %s (max_len=%d dict_values=%d%s)"
         % (
@@ -282,33 +289,26 @@ def _byte_case_stream(seeds, rng):
         i += 1
 
 
-def _tree_case_stream(seeds, g, rng, mutate_dependencies):
+def _tree_case_stream(seeds, g, rng):
     """Cycle seeds; each visit flips one random leaf.  A mutant keeps its
     seed's shape (see ``apply_plan``), so it reuses the seed's views."""
     i = 0
     while True:
         seed_id, tc = seeds[i % len(seeds)]
-        mutant, plan = mu.mutate_tree_random(
-            tc.seq, g, rng, seed_id, mutate_dependencies=mutate_dependencies
-        )
+        mutant, plan = mu.mutate_tree_random(tc.seq, g, rng, seed_id)
         yield seed_id, TestCase(mutant, tc.requests), None, plan
         i += 1
 
 
-def _learned_case_stream(seeds, g, model, rng, n_scales, noise_norm, mutate_dependencies):
+def _learned_case_stream(seeds, g, model, rng, n_scales):
     """Cycle seeds; each visit perturbs the embedding afresh and yields
     every planned mutation before moving on."""
     i = 0
     while True:
         seed_id, tc = seeds[i % len(seeds)]
         i += 1
-        pr = mu.perturb_and_select(
-            model, tc.seq, rng, n_scales=n_scales, noise_norm=noise_norm
-        )
-        plans = mu.plan_learned_mutations(
-            tc.seq, pr, g, seed_id, rng, mutate_dependencies=mutate_dependencies
-        )
-        for plan in plans:
+        pr = mu.perturb_and_select(model, tc.seq, rng, n_scales=n_scales)
+        for plan in mu.plan_learned_mutations(tc.seq, pr, g, seed_id, rng):
             mutant = mu.apply_plan(tc.seq, plan, g)
             yield seed_id, TestCase(mutant, tc.requests), None, plan
 
@@ -369,8 +369,6 @@ def cmd_fuzz(args) -> int:
     budget_s = opt["fuzz.budget_s"]
     n_scales = opt["fuzz.n_scales"]
     rng_seed = opt["fuzz.rng_seed"]
-    mutate_dependencies = opt["fuzz.mutate_dependencies"]
-    noise_norm = opt["fuzz.noise_norm"]
     max_cases = opt["fuzz.max_cases"]
     if not budget_s > 0:  # NaN included: it would never run out
         raise CliError("budget_s must be > 0, got %r" % budget_s)
@@ -378,10 +376,6 @@ def cmd_fuzz(args) -> int:
         raise CliError("n_scales must be >= 1, got %d" % n_scales)
     if rng_seed < 0:
         raise CliError("rng_seed must be >= 0, got %d" % rng_seed)
-    if noise_norm not in mu.NOISE_NORMS:
-        raise CliError(
-            "unknown noise_norm %r (choose from %s)" % (noise_norm, "/".join(mu.NOISE_NORMS))
-        )
     if max_cases < 0:
         raise CliError("max_cases must be >= 0 (0 = no cap), got %d" % max_cases)
     out_dir = opt["fuzz.out_dir"] or "session-%s" % strategy
@@ -411,11 +405,9 @@ def cmd_fuzz(args) -> int:
         if strategy == "byte":
             stream = _byte_case_stream(seeds, rng)
         elif strategy == "tree":
-            stream = _tree_case_stream(seeds, g, rng, mutate_dependencies)
+            stream = _tree_case_stream(seeds, g, rng)
         else:
-            stream = _learned_case_stream(
-                seeds, g, model, rng, n_scales, noise_norm, mutate_dependencies
-            )
+            stream = _learned_case_stream(seeds, g, model, rng, n_scales)
 
         os.makedirs(out_dir, exist_ok=True)
         os.makedirs(os.path.join(out_dir, BUG_DIR), exist_ok=True)
@@ -479,8 +471,6 @@ def cmd_fuzz(args) -> int:
             "budget_s": budget_s,
             "max_cases": max_cases,
             "n_scales": n_scales,
-            "noise_norm": noise_norm,
-            "mutate_dependencies": mutate_dependencies,
             "n_seeds": len(seeds),
             "grammar_hash": g.grammar_hash(),
             "block_count": width,
@@ -509,6 +499,9 @@ def cmd_distill(args) -> int:
     opt = _options(args)
     g = _grammar(opt)
     seeds = _load_seeds(opt, g)
+    out_path = args.out or os.path.join(opt["seeds.dir"], "distilled.txt")
+    if os.path.isdir(out_path) or not os.path.isdir(os.path.dirname(out_path) or "."):
+        raise CliError("cannot write %s: not a file in an existing directory" % out_path)
     target = _target_config(opt)
     try:
         width = _connect(target)
@@ -523,7 +516,6 @@ def cmd_distill(args) -> int:
     finally:
         target.close()
     kept = distill(entries)
-    out_path = args.out or os.path.join(opt["seeds.dir"], "distilled.txt")
     with open(out_path, "w", encoding="utf-8") as fh:
         for e in kept:
             fh.write(e.case_id + "\n")
@@ -539,10 +531,13 @@ def cmd_distill(args) -> int:
 
 def cmd_replay(args) -> int:
     target = _target_config(_options(args))
-    if not os.path.exists(args.transcript):
-        raise CliError("transcript not found: %s" % args.transcript)
-    with open(args.transcript, "r", encoding="latin-1") as fh:
-        text = fh.read()
+    try:
+        with open(args.transcript, "r", encoding="latin-1") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise CliError("transcript not found: %s" % args.transcript) from None
+    except OSError as exc:
+        raise CliError("cannot read transcript: %s" % exc) from None
     try:
         if not args.no_reset:
             reset_target_state(target)

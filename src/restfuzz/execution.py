@@ -26,7 +26,7 @@ import json
 import re
 import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from urllib.parse import urlsplit
 
 from .grammar import Grammar, escape, unescape
@@ -38,7 +38,7 @@ DEFAULT_TIMEOUT_MS = 5000.0
 DEFAULT_AUTH_HEADER = "PRIVATE-TOKEN"
 DEFAULT_AUTH_VALUE = "DRiX47nuEP2AR"
 # response-body JSON paths used to pull fresh resource ids, per resource type
-DEFAULT_EXTRACTIONS = {
+EXTRACTIONS = {
     "project-id": "id",
     "branch-name": "branch",
 }
@@ -58,15 +58,13 @@ class TransportError(Exception):
 class TargetConfig:
     """Where and how to reach the service under test.  Also holds the
     case connection and the control connection for side-channel calls,
-    for one thread at a time."""
+    for one thread at a time.  Which response fields bind resource ids
+    is fixed by ``EXTRACTIONS``, not per target."""
 
     base_url: str
     auth_header: str = DEFAULT_AUTH_HEADER
     auth_value: str = DEFAULT_AUTH_VALUE
     timeout_ms: float = DEFAULT_TIMEOUT_MS
-    extractions: dict[str, str] = field(
-        default_factory=lambda: dict(DEFAULT_EXTRACTIONS)
-    )
 
     def __post_init__(self):
         parts = urlsplit(self.base_url)
@@ -380,14 +378,14 @@ class _Resolver:
 
 
 def execute_test_case(
-    x,
+    tc: TestCase,
     g: Grammar,
     cfg: TargetConfig,
     case_id: str = "case",
     request_text_transform=None,
     per_request_bitmaps=None,
 ) -> ExecutionResult:
-    """Send every request of ``x`` in order on ``cfg``'s case connection,
+    """Send every request of ``tc`` in order on ``cfg``'s case connection,
     resolving dependencies.  The connection stays open for the next case.
 
     ``request_text_transform(text, request_index) -> text`` lets the
@@ -403,7 +401,6 @@ def execute_test_case(
     ``NO_RESPONSE_STATUS`` record.  The target clears a request's blocks
     when it builds the answer, so a lost answer leaves none behind.
     """
-    tc = x if isinstance(x, TestCase) else TestCase.from_sequence(x, g)
     bindings: dict[str, str] = {}
     resolver = _Resolver(tc.seq, g, bindings)
     records: list[RequestRecord] = []
@@ -439,8 +436,8 @@ def execute_test_case(
                 bitmap=per_request_bitmaps(window) if per_request_bitmaps else None,
             )
         )
-        doc = _parse_body(body) if cfg.extractions else None
-        for resource, path_spec in cfg.extractions.items():
+        doc = _parse_body(body)
+        for resource, path_spec in EXTRACTIONS.items():
             value = extract_resource_id(doc, path_spec)
             if value is not None:
                 bindings[resource] = value

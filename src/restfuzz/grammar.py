@@ -103,7 +103,7 @@ def unescape(text: str) -> str:
     return "".join(out)
 
 
-def escape(text: str, quote: bool = False) -> str:
+def escape(text: str) -> str:
     """Inverse of :func:`unescape`; non-printable bytes become \\xNN."""
     out = []
     for ch in text:
@@ -112,8 +112,6 @@ def escape(text: str, quote: bool = False) -> str:
             raise GrammarError("codepoint %r outside byte range" % ch)
         if ch == "\\":
             out.append("\\\\")
-        elif quote and ch == '"':
-            out.append('\\"')
         elif ch == "\n":
             out.append("\\n")
         elif ch == "\r":

@@ -14,9 +14,8 @@ Three mutant families over seed test cases:
 * tree baseline: flip one random leaf of the derivation to one random
   terminal rule.
 
-Leaves holding producer/consumer slots are left alone by default so
-that mutants still resolve their dependencies; pass
-``mutate_dependencies=True`` to lift that.
+Leaves holding producer/consumer slots are never mutation targets, so
+that mutants still resolve their dependencies.
 """
 
 from dataclasses import dataclass, field
@@ -28,10 +27,9 @@ from .grammar import DEPENDENCY_KINDS, TERMINAL, Grammar, terminal_rules
 from .parsing import RuleSequence, leaf_diff, leaf_rule_ids
 
 DEFAULT_N_SCALES = 8
-DEFAULT_K_MAX = 4
+K_MAX = 4  # most (offset, byte) pairs in one value's pollution
 DEFAULT_POLLUTION_RATE = 0.5
 NORM_FALLBACK = 1.0
-NOISE_NORMS = ("z", "delta")
 
 # Half of all pollution bytes come from this dictionary of delimiters,
 # quote/escape characters and non-ASCII bytes; uniform bytes alone
@@ -107,57 +105,40 @@ def perturb_and_select(
     x: RuleSequence,
     rng: np.random.Generator,
     n_scales: int = DEFAULT_N_SCALES,
-    noise_norm: str = "z",
 ) -> PerturbResult:
     """Sweep noise scales 2^0 .. 2^(n_scales-1) and keep the decode at
     the smallest scale that changes the output.
 
-    Each scale draws a fresh standard-normal vector, rescaled by
-    2^j divided by the embedding norm (``noise_norm="z"``) or by the
-    draw's own norm (``noise_norm="delta"``); a zero norm falls back
-    to 1 so the sweep still applies usable noise.
+    Each scale draws a fresh standard-normal vector, rescaled by 2^j
+    divided by the embedding's norm; a zero norm falls back to 1 so the
+    sweep still applies usable noise.
     """
     if n_scales < 1:
         raise ValueError("n_scales must be >= 1")
-    if noise_norm not in NOISE_NORMS:
-        raise ValueError("noise_norm must be 'z' or 'delta'")
     z = encode(m, x).vector.astype(np.float64)
-    z_norm = float(np.linalg.norm(z))
+    norm = float(np.linalg.norm(z)) or NORM_FALLBACK
     decoded: list[int] = list(x.tokens)
     for j in range(n_scales):
         delta = rng.standard_normal(z.shape[0])
-        norm = z_norm if noise_norm == "z" else float(np.linalg.norm(delta))
-        if norm == 0.0:
-            norm = NORM_FALLBACK
         decoded = decode(m, z + delta * (2.0 ** j / norm))
         if decoded != x.tokens:
             return PerturbResult(x_min=decoded, scale_exponent=j, differs=True)
     return PerturbResult(x_min=decoded, scale_exponent=n_scales - 1, differs=False)
 
 
-def mutation_targets(
-    x: RuleSequence, g: Grammar, mutate_dependencies: bool = False
-) -> list[int]:
-    """Leaf ordinals of ``x`` eligible as mutation targets."""
-    out = []
-    for ordinal in range(x.n_leaves()):
-        if not mutate_dependencies and x.leaf_rule(ordinal, g).lhs in DEPENDENCY_KINDS:
-            continue
-        out.append(ordinal)
-    return out
+def mutation_targets(x: RuleSequence, g: Grammar) -> list[int]:
+    """Leaf ordinals of ``x`` eligible as mutation targets: every leaf
+    but the producer/consumer slots."""
+    return [o for o in range(x.n_leaves()) if x.leaf_rule(o, g).lhs not in DEPENDENCY_KINDS]
 
 
-def draw_byte_noise(
-    length: int, rng: np.random.Generator, k_max: int = DEFAULT_K_MAX
-) -> list[tuple[int, int]]:
-    """Draw 1..k_max (offset, byte) pollution pairs for a value of the
+def draw_byte_noise(length: int, rng: np.random.Generator) -> list[tuple[int, int]]:
+    """Draw 1..K_MAX (offset, byte) pollution pairs for a value of the
     given length.  Offsets may repeat; the last write wins.  Each byte
     is drawn from ``SPECIAL_BYTES`` or uniformly, with equal odds."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
     if length < 1:
         raise ValueError("cannot draw byte noise for an empty value")
-    k = int(rng.integers(1, k_max + 1))
+    k = int(rng.integers(1, K_MAX + 1))
     noise = []
     for _ in range(k):
         offset = int(rng.integers(0, length))
@@ -187,21 +168,20 @@ def plan_learned_mutations(
     g: Grammar,
     seed_id: str,
     rng: np.random.Generator,
-    mutate_dependencies: bool = False,
-    k_max: int = DEFAULT_K_MAX,
     pollution_rate: float = DEFAULT_POLLUTION_RATE,
 ) -> list[MutationPlan]:
     """Expand a perturbation into concrete single-leaf plans.
 
     Leaves are aligned by ordinal between the seed and the perturbed
-    decode.  Leaves that kept their rule are paired with every terminal
-    rule the seed never uses; leaves that changed are paired with every
-    terminal rule the decode does use.  A ``pollution_rate`` fraction of
-    the plans get their own fresh byte noise sized to the replacement
-    value; the rest apply the replacement rule verbatim.
+    decode; dependency slots are skipped (see ``mutation_targets``).
+    Leaves that kept their rule are paired with every terminal rule the
+    seed never uses; leaves that changed are paired with every terminal
+    rule the decode does use.  A ``pollution_rate`` fraction of the
+    plans get their own fresh byte noise sized to the replacement value;
+    the rest apply the replacement rule verbatim.
     """
     diff = leaf_diff(x.tokens, pr.x_min, g)
-    allowed = set(mutation_targets(x, g, mutate_dependencies))
+    allowed = set(mutation_targets(x, g))
     present = x.terminal_rule_ids(g)
     unseen = [r.rule_id for r in terminal_rules(g) if r.rule_id not in present]
     decode_rules = sorted(set(leaf_rule_ids(pr.x_min, g)))
@@ -213,28 +193,22 @@ def plan_learned_mutations(
             continue
         for rule_id in unseen:
             plans.append(
-                _plan(
-                    seed_id, ordinal, rule_id, CASE_UNSEEN_RULE, g, rng, k_max,
-                    pollution_rate,
-                )
+                _plan(seed_id, ordinal, rule_id, CASE_UNSEEN_RULE, g, rng, pollution_rate)
             )
     for ordinal in diff.different:
         if ordinal >= n_leaves or ordinal not in allowed:
             continue
         for rule_id in decode_rules:
             plans.append(
-                _plan(
-                    seed_id, ordinal, rule_id, CASE_DECODE_RULE, g, rng, k_max,
-                    pollution_rate,
-                )
+                _plan(seed_id, ordinal, rule_id, CASE_DECODE_RULE, g, rng, pollution_rate)
             )
     return plans
 
 
-def _plan(seed_id, ordinal, rule_id, case, g, rng, k_max, pollution_rate) -> MutationPlan:
+def _plan(seed_id, ordinal, rule_id, case, g, rng, pollution_rate) -> MutationPlan:
     value = g.rules[rule_id].value or ""
     polluted = bool(value) and rng.random() < pollution_rate
-    noise = draw_byte_noise(len(value), rng, k_max) if polluted else []
+    noise = draw_byte_noise(len(value), rng) if polluted else []
     return MutationPlan(
         seed_id=seed_id,
         target_leaf=ordinal,
@@ -285,17 +259,16 @@ def apply_plan(x: RuleSequence, plan: MutationPlan, g: Grammar) -> RuleSequence:
     return mutant
 
 
-def mutate_bytes(raw, rng: np.random.Generator):
-    """Flip exactly one byte of rendered request text.  Accepts str
-    (latin-1 convention) or bytes and returns the same type; length is
-    preserved and the flipped byte always changes value."""
-    is_text = isinstance(raw, str)
-    buf = bytearray(raw.encode("latin-1") if is_text else raw)
+def mutate_bytes(text: str, rng: np.random.Generator) -> str:
+    """Flip exactly one byte of rendered request text (latin-1
+    convention); length is preserved and the flipped byte always changes
+    value."""
+    buf = bytearray(text.encode("latin-1"))
     if not buf:
         raise ValueError("cannot byte-flip empty input")
     pos = int(rng.integers(0, len(buf)))
     buf[pos] = (buf[pos] + 1 + int(rng.integers(0, 255))) % 256
-    return buf.decode("latin-1") if is_text else bytes(buf)
+    return buf.decode("latin-1")
 
 
 def mutate_tree_random(
@@ -303,12 +276,11 @@ def mutate_tree_random(
     g: Grammar,
     rng: np.random.Generator,
     seed_id: str = "seed",
-    mutate_dependencies: bool = False,
 ) -> tuple[RuleSequence, MutationPlan]:
     """Baseline tree mutation: one uniformly random eligible leaf is
     flipped to one uniformly random terminal rule (possibly the same
     rule, in which case the mutant equals the input)."""
-    targets = mutation_targets(x, g, mutate_dependencies)
+    targets = mutation_targets(x, g)
     if not targets:
         raise ValueError("test case has no eligible mutation targets")
     rules = terminal_rules(g)

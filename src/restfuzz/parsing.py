@@ -351,10 +351,9 @@ def render_request(view: RequestView, value_of) -> str:
     return "\n".join(lines)
 
 
-def render(x: RuleSequence | TestCase, g: Grammar) -> str:
-    """Render a rule sequence to seed-file text (placeholder mode:
+def render(tc: TestCase, g: Grammar) -> str:
+    """Render a test case to seed-file text (placeholder mode:
     unresolved dependency slots keep their ``{{producer:...}}`` marker)."""
-    tc = x if isinstance(x, TestCase) else TestCase.from_sequence(x, g)
     blocks = [render_request(view, lambda i: tc.seq.leaf_value(i, g)) for view in tc.requests]
     return "\n\n".join(blocks) + "\n"
 

@@ -125,6 +125,15 @@ def build_case(g: Grammar, chain: tuple[str, ...], values_per_request) -> TestCa
     return TestCase.from_leaves(g, leaves)
 
 
+def check_seed_settings(max_len: int, dict_values_per_type: int, budget: int | None) -> None:
+    """Raise ValueError for a count below 1 (``budget`` None means no cap)."""
+    for name, value in (
+        ("max_len", max_len), ("dict_values_per_type", dict_values_per_type), ("budget", budget)
+    ):
+        if value is not None and value < 1:
+            raise ValueError("%s must be >= 1, got %d" % (name, value))
+
+
 def generate_seeds(
     g: Grammar,
     max_len: int,
@@ -135,11 +144,7 @@ def generate_seeds(
 ) -> SeedCorpus:
     """Enumerate and instantiate seeds; optionally keep only seeds whose
     execution against ``validate_cfg`` yields all-2xx responses."""
-    for name, value in (
-        ("max_len", max_len), ("dict_values_per_type", dict_values_per_type), ("budget", budget)
-    ):
-        if value is not None and value < 1:
-            raise ValueError("%s must be >= 1, got %d" % (name, value))
+    check_seed_settings(max_len, dict_values_per_type, budget)
     if validate_cfg is not None:
         from .execution import execute_test_case, reset_target_state
 

@@ -3,6 +3,7 @@ through ``main(argv)`` against the live reference service."""
 
 import csv
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from restfuzz import autoencoder as ae, cli, coverage, execution
+from restfuzz import autoencoder as ae, cli, coverage, execution, mutation
 from restfuzz.execution import execute_test_case, reset_target_state, write_transcript
 from restfuzz.seedgen import build_case, load_corpus
 from restfuzz.target import serve
@@ -101,7 +102,7 @@ def test_config_keys_are_unchanged():
         "train.steps", "train.batch_size", "train.hidden_dim", "train.embedding_dim",
         "train.learning_rate", "train.max_seq_len", "train.rng_seed",
         "fuzz.strategy", "fuzz.budget_s", "fuzz.n_scales", "fuzz.rng_seed",
-        "fuzz.mutate_dependencies", "fuzz.noise_norm", "fuzz.max_cases", "fuzz.out_dir",
+        "fuzz.max_cases", "fuzz.out_dir",
     }
 
 
@@ -118,8 +119,8 @@ def test_each_command_takes_the_flags_it_reads():
             "--learning-rate", "--max-seq-len", "--seed", "--eval",
         },
         "fuzz": common | target | corpus | {
-            "--strategy", "--budget", "--max-cases", "--seed", "--n-scales", "--noise-norm",
-            "--mutate-dependencies", "--checkpoint", "--out",
+            "--strategy", "--budget", "--max-cases", "--seed", "--n-scales", "--checkpoint",
+            "--out",
         },
         "distill": common | target | corpus | {"--out"},
         "replay": common | target | {"--no-reset"},
@@ -253,6 +254,35 @@ def test_seeds_validation_needs_target(tmp_path, capsys):
     )
     assert rc == 1
     assert "--no-validate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["seeds", "--seeds-dir", ""],
+         "cannot write seeds: [Errno 2] No such file or directory: ''"),
+        (["seeds", "--seeds-dir", "afile/sub"],
+         "cannot write seeds: [Errno 20] Not a directory: 'afile/sub'"),
+        (["distill", "--out", "nodir/kept.txt"],
+         "cannot write nodir/kept.txt: not a file in an existing directory"),
+        (["replay", "adir"], "cannot read transcript: [Errno 21] Is a directory: 'adir'"),
+    ],
+    ids=["seeds-dir-empty", "seeds-dir-under-a-file", "distill-out-dir-missing",
+         "replay-a-directory"],
+)
+def test_commands_check_their_paths_before_they_connect(
+    pipeline, tmp_path, monkeypatch, capsys, argv, message
+):
+    # the target is dead, so a path checked only after a request would be
+    # reported as an unreachable target instead
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "adir").mkdir()
+    where = ["--target", DEAD_URL]
+    if argv[0] == "distill":
+        where += ["--seeds-dir", pipeline["seeds_dir"]]
+    assert cli.main(argv + where) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def test_train_rejects_tight_max_seq_len(pipeline, capsys):
@@ -438,6 +468,10 @@ def test_fuzz_calls_benchmark_hooks_through_cli(pipeline, live_target, tmp_path,
     assert calls["reset_target_state"] == 8  # plus the reachability check
     assert calls["fetch_and_reset_coverage"] >= 7
     assert calls["load_grammar"] == calls["load_corpus"] == calls["_byte_case_stream"] == 1
+    # the tracer takes the fourth positional argument of each planning call
+    # as the visited seed's id
+    params = list(inspect.signature(mutation.plan_learned_mutations).parameters)
+    assert params[:5] == ["x", "pr", "g", "seed_id", "rng"]
 
 
 def test_fuzz_session_reuses_its_connections(pipeline, live_target, tmp_path, monkeypatch):
@@ -836,15 +870,19 @@ def test_fuzz_rejects_unknown_strategy_from_config(tmp_path, capsys):
 @pytest.mark.parametrize(
     "config, extra, message",
     [
-        ("fuzz.noise_norm = foo\n", [], "unknown noise_norm 'foo' (choose from z/delta)"),
+        # a setting that no longer exists fails loudly instead of being ignored
+        ("fuzz.noise_norm = z\n", [], "c.cfg:1: unknown config key 'fuzz.noise_norm'"),
         ("", ["--n-scales", "0"], "n_scales must be >= 1, got 0"),
         ("", ["--budget", "nan"], "budget_s must be > 0, got nan"),
         ("", ["--max-cases", "-1"], "max_cases must be >= 0 (0 = no cap), got -1"),
         ("", ["--seed", "-1"], "rng_seed must be >= 0, got -1"),
         ("", ["--checkpoint", "old.npz"], "cannot load checkpoint old.npz: "
          "unsupported checkpoint version 1"),
+        ("", ["--checkpoint", "bogus.npz"], "cannot load checkpoint bogus.npz: "
+         "unknown hyperparameter 'bogus' in checkpoint header"),
     ],
-    ids=["noise-norm-from-config", "n-scales", "budget", "max-cases", "seed", "checkpoint-version"],
+    ids=["noise-norm-from-config", "n-scales", "budget", "max-cases", "seed", "checkpoint-version",
+         "checkpoint-hyperparameter"],
 )
 def test_fuzz_checks_its_settings_before_it_connects(
     pipeline, tmp_path, monkeypatch, capsys, config, extra, message
@@ -853,6 +891,12 @@ def test_fuzz_checks_its_settings_before_it_connects(
     (tmp_path / "c.cfg").write_text(config)
     header = json.dumps({"version": 1}).encode()  # written before the last version bump
     np.savez(tmp_path / "old.npz", header=np.frombuffer(header, dtype=np.uint8))
+    with np.load(pipeline["checkpoint"]) as saved:
+        arrays = dict(saved)
+    header = json.loads(bytes(arrays["header"]))
+    header["hp"]["bogus"] = 1  # a field that Hyperparams does not have
+    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    np.savez(tmp_path / "bogus.npz", **arrays)
     argv = [
         "fuzz", "--config", "c.cfg", "--target", DEAD_URL, "--seeds-dir", pipeline["seeds_dir"],
         "--strategy", "learned", "--checkpoint", pipeline["checkpoint"], "--out", "s",
@@ -896,24 +940,6 @@ def test_fuzz_unreachable_target(pipeline, tmp_path, capsys):
     )
     assert rc == 1
     assert "unreachable" in capsys.readouterr().err
-
-
-def test_fuzz_config_controls_dependencies_toggle(
-    pipeline, live_target, tmp_path
-):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("fuzz.mutate_dependencies=true\n")
-    out = str(tmp_path / "dep")
-    rc = _fuzz(
-        pipeline,
-        live_target,
-        "tree",
-        out,
-        extra=["--config", str(cfg), "--max-cases", "5", "--budget", "30"],
-    )
-    assert rc == 0
-    with open(os.path.join(out, cli.SESSION_JSON)) as fh:
-        assert json.load(fh)["mutate_dependencies"] is True
 
 
 def test_distill_command(pipeline, live_target, tmp_path, capsys):

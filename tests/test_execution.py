@@ -166,7 +166,7 @@ def test_pinned_payload_beats_live_binding(ref_grammar, target_cfg):
     pos = seq.leaf_index[dep_ord]
     seq.payloads[pos] = "no-such-project"
     seq.pinned.add(pos)
-    result = ex.execute_test_case(seq, ref_grammar, target_cfg)
+    result = ex.execute_test_case(tc, ref_grammar, target_cfg)
     assert "/api/projects/no-such-project/" in result.records[1].request_text
     assert result.statuses == [201, 404]
 
@@ -667,7 +667,7 @@ def test_transcript_round_trip_with_raw_payload_bytes(ref_grammar, target_cfg):
     pos = seq.leaf_index[str_ord]
     seq.payloads[pos] = "A\xffB\x01"
     seq.pinned.add(pos)
-    result = ex.execute_test_case(seq, ref_grammar, target_cfg)
+    result = ex.execute_test_case(tc, ref_grammar, target_cfg)
     text = ex.write_transcript(result)
     entries = ex.load_transcript(text)
     assert len(entries) == 1

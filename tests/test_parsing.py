@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from restfuzz.grammar import TERMINAL, loads
@@ -161,7 +163,7 @@ def test_payload_overrides_render_and_pinning(ping_grammar):
     rs = tc.seq.copy()
     pos = rs.leaf_index[3]  # the body string leaf
     rs.payloads[pos] = "ZAP"
-    assert "ZAP" in render(rs, g)
+    assert "ZAP" in render(dataclasses.replace(tc, seq=rs), g)
     assert rs.leaf_value(3, g) == "ZAP"
     rs.pinned.add(pos)
     copied = rs.copy()
