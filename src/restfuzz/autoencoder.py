@@ -652,7 +652,7 @@ def exact_reconstructions(m: Model, sequences) -> int:
     return sum(decode(m, encode(m, rs)) == toks for rs, toks in pairs)
 
 
-def _npz(path) -> str:
+def checkpoint_path(path) -> str:
     """A checkpoint path ends in ``.npz``; ``np.savez`` would append it."""
     return str(path) if str(path).endswith(".npz") else str(path) + ".npz"
 
@@ -672,13 +672,13 @@ def save_model(m: Model, path: str) -> str:
     arrays = dict(m.params)
     arrays["loss_history"] = np.asarray(m.loss_history, dtype=np.float64)
     arrays["header"] = np.frombuffer(header.encode("utf-8"), dtype=np.uint8)
-    path = _npz(path)
+    path = checkpoint_path(path)
     np.savez(path, **arrays)
     return path
 
 
 def load_model(path: str) -> Model:
-    data = np.load(_npz(path))
+    data = np.load(checkpoint_path(path))
     header = json.loads(bytes(data["header"]).decode("utf-8"))
     if header.get("version") != CHECKPOINT_VERSION:
         raise ValueError("unsupported checkpoint version %r" % header.get("version"))

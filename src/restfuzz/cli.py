@@ -158,6 +158,30 @@ def _grammar(opt: dict):
     return load_grammar(path)
 
 
+def _check_out_file(path: str) -> None:
+    """A file about to be written must not be a directory and must sit in
+    an existing directory."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise CliError("cannot write %s: not a file in an existing directory" % path)
+
+
+def _check_out_dir(path: str, what: str) -> None:
+    """Raise unless ``_make_out_dir`` could make ``path`` without making
+    it: its nearest existing ancestor (itself included) is a directory."""
+    probe = path
+    while probe and not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if probe and not os.path.isdir(probe):
+        raise CliError("cannot write %s: %s is not a directory" % (what, probe))
+
+
+def _make_out_dir(path: str, what: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise CliError("cannot write %s: %s" % (what, exc)) from None
+
+
 def _load_seeds(opt: dict, g):
     """The seed corpus; an unreadable or empty corpus or an unparsable
     seed file is a ``CliError``."""
@@ -181,12 +205,11 @@ def cmd_seeds(args) -> int:
     g = _grammar(opt)
     try:
         check_seed_settings(opt["seeds.max_len"], opt["seeds.dict_values"], opt["seeds.budget"])
-        os.makedirs(opt["seeds.dir"], exist_ok=True)  # before any validation request
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    except OSError as exc:
-        raise CliError("cannot write seeds: %s" % exc) from None
+    _make_out_dir(opt["seeds.dir"], "seeds")  # before any validation request
     validate_cfg = _target_config(opt) if opt["seeds.validate"] else None
+    t0 = time.monotonic()
     try:
         corpus = generate_seeds(
             g,
@@ -206,18 +229,21 @@ def cmd_seeds(args) -> int:
     finally:
         if validate_cfg is not None:
             validate_cfg.close()
+    took = time.monotonic() - t0
     try:
         write_corpus(corpus, opt["seeds.dir"])
     except OSError as exc:
         raise CliError("cannot write seeds: %s" % exc) from None
     print(
-        "wrote %d seeds to %s (max_len=%d dict_values=%d%s)"
+        "wrote %d seeds to %s (max_len=%d dict_values=%d%s); validated %d candidates in %.2fs"
         % (
             len(corpus.seeds),
             opt["seeds.dir"],
             opt["seeds.max_len"],
             opt["seeds.dict_values"],
             " partial" if corpus.partial else "",
+            corpus.validated,
+            took,
         )
     )
     return 0
@@ -232,6 +258,7 @@ def cmd_train(args) -> int:
     seeds = _load_seeds(opt, g)
     sequences = [tc.seq for _, tc in seeds]
     hp_fields = {k.split(".")[1]: v for k, v in opt.items() if k.startswith("train.")}
+    _check_out_file(ae.checkpoint_path(opt["model.checkpoint"]))  # before the first step
     t0 = time.monotonic()
     try:
         hp = ae.Hyperparams(**hp_fields)
@@ -397,6 +424,7 @@ def cmd_fuzz(args) -> int:
         if model.grammar_hash and model.grammar_hash != g.grammar_hash():
             raise CliError("checkpoint %s was trained on a different grammar" % checkpoint)
 
+    _check_out_dir(out_dir, "session")  # made only once the target answers
     target = _target_config(opt)
     try:
         width = _connect(target)
@@ -409,8 +437,7 @@ def cmd_fuzz(args) -> int:
         else:
             stream = _learned_case_stream(seeds, g, model, rng, n_scales)
 
-        os.makedirs(out_dir, exist_ok=True)
-        os.makedirs(os.path.join(out_dir, BUG_DIR), exist_ok=True)
+        _make_out_dir(os.path.join(out_dir, BUG_DIR), "session")
         acc = CoverageAccumulator(width)
         dedup = BugDeduplicator()
         bugs: list[dict] = []
@@ -500,8 +527,7 @@ def cmd_distill(args) -> int:
     g = _grammar(opt)
     seeds = _load_seeds(opt, g)
     out_path = args.out or os.path.join(opt["seeds.dir"], "distilled.txt")
-    if os.path.isdir(out_path) or not os.path.isdir(os.path.dirname(out_path) or "."):
-        raise CliError("cannot write %s: not a file in an existing directory" % out_path)
+    _check_out_file(out_path)
     target = _target_config(opt)
     try:
         width = _connect(target)
@@ -565,7 +591,7 @@ def cmd_report(args) -> int:
             meta = json.load(fh)
         sessions.append((d, meta))
     out_dir = args.out or args.session[0]
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir, "report")
 
     coverage_path = os.path.join(out_dir, "report_coverage.csv")
     with open(coverage_path, "w", encoding="utf-8") as out:

@@ -384,13 +384,16 @@ def execute_test_case(
     case_id: str = "case",
     request_text_transform=None,
     per_request_bitmaps=None,
+    stop_at_non_2xx: bool = False,
 ) -> ExecutionResult:
     """Send every request of ``tc`` in order on ``cfg``'s case connection,
     resolving dependencies.  The connection stays open for the next case.
 
     ``request_text_transform(text, request_index) -> text`` lets the
     byte-level strategy corrupt the rendered request just before the
-    wire conversion.  Stops early only when the transport fails.
+    wire conversion.  Stops early only when the transport fails, or, with
+    ``stop_at_non_2xx`` (seed validation, which keeps only all-2xx
+    cases), after the first answer whose status is not 2xx.
 
     ``per_request_bitmaps(window)`` is called after each answered
     request and its return value stored on that request's record — pass
@@ -436,6 +439,8 @@ def execute_test_case(
                 bitmap=per_request_bitmaps(window) if per_request_bitmaps else None,
             )
         )
+        if stop_at_non_2xx and not 200 <= status < 300:
+            break
         doc = _parse_body(body)
         for resource, path_spec in EXTRACTIONS.items():
             value = extract_resource_id(doc, path_spec)

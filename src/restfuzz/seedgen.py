@@ -12,7 +12,8 @@ fuzzable slot with the first ``dict_values_per_type`` values of its
 alphabet (cross product).  Dependency slots stay as placeholder
 markers; the executor resolves them from live responses.  Requests are
 turned into leaves by ``parsing.layout_leaves``, the builder the seed
-parser uses too, so a written seed parses back to the case built.
+parser uses too, so a written seed parses back to the case built.  A
+chain's combinations share one derivation (see ``_refill``).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .grammar import FUZZABLE_KINDS, Grammar, RequestLayout
 from .parsing import (
     LeafSpec,
     ParseError,
+    RuleSequence,
     TestCase,
     layout_leaves,
     marker_text,
@@ -49,6 +51,7 @@ class SeedCorpus:
     partial: bool  # True when the budget cut enumeration short
     max_len: int
     dict_values_per_type: int
+    validated: int  # candidates executed against the target
 
 
 def enumerate_chains(g: Grammar, max_len: int) -> list[tuple[str, ...]]:
@@ -109,8 +112,23 @@ def count_sequences(g: Grammar, max_len: int, dict_values_per_type: int = 2):
     return {length: (c, r) for length, (c, r) in sorted(stats.items())}
 
 
-def build_case(g: Grammar, chain: tuple[str, ...], values_per_request) -> TestCase:
-    """Assemble a TestCase for a chain with given fuzzable-slot values;
+def chain_combinations(g: Grammar, chain: tuple[str, ...], k: int):
+    """Yield every combination of dictionary values for ``chain``, one
+    tuple of fuzzable-slot values per request, in cross-product order.
+
+    One flat product over all slots gives the order of nesting products
+    per request, but never materialises a request's combinations."""
+    per_request = [_slot_value_lists(g.requests_by_name[name], g, k) for name in chain]
+    for flat in itertools.product(*(values for lists in per_request for values in lists)):
+        combo, start = [], 0
+        for lists in per_request:
+            combo.append(flat[start : start + len(lists)])
+            start += len(lists)
+        yield combo
+
+
+def _chain_leaves(g: Grammar, chain: tuple[str, ...], values_per_request) -> list[LeafSpec]:
+    """The leaves of ``chain`` with the given fuzzable-slot values;
     dependency slots keep their placeholder marker."""
     leaves: list[LeafSpec] = []
     for name, values in zip(chain, values_per_request):
@@ -122,7 +140,34 @@ def build_case(g: Grammar, chain: tuple[str, ...], values_per_request) -> TestCa
             if c.kind != "static"
         ]
         leaves.extend(layout_leaves(g, layout, slot_values))
-    return TestCase.from_leaves(g, leaves)
+    return leaves
+
+
+def build_case(g: Grammar, chain: tuple[str, ...], values_per_request) -> TestCase:
+    """Assemble a TestCase for a chain with given fuzzable-slot values,
+    deriving its tokens afresh; dependency slots keep their placeholder
+    marker."""
+    return TestCase.from_leaves(g, _chain_leaves(g, chain, values_per_request))
+
+
+def _refill(case: TestCase, leaves: list[LeafSpec]) -> TestCase:
+    """``case`` with each leaf's rule id and payload taken from ``leaves``.
+
+    Only for ``leaves`` of another combination of ``case``'s chain.  Every
+    combination of a chain has the same left-hand side and section at each
+    leaf position: the layout fixes both, and a value only selects a
+    terminal of its chunk's kind.  ``derive_tokens`` therefore finds the
+    same derivation with only the leaf tokens changed, and the replay the
+    same leaf positions and request views, which are reused."""
+    seq = case.seq
+    tokens = list(seq.tokens)
+    payloads = {}
+    for pos, spec in zip(seq.leaf_index, leaves):
+        tokens[pos] = spec.rule_id
+        if spec.payload is not None:
+            payloads[pos] = spec.payload
+    rs = RuleSequence(tokens, seq.grammar_hash, payloads, leaf_index=list(seq.leaf_index))
+    return TestCase(rs, case.requests)
 
 
 def check_seed_settings(max_len: int, dict_values_per_type: int, budget: int | None) -> None:
@@ -143,32 +188,33 @@ def generate_seeds(
     log=None,
 ) -> SeedCorpus:
     """Enumerate and instantiate seeds; optionally keep only seeds whose
-    execution against ``validate_cfg`` yields all-2xx responses."""
+    execution against ``validate_cfg`` yields all-2xx responses.
+
+    Each chain's first combination is built by ``build_case``; the others
+    refill its derivation (``_refill``).  Validation stops a candidate at
+    its first answer outside 2xx, which already drops it, and ``log``
+    gets the statuses up to that answer.  Only kept seeds are rendered."""
     check_seed_settings(max_len, dict_values_per_type, budget)
     if validate_cfg is not None:
         from .execution import execute_test_case, reset_target_state
 
     seeds: list[Seed] = []
-    partial = False
-    counter = 0
+    validated = 0
     for chain in enumerate_chains(g, max_len):
-        layouts = [g.requests_by_name[name] for name in chain]
-        per_request_lists = [
-            list(itertools.product(*_slot_value_lists(lay, g, dict_values_per_type)))
-            or [()]
-            for lay in layouts
-        ]
-        for combo in itertools.product(*per_request_lists):
+        first = None
+        for combo in chain_combinations(g, chain, dict_values_per_type):
             if budget is not None and len(seeds) >= budget:
-                partial = True
-                return SeedCorpus(seeds, partial, max_len, dict_values_per_type)
-            counter += 1
-            case = build_case(g, chain, combo)
-            text = render(case, g)
+                return SeedCorpus(seeds, True, max_len, dict_values_per_type, validated)
+            if first is None:
+                case = first = build_case(g, chain, combo)
+            else:
+                case = _refill(first, _chain_leaves(g, chain, combo))
             if validate_cfg is not None:
+                validated += 1
                 reset_target_state(validate_cfg)
                 result = execute_test_case(
-                    case, g, validate_cfg, case_id="validate-%d" % counter
+                    case, g, validate_cfg, case_id="validate-%d" % validated,
+                    stop_at_non_2xx=True,
                 )
                 ok = bool(result.statuses) and all(
                     200 <= s < 300 for s in result.statuses
@@ -178,8 +224,8 @@ def generate_seeds(
                 if not ok:
                     continue
             seed_id = "seed-%05d" % (len(seeds) + 1)
-            seeds.append(Seed(seed_id=seed_id, chain=chain, text=text, case=case))
-    return SeedCorpus(seeds, partial, max_len, dict_values_per_type)
+            seeds.append(Seed(seed_id=seed_id, chain=chain, text=render(case, g), case=case))
+    return SeedCorpus(seeds, False, max_len, dict_values_per_type, validated)
 
 
 def write_corpus(corpus: SeedCorpus, directory: str) -> None:

@@ -240,6 +240,20 @@ def test_seeds_no_validate_skips_target(tmp_path):
     assert len(os.listdir(out)) == 3  # two seeds + index
 
 
+def test_seeds_closing_line_counts_validated_candidates(live_target, tmp_path, capsys):
+    out = str(tmp_path / "seeds")
+    argv = ["seeds", "--target", live_target.base_url, "--seeds-dir", out, "--max-len", "2"]
+    assert cli.main(argv) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert re.fullmatch(
+        r"wrote 4 seeds to %s \(max_len=2 dict_values=2\); validated 10 candidates in \d+\.\d\ds"
+        % re.escape(out),
+        last,
+    ), last
+    assert cli.main(argv + ["--no-validate"]) == 0
+    assert "; validated 0 candidates in " in capsys.readouterr().out
+
+
 def test_seeds_validation_needs_target(tmp_path, capsys):
     rc = cli.main(
         [
@@ -265,10 +279,12 @@ def test_seeds_validation_needs_target(tmp_path, capsys):
          "cannot write seeds: [Errno 20] Not a directory: 'afile/sub'"),
         (["distill", "--out", "nodir/kept.txt"],
          "cannot write nodir/kept.txt: not a file in an existing directory"),
+        (["fuzz", "--strategy", "byte", "--out", "afile/x"],
+         "cannot write session: afile is not a directory"),
         (["replay", "adir"], "cannot read transcript: [Errno 21] Is a directory: 'adir'"),
     ],
     ids=["seeds-dir-empty", "seeds-dir-under-a-file", "distill-out-dir-missing",
-         "replay-a-directory"],
+         "fuzz-out-under-a-file", "replay-a-directory"],
 )
 def test_commands_check_their_paths_before_they_connect(
     pipeline, tmp_path, monkeypatch, capsys, argv, message
@@ -279,10 +295,20 @@ def test_commands_check_their_paths_before_they_connect(
     (tmp_path / "afile").write_text("")
     (tmp_path / "adir").mkdir()
     where = ["--target", DEAD_URL]
-    if argv[0] == "distill":
+    if argv[0] in ("distill", "fuzz"):
         where += ["--seeds-dir", pipeline["seeds_dir"]]
     assert cli.main(argv + where) == 1
     assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_train_checks_its_checkpoint_path_before_it_trains(pipeline, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(ae, "train", lambda *a, **kw: pytest.fail("trained"))
+    argv = ["train", "--seeds-dir", pipeline["seeds_dir"], "--checkpoint", "nodir/model"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: cannot write nodir/model.npz: not a file in an existing directory\n"
+    )
 
 
 def test_train_rejects_tight_max_seq_len(pipeline, capsys):
@@ -1064,6 +1090,19 @@ def test_report_quotes_commas_in_session_names_and_mutations(tmp_path):
         "bitmap_blocks": "2",
         "transcript": str(session / cli.BUG_DIR / "bug-001.txt"),
     }
+
+
+def test_report_reports_an_out_dir_it_cannot_create(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    session = tmp_path / "session"
+    session.mkdir()
+    (session / cli.SESSION_JSON).write_text(json.dumps({"strategy": "byte", "block_count": 8}))
+    (session / cli.EVENTS_CSV).write_text(cli.CSV_HEADER + "\n")
+    assert cli.main(["report", "--session", str(session), "--out", "afile/x"]) == 1
+    assert capsys.readouterr().err == (
+        "error: cannot write report: [Errno 20] Not a directory: 'afile/x'\n"
+    )
 
 
 def test_report_rejects_non_session_dir(tmp_path, capsys):

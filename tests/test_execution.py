@@ -171,6 +171,25 @@ def test_pinned_payload_beats_live_binding(ref_grammar, target_cfg):
     assert result.statuses == [201, 404]
 
 
+def test_stop_at_non_2xx_ends_the_case_after_the_first_failing_answer(ref_grammar, target_cfg):
+    tc = _mkcase(
+        ref_grammar,
+        ("create-project", "create-branch", "get-project"),
+        [["testString"], ["master"], []],
+    )
+    consumer = next(
+        pos for pos in tc.seq.leaf_index if ref_grammar.rules[tc.seq.tokens[pos]].lhs == "consumer"
+    )
+    tc.seq.payloads[consumer] = "no-such-project"
+    tc.seq.pinned.add(consumer)
+    ex.reset_target_state(target_cfg)
+    assert ex.execute_test_case(tc, ref_grammar, target_cfg).statuses == [201, 404, 200]
+    ex.reset_target_state(target_cfg)
+    result = ex.execute_test_case(tc, ref_grammar, target_cfg, stop_at_non_2xx=True)
+    assert result.statuses == [201, 404]
+    assert result.verdict == "pass"
+
+
 def test_latest_extraction_wins(ref_grammar, target_cfg):
     ex.reset_target_state(target_cfg)
     tc = build_case(

@@ -1,15 +1,20 @@
 """Tests for seed generation: chain enumeration, search-space counting,
 corpus materialisation and validation against the live service."""
 
+import hashlib
+import itertools
 import os
 
 import pytest
 
+from restfuzz import execution
 from restfuzz.execution import TargetConfig, execute_test_case, reset_target_state
 from restfuzz.grammar import load_grammar, loads
 from restfuzz.parsing import canonicalize, render
 from restfuzz.seedgen import (
+    _slot_value_lists,
     build_case,
+    chain_combinations,
     count_sequences,
     enumerate_chains,
     generate_seeds,
@@ -59,6 +64,36 @@ path "/ping"
 method POST
 path "/shout"
 body "{\\"a\\":\\"" fuzz:string "\\",\\"b\\":\\"" fuzz:string "\\"}"
+"""
+
+
+# uuid values outside the uuid rule's alphabet: each seed carries them as
+# payloads on the first uuid terminal
+UUID_PAYLOADS = """\
+[alphabet http-methods]
+POST
+
+[alphabet uuid]
+u-1
+u-2
+
+[alphabet uuid-pool]
+u-0
+
+[rule]
+sequence -> request + sequence | eps
+request -> method + path + header + body
+method -> @http-methods
+path -> static + path | eps
+header -> eps
+body -> static + body | uuid + body | eps
+static -> @static
+uuid -> @uuid-pool
+
+[request tag]
+method POST
+path "/tags"
+body "{\\"a\\":\\"" fuzz:uuid "\\",\\"b\\":\\"" fuzz:uuid "\\"}"
 """
 
 
@@ -230,3 +265,113 @@ def test_seed_validation_keeps_one_case_connection(ref_grammar, live_target, con
         cfg.close()
     assert len(corpus.seeds) == 14
     assert connection_counts["opened"] <= 2 + connection_counts["closing"]
+
+
+# sha256 over each file of the validated quick-start corpus (max_len=3,
+# dict_values=2), sorted by name: name, NUL, bytes, NUL
+QUICK_START_CORPUS_SHA256 = "8ace3f6d46683834f1319c8c422eedd96304af0677c06a896595d355a6913497"
+
+
+def test_quick_start_corpus_is_pinned(validated_corpus_dir):
+    digest = hashlib.sha256()
+    names = sorted(os.listdir(validated_corpus_dir))
+    for name in names:
+        with open(os.path.join(validated_corpus_dir, name), "rb") as fh:
+            digest.update(name.encode() + b"\0" + fh.read() + b"\0")
+    assert len(names) == 15  # index.txt and 14 seeds
+    assert digest.hexdigest() == QUICK_START_CORPUS_SHA256
+
+
+def test_chain_combinations_nest_per_request_products(ref_grammar):
+    for chain in enumerate_chains(ref_grammar, 3):
+        per_request = [
+            list(itertools.product(*_slot_value_lists(ref_grammar.requests_by_name[n], ref_grammar, 3)))
+            for n in chain
+        ]
+        assert list(chain_combinations(ref_grammar, chain, 3)) == [
+            list(combo) for combo in itertools.product(*per_request)
+        ], chain
+
+
+@pytest.mark.parametrize(
+    "grammar, max_len, k, budget",
+    [
+        ("reference", 3, 2, None),
+        ("reference", 3, 3, None),
+        ("reference", 4, 2, None),
+        ("project_api_state_space.grammar", 3, 2, None),
+        # one chain of 2**33 combinations: the first 300 vary its last slots
+        ("commit_multi_action.grammar", 1, 2, 300),
+        ("uuid-payloads", 1, 2, None),
+    ],
+    ids=["ref-3-2", "ref-3-3", "ref-4-2", "project-api-3-2", "commit-multi-action-1-2",
+         "uuid-payloads"],
+)
+def test_refilled_cases_match_a_fresh_derivation(ref_grammar, grammar, max_len, k, budget):
+    # generate_seeds derives each chain once and refills the leaves of
+    # every later combination; build_case derives every one afresh
+    if grammar == "reference":
+        g = ref_grammar
+    elif grammar == "uuid-payloads":
+        g = loads(UUID_PAYLOADS)
+    else:
+        g = load_grammar(data_path(grammar))
+    corpus = generate_seeds(g, max_len, k, budget=budget)
+    candidates = [  # islice: never list a chain's 2**33 combinations
+        (chain, combo)
+        for chain in enumerate_chains(g, max_len)
+        for combo in itertools.islice(chain_combinations(g, chain, k), budget)
+    ][:budget]
+    assert len(corpus.seeds) == len(candidates)
+    for seed, (chain, combo) in zip(corpus.seeds, candidates):
+        fresh = build_case(g, chain, combo)
+        assert seed.chain == chain
+        assert seed.case.seq.tokens == fresh.seq.tokens, (chain, combo)
+        assert seed.case.seq.payloads == fresh.seq.payloads, (chain, combo)
+        assert seed.case.seq.leaf_index == fresh.seq.leaf_index, (chain, combo)
+        assert seed.case.requests == fresh.requests, (chain, combo)
+        assert seed.text == render(fresh, g)
+    if grammar == "uuid-payloads":
+        assert [len(seed.case.seq.payloads) for seed in corpus.seeds] == [2, 2, 2, 2]
+
+
+def test_validation_stops_each_candidate_at_its_first_non_2xx_answer(
+    ref_grammar, live_target, monkeypatch
+):
+    counts = {"resets": 0, "sent": 0}
+    results = []
+    reset = execution.reset_target_state
+    execute = execution.execute_test_case
+
+    def counted_reset(cfg):
+        counts["resets"] += 1
+        reset(cfg)
+
+    def kept_execute(*args, **kwargs):
+        results.append(execute(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(execution, "reset_target_state", counted_reset)
+    monkeypatch.setattr(execution, "execute_test_case", kept_execute)
+    cfg = TargetConfig(base_url=live_target.base_url)
+    roundtrip = cfg._case.roundtrip
+
+    def counted_roundtrip(wire):
+        counts["sent"] += 1
+        return roundtrip(wire)
+
+    monkeypatch.setattr(cfg._case, "roundtrip", counted_roundtrip)
+    try:
+        corpus = generate_seeds(ref_grammar, max_len=3, dict_values_per_type=2, validate_cfg=cfg)
+    finally:
+        cfg.close()
+    assert len(corpus.seeds) == 14
+    assert corpus.validated == len(results) == counts["resets"] == 74
+    # every request of every candidate would be 210
+    assert counts["sent"] == sum(len(r.statuses) for r in results) == 130
+    dropped = 0
+    for result in results:
+        *before, last = result.statuses
+        assert all(200 <= s < 300 for s in before), result.statuses
+        dropped += not 200 <= last < 300
+    assert dropped == 74 - 14
