@@ -100,18 +100,6 @@ class Hyperparams:
 
 
 @dataclass
-class Embedding:
-    """Encoder summary vector (length = hidden_dim)."""
-
-    vector: np.ndarray
-
-    def __post_init__(self):
-        self.vector = np.asarray(self.vector)
-        if not np.all(np.isfinite(self.vector)):
-            raise ValueError("embedding contains non-finite entries")
-
-
-@dataclass
 class Model:
     hp: Hyperparams
     vocab_size: int
@@ -527,16 +515,12 @@ def _corpus_tokens(corpus):
     return out
 
 
-def train(corpus, hp: Hyperparams, grammar_hash: str | None = None, log=None) -> Model:
-    """Train on rule sequences (reconstruction objective)."""
+def train(corpus, hp: Hyperparams, grammar_hash: str = "", log=None) -> Model:
+    """Train on rule sequences (reconstruction objective).  ``grammar_hash``
+    names the corpus's grammar in the checkpoint header."""
     if not corpus:
         raise ValueError("empty training corpus")
     token_lists = _corpus_tokens(corpus)
-    hashes = {rs.grammar_hash for rs in corpus if hasattr(rs, "grammar_hash")}
-    if grammar_hash is None:
-        if len(hashes) > 1:
-            raise ValueError("corpus mixes sequences from different grammars")
-        grammar_hash = hashes.pop() if hashes else ""
     longest = max(len(t) for t in token_lists)
     if longest > hp.max_seq_len:
         raise ValueError(
@@ -576,24 +560,14 @@ def train(corpus, hp: Hyperparams, grammar_hash: str | None = None, log=None) ->
     return model
 
 
-def _check_hash(m: Model, x) -> None:
-    xh = getattr(x, "grammar_hash", None)
-    if xh is not None and m.grammar_hash and xh != m.grammar_hash:
-        raise ValueError(
-            "sequence grammar hash %s does not match model hash %s"
-            % (xh[:12], m.grammar_hash[:12])
-        )
-
-
 def _row_buffers(hp: Hyperparams):
     """``_gru_step``'s buffers for one row: hU, ur, rh, c, h_new."""
     H, dt = hp.hidden_dim, hp.np_dtype()
     return [np.empty((1, k * H), dtype=dt) for k in (3, 2, 1, 1, 1)]
 
 
-def encode(m: Model, x) -> Embedding:
+def encode(m: Model, x) -> np.ndarray:
     """Summarise a rule sequence as the encoder's final hidden state."""
-    _check_hash(m, x)
     toks = x.tokens if hasattr(x, "tokens") else list(x)
     if any(t + N_SPECIALS >= m.vocab_size or t < 0 for t in toks):
         raise ValueError("token out of vocabulary")
@@ -605,14 +579,13 @@ def encode(m: Model, x) -> Embedding:
         xW = m.params["enc_emb"][ids[t : t + 1]] @ m.params["enc_W"] + m.params["enc_b"]
         _gru_step(xW, h, m.params["enc_U"], hU, ur, rh, c, h_new)
         h, h_new = h_new, h
-    return Embedding(vector=h[0].copy())
+    return h[0].copy()
 
 
-def decode(m: Model, z) -> list[int]:
+def decode(m: Model, z: np.ndarray) -> list[int]:
     """Greedy decode from an embedding into grammar rule ids."""
-    vec = z.vector if isinstance(z, Embedding) else np.asarray(z)
     hp = m.hp
-    h = vec.reshape(1, hp.hidden_dim).astype(hp.np_dtype())
+    h = z.reshape(1, hp.hidden_dim).astype(hp.np_dtype())
     z_row = h.copy()
     hU, ur, rh, c, h_new = _row_buffers(hp)
     prev = SOS
@@ -690,6 +663,9 @@ def load_model(path: str) -> Model:
     params = {
         k: data[k] for k in data.files if k not in ("header", "loss_history")
     }
+    for k, v in params.items():
+        if not np.all(np.isfinite(v)):
+            raise ValueError("non-finite parameter %r in checkpoint" % k)
     return Model(
         hp=hp,
         vocab_size=header["vocab_size"],

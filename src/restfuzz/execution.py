@@ -273,20 +273,19 @@ class _CaseConnection:
             self.sock = None
 
 
-def http_request(cfg: TargetConfig, method: str, path: str, body: str | None = None):
-    """One request outside any test case (reset/coverage channels), sent
-    on ``cfg``'s control connection.
+def http_request(cfg: TargetConfig, method: str, path: str):
+    """One bodyless request outside any test case (reset/coverage
+    channels), sent on ``cfg``'s control connection.
 
     Returns (status, response_body_text).
     """
-    payload = (body or "").encode("latin-1")
     lines = [
         "%s %s %s" % (method, path, HTTP_VERSION),
         "Host: %s" % cfg.host,
         "%s: %s" % (cfg.auth_header, cfg.auth_value),
-        "Content-Length: %d" % len(payload),
+        "Content-Length: 0",
     ]
-    wire = "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n" + payload
+    wire = "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n"
     status, _reason, body_text, _window = cfg._control.roundtrip(wire)
     return status, body_text
 
@@ -336,7 +335,13 @@ def extract_resource_id(value, spec: str):
 
 
 class _Resolver:
-    """Chooses the concrete text for each leaf at send time."""
+    """Chooses the concrete text for each leaf at send time.
+
+    A consumer leaf takes its resource's live binding, else its payload,
+    else its marker.  A producer leaf takes its payload, else a fresh
+    ``<resource>-<n>``.  Any other leaf takes its payload, else its
+    terminal's value.
+    """
 
     def __init__(self, rs: RuleSequence, g: Grammar, bindings: dict[str, str]):
         self.rs = rs
@@ -350,8 +355,6 @@ class _Resolver:
         rs = self.rs
         rule = rs.leaf_rule(ordinal, self.g)
         payload = rs.leaf_payload(ordinal)
-        if rs.leaf_index[ordinal] in rs.pinned and payload is not None:
-            return payload
         if rule.lhs == "consumer":
             resource = rule.value
             if resource in self.bindings:

@@ -115,7 +115,7 @@ def perturb_and_select(
     """
     if n_scales < 1:
         raise ValueError("n_scales must be >= 1")
-    z = encode(m, x).vector.astype(np.float64)
+    z = encode(m, x).astype(np.float64)
     norm = float(np.linalg.norm(z)) or NORM_FALLBACK
     decoded: list[int] = list(x.tokens)
     for j in range(n_scales):
@@ -222,7 +222,7 @@ def apply_plan(x: RuleSequence, plan: MutationPlan, g: Grammar) -> RuleSequence:
     """Build the mutant test case a plan describes.
 
     A replacement rule sharing the target leaf's left-hand side swaps
-    the token itself; any other rule leaves the token in place and pins
+    the token itself; any other rule leaves the token in place and sets
     the rule's value as a payload override, so the mutant still derives
     from the grammar.  Pollution lands on the payload text; a pure
     same-side token swap without ``byte_noise`` carries none.
@@ -230,7 +230,7 @@ def apply_plan(x: RuleSequence, plan: MutationPlan, g: Grammar) -> RuleSequence:
     same-side swap — their value is whatever the binding resolves to.
 
     Invariant: the mutant has the seed's shape.  It swaps one terminal
-    for another of the same left-hand side, or pins a payload on a
+    for another of the same left-hand side, or sets a payload on a
     leaf, so its tokens replay to the same ``leaf_index`` and request
     views as ``x``'s, and callers reuse those instead of replaying.
     """
@@ -246,7 +246,6 @@ def apply_plan(x: RuleSequence, plan: MutationPlan, g: Grammar) -> RuleSequence:
     if same_side:
         mutant.tokens[pos] = new_rule.rule_id
         mutant.payloads.pop(pos, None)
-        mutant.pinned.discard(pos)
         if new_rule.lhs in DEPENDENCY_KINDS:
             return mutant
         if not plan.byte_noise:
@@ -255,7 +254,6 @@ def apply_plan(x: RuleSequence, plan: MutationPlan, g: Grammar) -> RuleSequence:
     if plan.byte_noise:
         value = apply_byte_noise(value, plan.byte_noise)
     mutant.payloads[pos] = value
-    mutant.pinned.add(pos)
     return mutant
 
 

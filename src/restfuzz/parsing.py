@@ -169,24 +169,16 @@ class RuleSequence:
     by ``mutation.apply_plan``).  ``leaf_index`` holds the token position
     of each leaf.  ``payloads`` maps token positions (which must be leaf
     positions) to raw byte strings that replace the terminal's value
-    when rendering.  ``pinned`` positions are mutation payloads the
-    executor must never overwrite during dependency resolution.
+    when rendering; a consumer leaf's live binding, when there is one,
+    still wins over its payload.
     """
 
     tokens: list[int]
-    grammar_hash: str
     payloads: dict[int, str] = field(default_factory=dict)
-    pinned: set[int] = field(default_factory=set)
     leaf_index: list[int] = field(default_factory=list)
 
     def copy(self) -> "RuleSequence":
-        return RuleSequence(
-            tokens=list(self.tokens),
-            grammar_hash=self.grammar_hash,
-            payloads=dict(self.payloads),
-            pinned=set(self.pinned),
-            leaf_index=list(self.leaf_index),
-        )
+        return RuleSequence(list(self.tokens), dict(self.payloads), list(self.leaf_index))
 
     def n_leaves(self) -> int:
         return len(self.leaf_index)
@@ -279,12 +271,7 @@ class TestCase:
             for ordinal, spec in enumerate(leaves)
             if spec.payload is not None
         }
-        rs = RuleSequence(
-            tokens=tokens,
-            grammar_hash=g.grammar_hash(),
-            payloads=payloads,
-            leaf_index=info.leaf_positions,
-        )
+        rs = RuleSequence(tokens, payloads, info.leaf_positions)
         return cls(seq=rs, requests=_request_views(info))
 
     @classmethod
@@ -397,7 +384,7 @@ def layout_leaves(g: Grammar, layout, slot_values) -> list[LeafSpec]:
     Static chunks become their own terminal.  ``slot_values`` holds the
     text of each non-static chunk in layout order (path, header, body).
     A dependency slot reading as its ``marker_text`` stays unresolved;
-    any other text is pinned as a payload on the slot's terminal.
+    any other text becomes a payload on the slot's terminal.
     """
     values = iter(slot_values)
     leaves = [LeafSpec(g.terminal_rule("method", layout.method).rule_id, section="method")]

@@ -166,8 +166,7 @@ def _refill(case: TestCase, leaves: list[LeafSpec]) -> TestCase:
         tokens[pos] = spec.rule_id
         if spec.payload is not None:
             payloads[pos] = spec.payload
-    rs = RuleSequence(tokens, seq.grammar_hash, payloads, leaf_index=list(seq.leaf_index))
-    return TestCase(rs, case.requests)
+    return TestCase(RuleSequence(tokens, payloads, list(seq.leaf_index)), case.requests)
 
 
 def check_seed_settings(max_len: int, dict_values_per_type: int, budget: int | None) -> None:

@@ -75,32 +75,30 @@ class FaultInjected(Exception):
 
 
 class BlockRegistry:
-    """Declared basic blocks and the hit set since the last reset."""
+    """Declared basic blocks and the hit set since the last reset, as an
+    int whose bit ``i`` is block ``i``."""
 
     def __init__(self):
         self.block_ids: list[str] = []
-        self._index: dict[str, int] = {}
-        self._hits: set[int] = set()
+        self._bit: dict[str, int] = {}
+        self._hits = 0
 
     def declare(self, block_id: str) -> str:
-        if block_id in self._index:
+        if block_id in self._bit:
             raise ValueError("block %r declared twice" % block_id)
-        self._index[block_id] = len(self.block_ids)
+        self._bit[block_id] = 1 << len(self.block_ids)
         self.block_ids.append(block_id)
         return block_id
 
     def hit(self, block_id: str) -> None:
-        self._hits.add(self._index[block_id])
+        self._hits |= self._bit[block_id]
 
     def reset(self) -> None:
-        self._hits.clear()
+        self._hits = 0
 
     def bitmap_hex(self) -> str:
-        width = len(self.block_ids)
-        buf = bytearray((width + 7) // 8)
-        for i in self._hits:
-            buf[i // 8] |= 1 << (i % 8)
-        return bytes(buf).hex()
+        """Bit ``i`` in byte ``i // 8``, at ``1 << (i % 8)``."""
+        return self._hits.to_bytes((len(self.block_ids) + 7) // 8, "little").hex()
 
     @property
     def block_count(self) -> int:
@@ -679,8 +677,8 @@ if __name__ == "__main__":
     )
     opts = ap.parse_args()
     server = serve(opts.host, opts.port, opts.token)
-    print("reference target listening at %s (Ctrl-C to stop)" % server.base_url, flush=True)
     try:
+        print("reference target listening at %s (Ctrl-C to stop)" % server.base_url, flush=True)
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:

@@ -60,15 +60,20 @@ def connection_counts(monkeypatch):
     return counts
 
 
-def windowed_request(cfg, method, path, body=""):
-    """Send one API request with ``cfg``'s token on its case connection:
-    the answer's status, its body text and the coverage window it
-    carried."""
+def request_wire(cfg, method, path, body=""):
+    """One request with ``cfg``'s token and a latin-1 ``body``, as bytes."""
     payload = body.encode("latin-1")
     head = "%s %s HTTP/1.1\r\nHost: %s\r\n%s: %s\r\nContent-Length: %d\r\n\r\n" % (
         method, path, cfg.host, cfg.auth_header, cfg.auth_value, len(payload)
     )
-    status, _reason, text, window = cfg._case.roundtrip(head.encode("latin-1") + payload)
+    return head.encode("latin-1") + payload
+
+
+def windowed_request(cfg, method, path, body=""):
+    """Send one API request with ``cfg``'s token on its case connection:
+    the answer's status, its body text and the coverage window it
+    carried."""
+    status, _reason, text, window = cfg._case.roundtrip(request_wire(cfg, method, path, body))
     return status, text, coverage.fetch_and_reset_coverage(window)
 
 

@@ -532,10 +532,10 @@ def test_fuzz_session_reads_coverage_only_for_responses_without_a_window(
     counts = dict.fromkeys(["resets", "coverage_reads", "control", "windowed", "windowless"], 0)
     send, recv, reset = execution.http_request, execution._recv_response, cli.reset_coverage
 
-    def counted_send(cfg, method, path, body=None):
+    def counted_send(cfg, method, path):
         counts["control"] += 1
         counts["coverage_reads"] += (method, path) == ("POST", "/__coverage__/reset")
-        return send(cfg, method, path, body)
+        return send(cfg, method, path)
 
     def counted_recv(sock):
         response = recv(sock)
@@ -906,9 +906,13 @@ def test_fuzz_rejects_unknown_strategy_from_config(tmp_path, capsys):
          "unsupported checkpoint version 1"),
         ("", ["--checkpoint", "bogus.npz"], "cannot load checkpoint bogus.npz: "
          "unknown hyperparameter 'bogus' in checkpoint header"),
+        ("", ["--checkpoint", "nan.npz"], "cannot load checkpoint nan.npz: "
+         "non-finite parameter 'enc_W' in checkpoint"),
+        ("", ["--checkpoint", "other.npz"], "checkpoint other.npz was trained on a different "
+         "grammar"),
     ],
     ids=["noise-norm-from-config", "n-scales", "budget", "max-cases", "seed", "checkpoint-version",
-         "checkpoint-hyperparameter"],
+         "checkpoint-hyperparameter", "checkpoint-not-finite", "checkpoint-other-grammar"],
 )
 def test_fuzz_checks_its_settings_before_it_connects(
     pipeline, tmp_path, monkeypatch, capsys, config, extra, message
@@ -920,9 +924,14 @@ def test_fuzz_checks_its_settings_before_it_connects(
     with np.load(pipeline["checkpoint"]) as saved:
         arrays = dict(saved)
     header = json.loads(bytes(arrays["header"]))
-    header["hp"]["bogus"] = 1  # a field that Hyperparams does not have
-    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
-    np.savez(tmp_path / "bogus.npz", **arrays)
+
+    def save(name, header, **params):
+        raw = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+        np.savez(tmp_path / name, **dict(arrays, **params, header=raw))
+
+    save("bogus.npz", dict(header, hp=dict(header["hp"], bogus=1)))  # not a Hyperparams field
+    save("other.npz", dict(header, grammar_hash="0" * 64))
+    save("nan.npz", header, enc_W=np.full_like(arrays["enc_W"], np.nan))
     argv = [
         "fuzz", "--config", "c.cfg", "--target", DEAD_URL, "--seeds-dir", pipeline["seeds_dir"],
         "--strategy", "learned", "--checkpoint", pipeline["checkpoint"], "--out", "s",

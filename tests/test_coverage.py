@@ -273,9 +273,9 @@ def side_channel_log(monkeypatch):
     log = []
     send = ex.http_request
 
-    def logged(cfg, method, path, body=None):
+    def logged(cfg, method, path):
         log.append((method, path))
-        return send(cfg, method, path, body)
+        return send(cfg, method, path)
 
     monkeypatch.setattr(ex, "http_request", logged)
     return log

@@ -150,25 +150,32 @@ def test_unresolved_consumer_renders_marker(ref_grammar, target_cfg):
     assert result.verdict == "pass"
 
 
-def test_pinned_payload_beats_live_binding(ref_grammar, target_cfg):
+def test_live_binding_beats_a_consumer_payload(ref_grammar, target_cfg):
+    tc = build_case(ref_grammar, ("create-branch",), [["master"]])
+    consumer = next(
+        pos for pos in tc.seq.leaf_index if ref_grammar.rules[tc.seq.tokens[pos]].lhs == "consumer"
+    )
+    tc.seq.payloads[consumer] = "no-such-project"
     ex.reset_target_state(target_cfg)
+    result = ex.execute_test_case(tc, ref_grammar, target_cfg)
+    # no earlier answer bound project-id: the payload goes on the wire
+    assert "/api/projects/no-such-project/" in result.records[0].request_text
+    assert result.statuses == [404]
+
     tc = _mkcase(
         ref_grammar,
         ("create-project", "create-branch"),
         [["testString"], ["master"]],
     )
-    seq = tc.seq
-    dep_ord = next(
-        o
-        for o in range(seq.n_leaves())
-        if seq.leaf_rule(o, ref_grammar).lhs == "consumer"
+    consumer = next(
+        pos for pos in tc.seq.leaf_index if ref_grammar.rules[tc.seq.tokens[pos]].lhs == "consumer"
     )
-    pos = seq.leaf_index[dep_ord]
-    seq.payloads[pos] = "no-such-project"
-    seq.pinned.add(pos)
+    tc.seq.payloads[consumer] = "no-such-project"
+    ex.reset_target_state(target_cfg)
     result = ex.execute_test_case(tc, ref_grammar, target_cfg)
-    assert "/api/projects/no-such-project/" in result.records[1].request_text
-    assert result.statuses == [201, 404]
+    # the project created first binds project-id, and the binding wins
+    assert "no-such-project" not in result.records[1].request_text
+    assert result.statuses == [201, 201]
 
 
 def test_stop_at_non_2xx_ends_the_case_after_the_first_failing_answer(ref_grammar, target_cfg):
@@ -177,11 +184,11 @@ def test_stop_at_non_2xx_ends_the_case_after_the_first_failing_answer(ref_gramma
         ("create-project", "create-branch", "get-project"),
         [["testString"], ["master"], []],
     )
-    consumer = next(
-        pos for pos in tc.seq.leaf_index if ref_grammar.rules[tc.seq.tokens[pos]].lhs == "consumer"
+    branches = next(
+        pos for pos in tc.seq.leaf_index
+        if ref_grammar.rules[tc.seq.tokens[pos]].value == "/repository/branches"
     )
-    tc.seq.payloads[consumer] = "no-such-project"
-    tc.seq.pinned.add(consumer)
+    tc.seq.payloads[branches] = "/repository/nowhere"  # no such route
     ex.reset_target_state(target_cfg)
     assert ex.execute_test_case(tc, ref_grammar, target_cfg).statuses == [201, 404, 200]
     ex.reset_target_state(target_cfg)
@@ -685,7 +692,6 @@ def test_transcript_round_trip_with_raw_payload_bytes(ref_grammar, target_cfg):
     )
     pos = seq.leaf_index[str_ord]
     seq.payloads[pos] = "A\xffB\x01"
-    seq.pinned.add(pos)
     result = ex.execute_test_case(tc, ref_grammar, target_cfg)
     text = ex.write_transcript(result)
     entries = ex.load_transcript(text)

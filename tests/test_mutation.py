@@ -9,7 +9,6 @@ import pytest
 from restfuzz import autoencoder as ae
 from restfuzz import mutation as mut
 from restfuzz import parsing
-from restfuzz.autoencoder import Embedding
 from restfuzz.grammar import DEPENDENCY_KINDS, load_grammar, loads, terminal_rules
 from restfuzz.parsing import leaf_diff, leaf_rule_ids, replay_tokens
 from restfuzz.seedgen import generate_seeds, load_corpus
@@ -57,7 +56,7 @@ def _fake_model(monkeypatch, z_vec, differ_at):
     captured = []
 
     def fake_encode(m, x):
-        return Embedding(vector=np.asarray(z_vec, dtype=np.float64))
+        return np.asarray(z_vec, dtype=np.float64)
 
     def fake_decode(m, z):
         captured.append(np.array(z, dtype=np.float64))
@@ -107,7 +106,7 @@ def test_selected_scale_is_minimal(overfit_model, two_seed_sequences):
 
     m = overfit_model
     x = two_seed_sequences[1]
-    z = encode(m, x).vector.astype(np.float64)
+    z = encode(m, x).astype(np.float64)
     z_norm = float(np.linalg.norm(z))
     n_differ = 0
     for trial in range(20):
@@ -278,13 +277,13 @@ def test_apply_plan_same_side_flips_token(ref_grammar, two_seed_sequences):
     plan = mut.MutationPlan("s", ordinal, master, mut.CASE_TREE, byte_noise=[])
     m1 = mut.apply_plan(x, plan, g)
     assert m1.tokens[pos] == master
-    assert pos not in m1.payloads and pos not in m1.pinned
+    assert pos not in m1.payloads
     replay_tokens(m1.tokens, g)  # still a valid derivation
 
     noisy = mut.MutationPlan("s", ordinal, master, "case1", byte_noise=[(0, 0x7A)])
     m2 = mut.apply_plan(x, noisy, g)
     assert m2.tokens[pos] == master
-    assert m2.payloads[pos] == "zaster" and pos in m2.pinned
+    assert m2.payloads[pos] == "zaster"
 
 
 def test_apply_plan_cross_side_pins_payload(ref_grammar, two_seed_sequences):
@@ -298,7 +297,7 @@ def test_apply_plan_cross_side_pins_payload(ref_grammar, two_seed_sequences):
     plan = mut.MutationPlan("s", method_ord, master, "case1", byte_noise=[(1, 0x21)])
     m1 = mut.apply_plan(x, plan, g)
     assert m1.tokens[pos] == old_token  # token untouched across sides
-    assert m1.payloads[pos] == "m!ster" and pos in m1.pinned
+    assert m1.payloads[pos] == "m!ster"
 
 
 def test_apply_plan_dependency_leaf_never_takes_payload(
@@ -314,19 +313,19 @@ def test_apply_plan_dependency_leaf_never_takes_payload(
     plan = mut.MutationPlan("s", dep_ord, rule.rule_id, "case1", byte_noise=[(0, 0x58)])
     m = mut.apply_plan(x, plan, g)
     assert m.tokens[pos] == rule.rule_id
-    assert pos not in m.payloads and pos not in m.pinned
+    assert pos not in m.payloads
 
 
 def test_apply_plan_leaves_input_untouched(ref_grammar, two_seed_sequences):
     g = ref_grammar
     x = two_seed_sequences[0]
-    before = (list(x.tokens), dict(x.payloads), set(x.pinned))
+    before = x.copy()
     ordinal = _string_leaf(x, g)
     plan = mut.MutationPlan(
         "s", ordinal, _rule_id(g, "string", "master"), "case1", byte_noise=[(0, 65)]
     )
     mut.apply_plan(x, plan, g)
-    assert (list(x.tokens), dict(x.payloads), set(x.pinned)) == before
+    assert x == before
 
 
 def test_apply_plan_validation(ref_grammar, two_seed_sequences):

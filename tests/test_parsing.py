@@ -157,7 +157,7 @@ def test_render_parse_round_trip_with_markers():
     assert render(tc, g) == canonicalize(text)
 
 
-def test_payload_overrides_render_and_pinning(ping_grammar):
+def test_payload_overrides_render_and_copy(ping_grammar):
     g = ping_grammar
     tc = parse_test_case('POST /echo HTTP/1.1\n{"v":"a"}\n', g)
     rs = tc.seq.copy()
@@ -165,9 +165,10 @@ def test_payload_overrides_render_and_pinning(ping_grammar):
     rs.payloads[pos] = "ZAP"
     assert "ZAP" in render(dataclasses.replace(tc, seq=rs), g)
     assert rs.leaf_value(3, g) == "ZAP"
-    rs.pinned.add(pos)
     copied = rs.copy()
-    assert pos in copied.pinned and copied.payloads[pos] == "ZAP"
+    assert copied == rs and copied.payloads is not rs.payloads
+    copied.payloads[pos] = "ZIP"
+    assert rs.payloads[pos] == "ZAP"
 
 
 def test_leaf_value_precedence(ping_grammar):

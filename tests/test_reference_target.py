@@ -18,19 +18,21 @@ import pytest
 import restfuzz
 from restfuzz import coverage as cov
 from restfuzz.execution import (
-    TargetConfig, TransportError, _CaseConnection, _recv_response, http_request,
+    TargetConfig, TransportError, _CaseConnection, _recv_response,
     reset_target_state,
 )
 from restfuzz.target import DEFAULT_TOKEN, KNOWN_METHODS, ReferenceTarget, injected_bug_catalog
 
-from .conftest import windowed_request
+from .conftest import request_wire, windowed_request
 
 
 def j(cfg, method, path, obj=None, raw_body=None):
+    """Send one request on ``cfg``'s control connection: the status and
+    the body, parsed when it is JSON."""
     body = raw_body if raw_body is not None else (
-        json.dumps(obj) if obj is not None else None
+        json.dumps(obj) if obj is not None else ""
     )
-    status, text = http_request(cfg, method, path, body)
+    status, _reason, text, _window = cfg._control.roundtrip(request_wire(cfg, method, path, body))
     try:
         return status, json.loads(text)
     except json.JSONDecodeError:
