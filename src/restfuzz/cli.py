@@ -10,8 +10,10 @@ Subcommands:
 * ``report``  emit coverage-over-time and bug-table files for sessions
 
 Each option is one row of ``CONFIG_KEYS``: its flag wins over its key in
-an optional key=value config file, which wins over its default.  All
-artifacts are plain files under the session directory.
+an optional key=value config file, which wins over its default.
+``fuzz`` and ``distill`` run their cases through ``session``, the
+engine; the hooks a benchmark patches stay here (``_run_case``,
+``_connect`` and each strategy's ``_*_case_stream``).
 """
 
 import argparse
@@ -19,18 +21,16 @@ import json
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 from . import autoencoder as ae
 from . import mutation as mu
+from . import session
 from .coverage import (
-    BugDeduplicator,
-    CorpusEntry,
-    CoverageAccumulator,
     CoverageBitmap,
     CoverageDataError,
-    distill,
     fetch_and_reset_coverage,
     fetch_manifest,
     reset_coverage,
@@ -46,15 +46,9 @@ from .execution import (
 from .grammar import load_grammar, packaged_reference_grammar
 from .parsing import ParseError, TestCase
 from .seedgen import check_seed_settings, generate_seeds, load_corpus, write_corpus
+from .session import BUG_DIR, BUGS_JSON, CSV_HEADER, EVENTS_CSV, MUTATION_LOG, SESSION_JSON
 
 STRATEGIES = ("byte", "tree", "learned")
-
-EVENTS_CSV = "events.csv"
-MUTATION_LOG = "mutations.log"
-BUGS_JSON = "bugs.json"
-SESSION_JSON = "session.json"
-BUG_DIR = "bugs"
-CSV_HEADER = "elapsed_s,cumulative_new_blocks,tests_executed,bugs_found"
 
 # config key -> (flag, type, default, help).  A command takes the flags of
 # the keys it reads (see ``build_parser``); a bool flag stores the opposite
@@ -286,58 +280,52 @@ def cmd_train(args) -> int:
 # -- fuzz -------------------------------------------------------------------
 
 
-def _byte_flip(plan, req_idx, rng):
-    """Request-text transform flipping one byte of request ``req_idx``
-    as sent, with ``mutate_bytes``, and recording the flip on ``plan``."""
-    before = 0  # sent bytes of the requests ahead of the flipped one
-
-    def transform(text, idx):
-        nonlocal before
-        if idx != req_idx:
-            before += len(text)
-            return text
-        out = mu.mutate_bytes(text, rng)
-        pos = next(k for k in range(len(text)) if out[k] != text[k])
-        plan.byte_noise = [(before + pos, ord(out[pos]))]
-        return out
-
-    return transform
-
-
 def _byte_case_stream(seeds, rng):
-    """Cycle seeds forever; each visit picks one request whose text is
-    byte-flipped after dependency resolution, just before it is sent."""
-    i = 0
-    while True:
-        seed_id, tc = seeds[i % len(seeds)]
+    """Each visit flips one byte of one request's text as sent, after
+    dependency resolution, with ``mutate_bytes``, and records the flip
+    on the visit's plan."""
+
+    def mutate(seed_id, tc):
         plan = mu.MutationPlan(seed_id, -1, -1, mu.CASE_BYTE)
         req_idx = int(rng.integers(0, len(tc.requests)))
-        yield seed_id, tc, _byte_flip(plan, req_idx, rng), plan
-        i += 1
+        before = 0  # sent bytes of the requests ahead of the flipped one
+
+        def transform(text, idx):
+            nonlocal before
+            if idx != req_idx:
+                before += len(text)
+                return text
+            out = mu.mutate_bytes(text, rng)
+            pos = next(k for k in range(len(text)) if out[k] != text[k])
+            plan.byte_noise = [(before + pos, ord(out[pos]))]
+            return out
+
+        return [(tc, transform, plan)]
+
+    return session.schedule(seeds, mutate)
 
 
 def _tree_case_stream(seeds, g, rng):
-    """Cycle seeds; each visit flips one random leaf.  A mutant keeps its
-    seed's shape (see ``apply_plan``), so it reuses the seed's views."""
-    i = 0
-    while True:
-        seed_id, tc = seeds[i % len(seeds)]
+    """Each visit flips one random leaf.  A mutant keeps its seed's shape
+    (see ``apply_plan``), so it reuses the seed's views."""
+
+    def mutate(seed_id, tc):
         mutant, plan = mu.mutate_tree_random(tc.seq, g, rng, seed_id)
-        yield seed_id, TestCase(mutant, tc.requests), None, plan
-        i += 1
+        return [(TestCase(mutant, tc.requests), None, plan)]
+
+    return session.schedule(seeds, mutate)
 
 
 def _learned_case_stream(seeds, g, model, rng, n_scales):
-    """Cycle seeds; each visit perturbs the embedding afresh and yields
-    every planned mutation before moving on."""
-    i = 0
-    while True:
-        seed_id, tc = seeds[i % len(seeds)]
-        i += 1
+    """Each visit perturbs the embedding afresh and yields every planned
+    mutation before moving on."""
+
+    def mutate(seed_id, tc):
         pr = mu.perturb_and_select(model, tc.seq, rng, n_scales=n_scales)
         for plan in mu.plan_learned_mutations(tc.seq, pr, g, seed_id, rng):
-            mutant = mu.apply_plan(tc.seq, plan, g)
-            yield seed_id, TestCase(mutant, tc.requests), None, plan
+            yield TestCase(mu.apply_plan(tc.seq, plan, g), tc.requests), None, plan
+
+    return session.schedule(seeds, mutate)
 
 
 def _unreachable(target, exc) -> CliError:
@@ -359,7 +347,7 @@ def _connect(target) -> int:
         raise _unreachable(target, exc) from None
 
 
-def _run_case(tc, g, target, width, case_id, transform=None):
+def _run_case(g, target, width, tc, case_id, transform=None):
     """Reset target state, then execute ``tc`` with the coverage window
     that each answer carries (a missing or malformed one is a
     ``CoverageDataError``).  Returns the result and the union of its
@@ -410,8 +398,8 @@ def cmd_fuzz(args) -> int:
     seeds = _load_seeds(opt, g)
 
     model = None
+    checkpoint = opt["model.checkpoint"]
     if strategy == "learned":
-        checkpoint = opt["model.checkpoint"]
         try:
             model = ae.load_model(checkpoint)
         except FileNotFoundError:
@@ -428,7 +416,6 @@ def cmd_fuzz(args) -> int:
     target = _target_config(opt)
     try:
         width = _connect(target)
-
         rng = np.random.default_rng(rng_seed)
         if strategy == "byte":
             stream = _byte_case_stream(seeds, rng)
@@ -436,87 +423,24 @@ def cmd_fuzz(args) -> int:
             stream = _tree_case_stream(seeds, g, rng)
         else:
             stream = _learned_case_stream(seeds, g, model, rng, n_scales)
-
         _make_out_dir(os.path.join(out_dir, BUG_DIR), "session")
-        acc = CoverageAccumulator(width)
-        dedup = BugDeduplicator()
-        bugs: list[dict] = []
-        rows: list[tuple[float, int, int, int]] = []
-        tests = 0
-        lost = None
-        t0 = time.monotonic()
-
-        log_path = os.path.join(out_dir, MUTATION_LOG)
-        with open(log_path, "w", encoding="latin-1") as log_fh:
-            log_fh.write("# seed\tleaf\tcase\trule\tnoise\tstatus\n")
-            while True:
-                elapsed = time.monotonic() - t0
-                if elapsed >= budget_s:
-                    break
-                if max_cases and tests >= max_cases:
-                    break
-                seed_id, tc, transform, plan = next(stream)
-                case_id = "%s-%06d" % (strategy, tests)
-                try:
-                    result, bitmap = _run_case(tc, g, target, width, case_id, transform)
-                except (TransportError, OSError) as exc:
-                    lost = exc  # keep the artifacts of the cases already run
-                    break
-                acc.add(bitmap)
-                tests += 1
-                status = result.statuses[-1] if result.records else 0
-                log_fh.write(mu.format_mutation_log(plan, status) + "\n")
-                report = dedup.add(result)
-                if report is not None:
-                    bug_id = "bug-%03d" % len(dedup.reports)
-                    transcript = os.path.join(BUG_DIR, bug_id + ".txt")  # session-relative
-                    with open(os.path.join(out_dir, transcript), "w", encoding="latin-1") as fh:
-                        fh.write(report.transcript)
-                    bugs.append(
-                        {
-                            "bug_id": bug_id,
-                            "bitmap": report.bitmap.hex(),
-                            "statuses": report.statuses,
-                            "seed": seed_id,
-                            "case": report.first_case_id,
-                            "mutation": mu.format_mutation_log(plan).replace("\t", " "),
-                            "transcript": transcript,
-                        }
-                    )
-                rows.append((time.monotonic() - t0, acc.count(), tests, len(bugs)))
-
-        with open(os.path.join(out_dir, EVENTS_CSV), "w", encoding="utf-8") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for elapsed, blocks, n, nbugs in rows:
-                fh.write("%.3f,%d,%d,%d\n" % (elapsed, blocks, n, nbugs))
-        with open(os.path.join(out_dir, BUGS_JSON), "w", encoding="utf-8") as fh:
-            json.dump(bugs, fh, indent=2)
-            fh.write("\n")
-        session = {
-            "strategy": strategy,
-            "rng_seed": rng_seed,
-            "budget_s": budget_s,
-            "max_cases": max_cases,
-            "n_scales": n_scales,
-            "n_seeds": len(seeds),
-            "grammar_hash": g.grammar_hash(),
-            "block_count": width,
-            "tests_executed": tests,
-            "blocks_covered": acc.count(),
-            "bugs_found": len(bugs),
-        }
-        with open(os.path.join(out_dir, SESSION_JSON), "w", encoding="utf-8") as fh:
-            json.dump(session, fh, indent=2)
-            fh.write("\n")
-        if lost is not None:
-            raise _unreachable(target, lost)
-        print(
-            "%s: %d cases in %.1fs, %d/%d blocks, %d deduped bugs -> %s"
-            % (strategy, tests, time.monotonic() - t0, acc.count(), width, len(bugs), out_dir)
-        )
-        return 0
+        settings = dict(strategy=strategy, rng_seed=rng_seed, budget_s=budget_s,
+                        max_cases=max_cases, n_scales=n_scales, n_seeds=len(seeds),
+                        grammar_hash=g.grammar_hash(), block_count=width)
+        run_case = partial(_run_case, g, target, width)
+        meta, took, stopped = session.fuzz(stream, run_case, out_dir, settings)
+        if isinstance(stopped, session.NoCases):
+            raise CliError("checkpoint %s planned no mutation for any seed" % checkpoint)
+        if stopped is not None:
+            raise _unreachable(target, stopped)
     finally:
         target.close()
+    print(
+        "%s: %d cases in %.1fs, %d/%d blocks, %d deduped bugs -> %s"
+        % (strategy, meta["tests_executed"], took, meta["blocks_covered"], width,
+           meta["bugs_found"], out_dir)
+    )
+    return 0
 
 
 # -- distill ----------------------------------------------------------------
@@ -531,24 +455,15 @@ def cmd_distill(args) -> int:
     target = _target_config(opt)
     try:
         width = _connect(target)
-        acc = CoverageAccumulator(width)
-        entries = []
-        for seed_id, tc in seeds:
-            _result, bitmap = _run_case(tc, g, target, width, seed_id)
-            acc.add(bitmap)
-            entries.append(CorpusEntry(case_id=seed_id, bitmap=bitmap))
+        kept, blocks = session.distill(seeds, partial(_run_case, g, target, width), width)
     except (TransportError, OSError) as exc:
         raise _unreachable(target, exc) from None
     finally:
         target.close()
-    kept = distill(entries)
     with open(out_path, "w", encoding="utf-8") as fh:
-        for e in kept:
-            fh.write(e.case_id + "\n")
-    print(
-        "distilled %d seeds to %d (union %d blocks) -> %s"
-        % (len(entries), len(kept), acc.count(), out_path)
-    )
+        fh.writelines(seed_id + "\n" for seed_id in kept)
+    print("distilled %d seeds to %d (union %d blocks) -> %s"
+          % (len(seeds), len(kept), blocks, out_path))
     return 0
 
 
@@ -583,35 +498,42 @@ def cmd_replay(args) -> int:
 
 def cmd_report(args) -> int:
     sessions = []
+    bug_rows = []
     for d in args.session:
-        meta_path = os.path.join(d, SESSION_JSON)
-        if not os.path.exists(meta_path):
+        path = os.path.join(d, SESSION_JSON)  # the file a parse error names
+        if not os.path.exists(path):
             raise CliError("no %s in %s (not a fuzz session directory?)" % (SESSION_JSON, d))
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        sessions.append((d, meta))
+        if not os.path.exists(os.path.join(d, EVENTS_CSV)):
+            raise CliError("no %s in %s" % (EVENTS_CSV, d))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                meta = json.load(fh)
+            strategy, width = meta["strategy"], meta["block_count"]
+            sessions.append((d, strategy))
+            path = os.path.join(d, BUGS_JSON)
+            bugs = []
+            if os.path.exists(path):
+                with open(path, "r", encoding="utf-8") as fh:
+                    bugs = json.load(fh)
+            for bug in bugs:
+                statuses = "|".join(str(s) for s in bug["statuses"])
+                blocks = CoverageBitmap.from_hex(width, bug["bitmap"]).count()
+                bug_rows.append([strategy, bug["bug_id"], statuses, bug["seed"], bug["mutation"],
+                                 blocks, os.path.join(d, bug["transcript"])])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CliError("malformed %s (%s: %s)" % (path, type(exc).__name__, exc)) from None
     out_dir = args.out or args.session[0]
     _make_out_dir(out_dir, "report")
 
     coverage_path = os.path.join(out_dir, "report_coverage.csv")
     with open(coverage_path, "w", encoding="utf-8") as out:
         out.write("strategy," + CSV_HEADER + "\n")
-        for d, meta in sessions:
-            events = os.path.join(d, EVENTS_CSV)
-            if not os.path.exists(events):
-                raise CliError("no %s in %s" % (EVENTS_CSV, d))
-            with open(events, "r", encoding="utf-8") as fh:
+        for d, strategy in sessions:
+            with open(os.path.join(d, EVENTS_CSV), "r", encoding="utf-8") as fh:
                 next(fh)  # header
                 for line in fh:
-                    out.write("%s,%s" % (meta["strategy"], line))
+                    out.write("%s,%s" % (strategy, line))
 
-    bug_rows = []
-    for d, meta in sessions:
-        bugs_path = os.path.join(d, BUGS_JSON)
-        if os.path.exists(bugs_path):
-            with open(bugs_path, "r", encoding="utf-8") as fh:
-                for bug in json.load(fh):
-                    bug_rows.append((d, meta, bug))
     import csv  # only the report writes CSV; a fuzz run skips the import
 
     bugs_csv = os.path.join(out_dir, "report_bugs.csv")
@@ -620,32 +542,12 @@ def cmd_report(args) -> int:
         out.writerow(
             ["strategy", "bug_id", "statuses", "seed", "mutation", "bitmap_blocks", "transcript"]
         )
-        for d, meta, bug in bug_rows:
-            out.writerow(
-                [
-                    meta["strategy"],
-                    bug["bug_id"],
-                    "|".join(str(s) for s in bug["statuses"]),
-                    bug["seed"],
-                    bug["mutation"],
-                    CoverageBitmap.from_hex(meta["block_count"], bug["bitmap"]).count(),
-                    os.path.join(d, bug["transcript"]),
-                ]
-            )
+        out.writerows(bug_rows)
 
     print("coverage series: %s" % coverage_path)
     print("bug table:       %s (%d rows)" % (bugs_csv, len(bug_rows)))
-    for _, meta, bug in bug_rows:
-        print(
-            "  %-8s %s statuses=%s seed=%s %s"
-            % (
-                meta["strategy"],
-                bug["bug_id"],
-                "|".join(str(s) for s in bug["statuses"]),
-                bug["seed"],
-                bug["mutation"],
-            )
-        )
+    for row in bug_rows:
+        print("  %-8s %s statuses=%s seed=%s %s" % tuple(row[:5]))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Coverage bitmaps, corpus distillation and bug deduplication.
+"""Coverage bitmaps, their accumulator and bug deduplication.
 
 The instrumented target records its declared basic blocks into a
 fixed-width bitmap.  It answers every API request with the window that
@@ -7,10 +7,11 @@ header, and clears the bitmap as it does so; ``fetch_and_reset_coverage``
 parses that header, and an answer without one is a ``CoverageDataError``.
 So each request carries its own coverage window, and a test case's
 coverage is the union of its windows.  The ``/__coverage__`` side
-channels serve the manifest of block ids and a clear.  Distillation
-greedily keeps the first test case contributing each new block.  Bugs
-are deduplicated on the crash window: the window of the first request
-answered 500, which the same fault reached from different seeds shares.
+channels serve the manifest of block ids and a clear.  The accumulator
+counts the blocks each case adds, by which the session engine keeps
+cases.  Bugs are deduplicated on the crash window: the window of the
+first request answered 500, which the same fault reached from different
+seeds shares.
 """
 
 from __future__ import annotations
@@ -95,28 +96,6 @@ class CoverageAccumulator:
 
     def count(self) -> int:
         return bin(self._mask).count("1")
-
-
-@dataclass
-class CorpusEntry:
-    """One executed test case eligible for distillation."""
-
-    case_id: str
-    bitmap: CoverageBitmap
-
-
-def distill(entries: list[CorpusEntry]) -> list[CorpusEntry]:
-    """Greedy corpus minimisation: scan in order, keep every entry that
-    contributes at least one block not covered by already-kept entries.
-    The union of kept bitmaps always equals the union of all bitmaps."""
-    if not entries:
-        return []
-    acc = CoverageAccumulator(entries[0].bitmap.width)
-    kept = []
-    for e in entries:
-        if acc.add(e.bitmap) > 0:
-            kept.append(e)
-    return kept
 
 
 @dataclass

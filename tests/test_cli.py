@@ -8,6 +8,8 @@ import json
 import os
 import re
 import socket
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -474,7 +476,10 @@ def test_fuzz_session_artifacts(pipeline, live_target, strategy, tmp_path):
         assert os.path.exists(os.path.join(out, bug["transcript"]))
 
 
-def test_fuzz_calls_benchmark_hooks_through_cli(pipeline, live_target, tmp_path, monkeypatch):
+@pytest.mark.parametrize("strategy", cli.STRATEGIES)
+def test_fuzz_calls_benchmark_hooks_through_cli(
+    pipeline, live_target, strategy, tmp_path, monkeypatch
+):
     calls = dict.fromkeys(BENCHMARK_HOOKS, 0)
 
     def counting(name, fn):
@@ -488,12 +493,14 @@ def test_fuzz_calls_benchmark_hooks_through_cli(pipeline, live_target, tmp_path,
         assert callable(cli.__dict__.get(name)), name
         monkeypatch.setattr(cli, name, counting(name, cli.__dict__[name]))
     out = str(tmp_path / "s")
-    assert _fuzz(pipeline, live_target, "byte", out, extra=["--max-cases", "7"]) == 0
+    assert _fuzz(pipeline, live_target, strategy, out, extra=["--max-cases", "7"]) == 0
     assert calls["execute_test_case"] == 7
     assert calls["reset_coverage"] == 1  # once per session, when it connects
     assert calls["reset_target_state"] == 8  # plus the reachability check
     assert calls["fetch_and_reset_coverage"] >= 7
-    assert calls["load_grammar"] == calls["load_corpus"] == calls["_byte_case_stream"] == 1
+    factory = "_%s_case_stream" % strategy
+    assert calls["load_grammar"] == calls["load_corpus"] == calls[factory] == 1
+    assert sum(calls[name] for name in BENCHMARK_HOOKS if name.endswith("_case_stream")) == 1
     # the tracer takes the fourth positional argument of each planning call
     # as the visited seed's id
     params = list(inspect.signature(mutation.plan_learned_mutations).parameters)
@@ -959,6 +966,31 @@ def test_fuzz_learned_needs_checkpoint(pipeline, live_target, tmp_path, capsys):
     assert "train" in capsys.readouterr().err
 
 
+def test_fuzz_learned_stops_when_the_checkpoint_plans_nothing(pipeline, live_target, tmp_path):
+    # a model biased to end every decode at once plans no mutation for any
+    # seed; the session must end on the first empty pass over the corpus,
+    # long before its budget, instead of cycling the corpus forever.  It
+    # runs in a child process so that a hang fails the test at the timeout.
+    with np.load(pipeline["checkpoint"]) as saved:
+        arrays = dict(saved)
+    arrays["out_b"] = arrays["out_b"].copy()
+    arrays["out_b"][ae.EOS] = 1e4
+    checkpoint = str(tmp_path / "eos.npz")
+    np.savez(checkpoint, **arrays)
+    out = tmp_path / "s"
+    argv = [
+        sys.executable, "-m", "restfuzz.cli", "fuzz", "--target", live_target.base_url,
+        "--seeds-dir", pipeline["seeds_dir"], "--strategy", "learned",
+        "--checkpoint", checkpoint, "--budget", "600", "--out", str(out),
+    ]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: checkpoint %s planned no mutation for any seed\n" % checkpoint
+    assert json.loads((out / cli.SESSION_JSON).read_text())["tests_executed"] == 0
+    assert (out / cli.EVENTS_CSV).read_text() == cli.CSV_HEADER + "\n"
+
+
 def test_fuzz_unreachable_target(pipeline, tmp_path, capsys):
     rc = cli.main(
         [
@@ -993,9 +1025,8 @@ def test_distill_command(pipeline, live_target, tmp_path, capsys):
     assert rc == 0
     with open(out) as fh:
         kept = fh.read().split()
-    assert 0 < len(kept) <= 14
-    assert all(k.startswith("seed-") for k in kept)
-    assert "distilled 14 seeds" in capsys.readouterr().out
+    assert kept == ["seed-00001", "seed-00002", "seed-00003", "seed-00004", "seed-00007"]
+    assert capsys.readouterr().out == "distilled 14 seeds to 5 (union 29 blocks) -> %s\n" % out
 
 
 def test_replay_command_round_trip(
@@ -1112,6 +1143,36 @@ def test_report_reports_an_out_dir_it_cannot_create(tmp_path, monkeypatch, capsy
     assert capsys.readouterr().err == (
         "error: cannot write report: [Errno 20] Not a directory: 'afile/x'\n"
     )
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        (cli.SESSION_JSON, "{not json",
+         "malformed {session}/session.json (JSONDecodeError: Expecting property name"),
+        (cli.BUGS_JSON, json.dumps([{"bug_id": "bug-001", "seed": "s", "mutation": "m",
+                                     "bitmap": "03", "transcript": "bugs/bug-001.txt"}]),
+         "malformed {session}/bugs.json (KeyError: 'statuses')"),
+        (cli.EVENTS_CSV, None, "no events.csv in {session}\n"),
+    ],
+    ids=["session-not-json", "bug-without-statuses", "events-missing"],
+)
+def test_report_rejects_malformed_session_files(tmp_path, capsys, name, text, message):
+    # the second of two sessions is at fault, after the first one parsed
+    good, session = tmp_path / "good", tmp_path / "session"
+    for d in (good, session):
+        d.mkdir()
+        (d / cli.SESSION_JSON).write_text(json.dumps({"strategy": "byte", "block_count": 8}))
+        (d / cli.EVENTS_CSV).write_text(cli.CSV_HEADER + "\n0.1,3,1,0\n")
+    if text is None:
+        (session / name).unlink()
+    else:
+        (session / name).write_text(text)
+    report_dir = tmp_path / "report"
+    argv = ["report", "--session", str(good), str(session), "--out", str(report_dir)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: " + message.format(session=session))
+    assert not report_dir.exists()  # nothing is written before every file has been read
 
 
 def test_report_rejects_non_session_dir(tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""Tests for coverage bitmaps, distillation, bug dedup, and the
-target's coverage side channels."""
+"""Tests for coverage bitmaps, the session engine's distillation, bug
+dedup, and the target's coverage side channels."""
 
 import functools
 import itertools
@@ -11,6 +11,7 @@ import pytest
 
 from restfuzz import coverage as cov
 from restfuzz import execution as ex
+from restfuzz import session
 from restfuzz.execution import ExecutionResult, RequestRecord, http_request, write_transcript
 from restfuzz.seedgen import build_case
 from restfuzz.target import serve
@@ -75,25 +76,32 @@ def test_accumulator_counts_new_blocks():
 
 
 # ----------------------------------------------------------- distillation
+# ``session.distill`` runs each seed through the engine's case loop; a fake
+# ``run_case`` answers a "seed" that is its own bitmap with that bitmap.
 
 
-def entry(case_id, bitmap):
-    return cov.CorpusEntry(case_id=case_id, bitmap=bitmap)
+def distill(entries):
+    """Kept (case id, bitmap) entries of ``entries``, by ``session.distill``."""
+    width = entries[0][1].width if entries else 8
+    kept, blocks = session.distill(entries, lambda tc, _case_id, _transform: (None, tc), width)
+    assert blocks == (union(b for _, b in entries).count() if entries else 0)
+    by_id = dict(entries)
+    return [(k, by_id[k]) for k in kept]
 
 
 def test_distill_keeps_first_contributor():
     entries = [
-        entry("a", bm(8, 0, 1)),
-        entry("b", bm(8, 0, 1)),  # duplicate coverage: dropped
-        entry("c", bm(8, 2)),
-        entry("d", bm(8, 1, 2)),  # subset of a|c: dropped
+        ("a", bm(8, 0, 1)),
+        ("b", bm(8, 0, 1)),  # duplicate coverage: dropped
+        ("c", bm(8, 2)),
+        ("d", bm(8, 1, 2)),  # subset of a|c: dropped
     ]
-    kept = cov.distill(entries)
-    assert [e.case_id for e in kept] == ["a", "c"]
+    kept = distill(entries)
+    assert [case_id for case_id, _ in kept] == ["a", "c"]
 
 
 def test_distill_empty():
-    assert cov.distill([]) == []
+    assert distill([]) == []
 
 
 def test_distill_preserves_union_on_random_corpora():
@@ -102,17 +110,17 @@ def test_distill_preserves_union_on_random_corpora():
         entries = []
         for i in range(40):
             idx = rng.choice(64, size=rng.integers(1, 6), replace=False)
-            entries.append(entry("c%d" % i, bm(64, *idx)))
-        kept = cov.distill(entries)
-        assert union(e.bitmap for e in kept) == union(e.bitmap for e in entries)
+            entries.append(("c%d" % i, bm(64, *idx)))
+        kept = distill(entries)
+        assert union(b for _, b in kept) == union(b for _, b in entries)
         assert len(kept) <= len(entries)
 
 
 def _brute_force_min_cover(entries):
-    goal = union(e.bitmap for e in entries)
+    goal = union(b for _, b in entries)
     for size in range(1, len(entries) + 1):
         for combo in itertools.combinations(entries, size):
-            if union(e.bitmap for e in combo) == goal:
+            if union(b for _, b in combo) == goal:
                 return size
     raise AssertionError("unreachable")
 
@@ -123,8 +131,8 @@ def test_distill_close_to_minimum_on_small_instances():
         entries = []
         for i in range(7):
             idx = rng.choice(10, size=rng.integers(1, 4), replace=False)
-            entries.append(entry("c%d" % i, bm(10, *idx)))
-        kept = cov.distill(entries)
+            entries.append(("c%d" % i, bm(10, *idx)))
+        kept = distill(entries)
         minimum = _brute_force_min_cover(entries)
         assert len(kept) >= minimum
         # classic greedy set-cover bound: ln(n) factor; tiny widths stay close
@@ -137,10 +145,10 @@ def test_distill_exactly_minimal_on_disjoint_groups():
     entries = []
     for grp in range(5):
         for rep in range(4):
-            entries.append(entry("g%dr%d" % (grp, rep), bm(16, 0, 1 + grp)))
-    kept = cov.distill(entries)
+            entries.append(("g%dr%d" % (grp, rep), bm(16, 0, 1 + grp)))
+    kept = distill(entries)
     assert len(kept) == 5 == _brute_force_min_cover(entries)
-    assert [e.case_id for e in kept] == ["g0r0", "g1r0", "g2r0", "g3r0", "g4r0"]
+    assert [case_id for case_id, _ in kept] == ["g0r0", "g1r0", "g2r0", "g3r0", "g4r0"]
 
 
 # ------------------------------------------------------------ bug dedup
