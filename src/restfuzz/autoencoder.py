@@ -71,11 +71,14 @@ import numpy as np
 PAD, SOS, EOS = 0, 1, 2
 N_SPECIALS = 3
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
 class Hyperparams:
+    """Training settings.  Each step draws ``batch_size`` sequences from
+    the corpus at random, with replacement."""
+
     batch_size: int = 32
     steps: int = 2000
     learning_rate: float = 0.001
@@ -83,7 +86,6 @@ class Hyperparams:
     hidden_dim: int = 256
     max_seq_len: int = 128
     rng_seed: int = 0
-    shuffle: bool = True  # off = cyclic batches (reproducible corpora tests)
     dtype: str = "float32"
 
     def __post_init__(self):
@@ -507,20 +509,12 @@ class _Adam:
             p -= tmp
 
 
-def _corpus_tokens(corpus):
-    out = []
-    for rs in corpus:
-        toks = rs.tokens if hasattr(rs, "tokens") else list(rs)
-        out.append(list(toks))
-    return out
-
-
 def train(corpus, hp: Hyperparams, grammar_hash: str = "", log=None) -> Model:
-    """Train on rule sequences (reconstruction objective).  ``grammar_hash``
-    names the corpus's grammar in the checkpoint header."""
+    """Train on a list of rule sequences (reconstruction objective).
+    ``grammar_hash`` names the corpus's grammar in the checkpoint header."""
     if not corpus:
         raise ValueError("empty training corpus")
-    token_lists = _corpus_tokens(corpus)
+    token_lists = [x.tokens for x in corpus]
     longest = max(len(t) for t in token_lists)
     if longest > hp.max_seq_len:
         raise ValueError(
@@ -536,11 +530,7 @@ def train(corpus, hp: Hyperparams, grammar_hash: str = "", log=None) -> Model:
     n = len(token_lists)
     t_start = time.time()
     for step in range(hp.steps):
-        if hp.shuffle:
-            idx = rng.integers(0, n, size=hp.batch_size)
-        else:
-            base = step * hp.batch_size
-            idx = [(base + j) % n for j in range(hp.batch_size)]
+        idx = rng.integers(0, n, size=hp.batch_size)
         batch_tokens = [token_lists[i] for i in idx]
         batch = _prepare_batch(batch_tokens, hp.max_seq_len, hp.np_dtype())
         loss, acc, _ = _forward_backward(params, hp, batch, out=opt.grads)
@@ -566,13 +556,18 @@ def _row_buffers(hp: Hyperparams):
     return [np.empty((1, k * H), dtype=dt) for k in (3, 2, 1, 1, 1)]
 
 
+def in_vocabulary(m: Model, x) -> bool:
+    """Whether every rule id of the rule sequence ``x`` has a token in
+    ``m``'s vocabulary, which ``train`` sized from its corpus."""
+    return all(0 <= t < m.vocab_size - N_SPECIALS for t in x.tokens)
+
+
 def encode(m: Model, x) -> np.ndarray:
     """Summarise a rule sequence as the encoder's final hidden state."""
-    toks = x.tokens if hasattr(x, "tokens") else list(x)
-    if any(t + N_SPECIALS >= m.vocab_size or t < 0 for t in toks):
+    if not in_vocabulary(m, x):
         raise ValueError("token out of vocabulary")
     hp = m.hp
-    ids = np.asarray([t + N_SPECIALS for t in toks] + [EOS], dtype=np.int64)
+    ids = np.asarray([t + N_SPECIALS for t in x.tokens] + [EOS], dtype=np.int64)
     h = np.zeros((1, hp.hidden_dim), dtype=hp.np_dtype())
     hU, ur, rh, c, h_new = _row_buffers(hp)
     for t in range(ids.shape[0]):
@@ -608,11 +603,12 @@ def decode(m: Model, z: np.ndarray) -> list[int]:
 
 
 def reconstruction_accuracy(m: Model, sequences) -> float:
-    """Greedy-decode token accuracy against the inputs themselves."""
+    """Greedy-decode token accuracy of rule sequences against their own
+    tokens."""
     n_total = 0
     n_match = 0
     for rs in sequences:
-        toks = rs.tokens if hasattr(rs, "tokens") else list(rs)
+        toks = rs.tokens
         got = decode(m, encode(m, rs))
         n_total += max(len(toks), len(got))
         n_match += sum(1 for a, b in zip(toks, got) if a == b)
@@ -620,9 +616,9 @@ def reconstruction_accuracy(m: Model, sequences) -> float:
 
 
 def exact_reconstructions(m: Model, sequences) -> int:
-    """How many sequences greedy-decode back to exactly their own tokens."""
-    pairs = zip(sequences, _corpus_tokens(sequences))
-    return sum(decode(m, encode(m, rs)) == toks for rs, toks in pairs)
+    """How many rule sequences greedy-decode back to exactly their own
+    tokens."""
+    return sum(decode(m, encode(m, x)) == x.tokens for x in sequences)
 
 
 def checkpoint_path(path) -> str:
@@ -680,10 +676,10 @@ def numeric_gradient_check(
     m: Model, x, n_samples: int = 60, h: float = 1e-4, rng_seed: int = 0
 ) -> float:
     """Max relative error between analytic and central-difference
-    gradients over sampled parameter coordinates.  ``x`` is one sequence,
-    or a list of sequences checked as one padded batch."""
-    single = hasattr(x, "tokens") or not x or np.isscalar(x[0])
-    batch = _prepare_batch(_corpus_tokens([x] if single else x), m.hp.max_seq_len, m.hp.np_dtype())
+    gradients over sampled parameter coordinates.  ``x`` is one rule
+    sequence, or a list of them checked as one padded batch."""
+    seqs = x if isinstance(x, list) else [x]
+    batch = _prepare_batch([s.tokens for s in seqs], m.hp.max_seq_len, m.hp.np_dtype())
     _, _, grads = _forward_backward(m.params, m.hp, batch)
 
     def loss_only():

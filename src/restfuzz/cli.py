@@ -142,7 +142,11 @@ def _options(args) -> dict:
 
 
 def _target_config(opt: dict) -> TargetConfig:
-    return TargetConfig(base_url=opt["target.base_url"], auth_value=opt["target.token"])
+    url = opt["target.base_url"]
+    try:
+        return TargetConfig(base_url=url, auth_value=opt["target.token"])
+    except ValueError as exc:
+        raise CliError("bad target URL %r (%s)" % (url, exc)) from None
 
 
 def _grammar(opt: dict):
@@ -201,8 +205,8 @@ def cmd_seeds(args) -> int:
         check_seed_settings(opt["seeds.max_len"], opt["seeds.dict_values"], opt["seeds.budget"])
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    _make_out_dir(opt["seeds.dir"], "seeds")  # before any validation request
     validate_cfg = _target_config(opt) if opt["seeds.validate"] else None
+    _make_out_dir(opt["seeds.dir"], "seeds")  # before any validation request
     t0 = time.monotonic()
     try:
         corpus = generate_seeds(
@@ -411,6 +415,10 @@ def cmd_fuzz(args) -> int:
             raise CliError("cannot load checkpoint %s: %s" % (checkpoint, exc)) from None
         if model.grammar_hash and model.grammar_hash != g.grammar_hash():
             raise CliError("checkpoint %s was trained on a different grammar" % checkpoint)
+        short = next((sid for sid, tc in seeds if not ae.in_vocabulary(model, tc.seq)), None)
+        if short is not None:
+            raise CliError("checkpoint %s has no token for a rule of seed %s; train it on "
+                           "this corpus" % (checkpoint, short))
 
     _check_out_dir(out_dir, "session")  # made only once the target answers
     target = _target_config(opt)

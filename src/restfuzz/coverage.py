@@ -67,7 +67,7 @@ class CoverageBitmap:
     def _as_int(self) -> int:
         return int.from_bytes(self.bits, "little")
 
-    def union(self, other: "CoverageBitmap") -> "CoverageBitmap":
+    def __or__(self, other: "CoverageBitmap") -> "CoverageBitmap":
         if other.width != self.width:
             raise ValueError("bitmap width mismatch: %d vs %d" % (self.width, other.width))
         merged = self._as_int() | other._as_int()
@@ -75,8 +75,6 @@ class CoverageBitmap:
             width=self.width,
             bits=merged.to_bytes(len(self.bits), "little"),
         )
-
-    __or__ = union
 
 
 class CoverageAccumulator:

@@ -37,7 +37,7 @@ from .parsing import (
 DEFAULT_TIMEOUT_MS = 5000.0
 DEFAULT_AUTH_HEADER = "PRIVATE-TOKEN"
 DEFAULT_AUTH_VALUE = "DRiX47nuEP2AR"
-# response-body JSON paths used to pull fresh resource ids, per resource type
+# the top-level response-body JSON key that carries a fresh id, per resource type
 EXTRACTIONS = {
     "project-id": "id",
     "branch-name": "branch",
@@ -101,11 +101,12 @@ class RequestRecord:
 
 @dataclass
 class ExecutionResult:
-    """Outcome of sending one test case."""
+    """Outcome of sending one test case: each request as sent, with its
+    answer.  The ids a request bound show in the text of the requests
+    after it."""
 
     case_id: str
     records: list[RequestRecord]
-    resolved_bindings: dict[str, str]
     verdict: str  # pass | bug_500 | transport_error
 
     @property
@@ -308,26 +309,17 @@ def _parse_body(body_text: str):
         return None
 
 
-def extract_resource_id(value, spec: str):
-    """The text at dotted path ``spec`` inside a response body's parsed
-    JSON value (None for a body that is not JSON); None signals a miss."""
-    for part in spec.split("."):
-        if isinstance(value, dict):
-            if part not in value:
-                return None
-            value = value[part]
-        elif isinstance(value, list):
-            if not part.isdigit() or int(part) >= len(value):
-                return None
-            value = value[int(part)]
-        else:
-            return None
-    if isinstance(value, str):
+def extract_resource_id(doc, key: str):
+    """The text at top-level ``key`` of ``doc``, a response body's parsed
+    JSON value (None for a body that is not JSON).  None signals a miss:
+    ``doc`` is not an object, or holds no value or null at ``key``.  A
+    string is its own text, a bool reads ``true`` or ``false``, and any
+    other value is its ``str()``."""
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if value is None or isinstance(value, str):
         return value
     if isinstance(value, bool):
         return "true" if value else "false"
-    if value is None:
-        return None
     return str(value)
 
 
@@ -445,8 +437,8 @@ def execute_test_case(
         if stop_at_non_2xx and not 200 <= status < 300:
             break
         doc = _parse_body(body)
-        for resource, path_spec in EXTRACTIONS.items():
-            value = extract_resource_id(doc, path_spec)
+        for resource, key in EXTRACTIONS.items():
+            value = extract_resource_id(doc, key)
             if value is not None:
                 bindings[resource] = value
         for resource, value in resolver.sent_producer_values.items():
@@ -457,12 +449,7 @@ def execute_test_case(
         verdict = "transport_error"
     else:
         verdict = "pass"
-    return ExecutionResult(
-        case_id=case_id,
-        records=records,
-        resolved_bindings=dict(bindings),
-        verdict=verdict,
-    )
+    return ExecutionResult(case_id=case_id, records=records, verdict=verdict)
 
 
 # -- transcripts ------------------------------------------------------------

@@ -192,7 +192,6 @@ class Grammar:
     alphabets: dict[str, list[str]]
     rules: list[Rule]
     requests: list[RequestLayout]
-    source_name: str = "<memory>"
 
     def __post_init__(self) -> None:
         self.rules_by_lhs: dict[str, list[Rule]] = {}
@@ -333,7 +332,7 @@ def _parse_chunk(tok: str, line_no: int) -> Chunk:
     raise GrammarError("line %d: unknown chunk %r" % (line_no, tok))
 
 
-def loads(text: str, source_name: str = "<memory>") -> Grammar:
+def loads(text: str) -> Grammar:
     """Parse grammar text into a :class:`Grammar`."""
     alphabets: dict[str, list[str]] = {}
     rule_lines: list[tuple[int, str]] = []
@@ -455,9 +454,7 @@ def loads(text: str, source_name: str = "<memory>") -> Grammar:
                     raise GrammarError("line %d: unknown symbol %r" % (line_no, sym))
             add_rule(lhs, syms, STRUCTURAL)
 
-    g = Grammar(
-        alphabets=alphabets, rules=rules, requests=layouts, source_name=source_name
-    )
+    g = Grammar(alphabets=alphabets, rules=rules, requests=layouts)
     # DFS rule sequences are replayed with a stack that assumes right
     # recursion, so any other recursion is rejected here.
     violations = check_tail_recursive(g)
@@ -487,7 +484,7 @@ def loads(text: str, source_name: str = "<memory>") -> Grammar:
 def load_grammar(path) -> Grammar:
     """Load a grammar file from ``path``."""
     with open(path, "r", encoding="latin-1") as fh:
-        return loads(fh.read(), source_name=str(path))
+        return loads(fh.read())
 
 
 def packaged_reference_grammar() -> str:

@@ -226,8 +226,8 @@ def apply_plan(x: RuleSequence, plan: MutationPlan, g: Grammar) -> RuleSequence:
     the rule's value as a payload override, so the mutant still derives
     from the grammar.  Pollution lands on the payload text; a pure
     same-side token swap without ``byte_noise`` carries none.
-    Dependency-kind replacement rules never take payloads on a
-    same-side swap — their value is whatever the binding resolves to.
+    The planners draw leaves from ``mutation_targets``, which holds no
+    dependency leaf, so no plan targets one.
 
     Invariant: the mutant has the seed's shape.  It swaps one terminal
     for another of the same left-hand side, or sets a payload on a
@@ -246,8 +246,6 @@ def apply_plan(x: RuleSequence, plan: MutationPlan, g: Grammar) -> RuleSequence:
     if same_side:
         mutant.tokens[pos] = new_rule.rule_id
         mutant.payloads.pop(pos, None)
-        if new_rule.lhs in DEPENDENCY_KINDS:
-            return mutant
         if not plan.byte_noise:
             return mutant
     value = new_rule.value or ""

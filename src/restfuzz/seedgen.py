@@ -246,7 +246,9 @@ def write_corpus(corpus: SeedCorpus, directory: str) -> None:
 
 
 def load_corpus(directory: str, g: Grammar) -> list[tuple[str, TestCase]]:
-    """Read back seed files (ordered by the index when present)."""
+    """Read back seed files: those the index lists, in its order, or
+    without an index every ``seed-*.txt`` by name, so that no other file
+    in the directory (a distilled id list, say) is read as a seed."""
     index_path = os.path.join(directory, INDEX_NAME)
     seed_ids: list[str] = []
     if os.path.exists(index_path):
@@ -260,7 +262,7 @@ def load_corpus(directory: str, g: Grammar) -> list[tuple[str, TestCase]]:
         seed_ids = sorted(
             name[:-4]
             for name in os.listdir(directory)
-            if name.endswith(".txt")
+            if name.startswith("seed-") and name.endswith(".txt")
         )
     out = []
     for seed_id in seed_ids:

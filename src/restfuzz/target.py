@@ -186,12 +186,6 @@ class ReferenceTarget:
     def base_url(self) -> str:
         return "http://%s:%d" % (self.host, self.port)
 
-    def __enter__(self):
-        return self.start()
-
-    def __exit__(self, *exc):
-        self.stop()
-
     # -- state ------------------------------------------------------------
 
     def _reset_state(self):
@@ -419,6 +413,9 @@ class ReferenceTarget:
     # -- side channels: no auth, never touch the bitmap --------------------
 
     def _peek_coverage(self) -> _Response:
+        """``GET /__coverage__``: the blocks recorded since the last clear.
+        No client code reads it; tests use it to show that the bitmap is
+        empty between requests."""
         window = {"bitmap": self.registry.bitmap_hex(), "block_count": self.registry.block_count}
         return _Response(200, window)
 

@@ -112,7 +112,6 @@ def overfit_model(ref_grammar, two_seed_sequences):
         batch_size=2,
         max_seq_len=64,
         rng_seed=3,
-        shuffle=False,
     )
     m = ae.train(two_seed_sequences, hp, grammar_hash=ref_grammar.grammar_hash())
     for s in two_seed_sequences:

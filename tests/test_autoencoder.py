@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from restfuzz import autoencoder as ae
+from restfuzz.parsing import RuleSequence
 
 from .conftest import chain_by_names
 from restfuzz.seedgen import build_case
@@ -21,7 +22,6 @@ def tiny_hp(**overrides):
         batch_size=2,
         max_seq_len=64,
         rng_seed=7,
-        shuffle=False,
     )
     base.update(overrides)
     return ae.Hyperparams(**base)
@@ -43,22 +43,12 @@ def test_training_is_deterministic(two_seed_sequences):
         assert np.array_equal(m1.params[k], m2.params[k]), k
 
 
-def test_cyclic_batching_ignores_corpus_duplication(two_seed_sequences):
-    # with shuffle off and batch_size 2, [a, b] and [a, b, a, b] yield the
-    # exact same batch stream, so training must land on identical weights
-    m1 = ae.train(two_seed_sequences, tiny_hp())
-    m2 = ae.train(list(two_seed_sequences) * 2, tiny_hp())
-    for k in m1.params:
-        assert np.array_equal(m1.params[k], m2.params[k]), k
-
-
 def test_exact_reconstructions_counts_every_seed_of_the_overfit_model(
     overfit_model, two_seed_sequences
 ):
     assert ae.exact_reconstructions(overfit_model, two_seed_sequences) == 2
-    reversed_seed = two_seed_sequences[1].tokens[::-1]  # never trained on
-    plain = [x.tokens for x in two_seed_sequences] + [reversed_seed]
-    assert ae.exact_reconstructions(overfit_model, plain) == 2
+    reversed_seed = RuleSequence(two_seed_sequences[1].tokens[::-1])  # never trained on
+    assert ae.exact_reconstructions(overfit_model, [*two_seed_sequences, reversed_seed]) == 2
     assert ae.exact_reconstructions(overfit_model, []) == 0
 
 
@@ -144,9 +134,8 @@ def test_repeated_rows_fold_into_multiplicity_weights(three_lengths):
         assert np.abs(grads[k] - g).max() <= 1e-12 * np.abs(g).max(), k
 
 
-@pytest.mark.parametrize("shuffle", [True, False])
-def test_batches_larger_than_the_corpus_keep_their_log(monkeypatch, three_lengths, shuffle):
-    hp = tiny_hp(steps=201, batch_size=8, dtype="float64", shuffle=shuffle)
+def test_batches_larger_than_the_corpus_keep_their_log(monkeypatch, three_lengths):
+    hp = tiny_hp(steps=201, batch_size=8, dtype="float64")
 
     def logged():
         lines = []
@@ -246,6 +235,7 @@ def test_forward_backward_matches_per_step_reference(three_lengths):
 # is a strict prefix of the second, so the two part only at <eos>; the
 # second and third part mid-sequence; the fourth shares nothing.
 PREFIX_ROWS = [[4, 7, 1], [4, 7, 1, 9, 2], [4, 7, 3, 3], [6, 2]]
+PREFIX_SEQS = [RuleSequence(r) for r in PREFIX_ROWS]
 
 
 def _prefix_batches(hp):
@@ -258,7 +248,7 @@ def _prefix_batches(hp):
 
 def test_shared_prefixes_match_per_step_reference():
     hp = tiny_hp(steps=5, batch_size=3, dtype="float64")
-    m = ae.train(PREFIX_ROWS, hp)
+    m = ae.train(PREFIX_SEQS, hp)
     for batch in _prefix_batches(hp):
         loss, _, grads = ae._forward_backward(m.params, hp, batch)
         ref_loss, ref_grads = _reference_loss_grads(m.params, hp, batch)
@@ -270,7 +260,7 @@ def test_shared_prefixes_match_per_step_reference():
 
 def test_encoder_runs_each_distinct_prefix_once(monkeypatch):
     hp = tiny_hp(steps=5, batch_size=3, dtype="float64")
-    m = ae.train(PREFIX_ROWS, hp)
+    m = ae.train(PREFIX_SEQS, hp)
     a, b, c, d = PREFIX_ROWS
     calls = []
     forward = ae._gru_forward
@@ -290,7 +280,7 @@ def test_encoder_runs_each_distinct_prefix_once(monkeypatch):
         assert dec_positions == sum(map(len, inputs))
         # each row's z is its own leaf's state, rows sorted longest first
         for row, toks in zip(z, sorted(rows, key=lambda r: -len(r))):
-            assert np.abs(row - ae.encode(m, toks)).max() <= 1e-12
+            assert np.abs(row - ae.encode(m, RuleSequence(toks))).max() <= 1e-12
 
 
 def _reference_encode(p, hp, tokens):
@@ -441,9 +431,9 @@ def test_checkpoint_rejects_unknown_version(tmp_path, overfit_model):
 
 def test_encode_rejects_out_of_vocab_tokens(overfit_model):
     with pytest.raises(ValueError, match="vocabulary"):
-        ae.encode(overfit_model, [overfit_model.vocab_size])
+        ae.encode(overfit_model, RuleSequence([overfit_model.vocab_size]))
     with pytest.raises(ValueError, match="vocabulary"):
-        ae.encode(overfit_model, [-1])
+        ae.encode(overfit_model, RuleSequence([-1]))
 
 
 def test_decode_terminates_on_random_embeddings(overfit_model):
@@ -481,13 +471,6 @@ def test_checkpoint_rejects_non_finite_parameters(tmp_path, overfit_model):
     np.savez(path, **data)
     with pytest.raises(ValueError, match="non-finite parameter 'dec_U'"):
         ae.load_model(path)
-
-
-def test_encode_accepts_plain_token_lists(overfit_model, two_seed_sequences):
-    x = two_seed_sequences[0]
-    via_seq = ae.encode(overfit_model, x)
-    via_list = ae.encode(overfit_model, list(x.tokens))
-    assert np.array_equal(via_seq, via_list)
 
 
 def test_single_request_chain_trains_and_decodes(ref_grammar):

@@ -11,6 +11,7 @@ import socket
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +304,22 @@ def test_commands_check_their_paths_before_they_connect(
     assert capsys.readouterr().err == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("url", ["ftp://x", "http://127.0.0.1:99999", "http://:80", "http://[::1"])
+@pytest.mark.parametrize("command", ["seeds", "fuzz", "distill", "replay"])
+def test_a_malformed_target_url_is_an_error_line(pipeline, tmp_path, capsys, command, url):
+    argv = {
+        "seeds": ["seeds", "--seeds-dir", str(tmp_path / "new"), "--max-len", "1"],
+        "fuzz": ["fuzz", "--strategy", "byte", "--seeds-dir", pipeline["seeds_dir"],
+                 "--out", str(tmp_path / "s")],
+        "distill": ["distill", "--seeds-dir", pipeline["seeds_dir"]],
+        "replay": ["replay", str(tmp_path / "t.txt")],
+    }[command]
+    assert cli.main(argv + ["--target", url]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad target URL %r (" % url) and err.count("\n") == 1, err
+    assert os.listdir(tmp_path) == []  # seeds made no directory, fuzz no session
+
+
 def test_train_checks_its_checkpoint_path_before_it_trains(pipeline, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(ae, "train", lambda *a, **kw: pytest.fail("trained"))
@@ -370,10 +387,10 @@ def test_train_reports_a_missing_seeds_dir(tmp_path, capsys):
 
 
 def test_train_reports_an_unparsable_seed_file(tmp_path, capsys):
-    (tmp_path / "bad.txt").write_text("FOO /x HTTP/1.1\n")
+    (tmp_path / "seed-00001.txt").write_text("FOO /x HTTP/1.1\n")
     assert cli.main(["train", "--seeds-dir", str(tmp_path), "--steps", "1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: bad seed file %s: " % (tmp_path / "bad.txt"))
+    assert err.startswith("error: bad seed file %s: " % (tmp_path / "seed-00001.txt"))
 
 
 def test_train_needs_seeds(tmp_path, capsys):
@@ -911,15 +928,21 @@ def test_fuzz_rejects_unknown_strategy_from_config(tmp_path, capsys):
         ("", ["--seed", "-1"], "rng_seed must be >= 0, got -1"),
         ("", ["--checkpoint", "old.npz"], "cannot load checkpoint old.npz: "
          "unsupported checkpoint version 1"),
+        # version 2 headers carried the cyclic-batch flag; such a model must be retrained
+        ("", ["--checkpoint", "v2.npz"], "cannot load checkpoint v2.npz: "
+         "unsupported checkpoint version 2"),
         ("", ["--checkpoint", "bogus.npz"], "cannot load checkpoint bogus.npz: "
          "unknown hyperparameter 'bogus' in checkpoint header"),
         ("", ["--checkpoint", "nan.npz"], "cannot load checkpoint nan.npz: "
          "non-finite parameter 'enc_W' in checkpoint"),
         ("", ["--checkpoint", "other.npz"], "checkpoint other.npz was trained on a different "
          "grammar"),
+        ("", ["--checkpoint", "small.npz"], "checkpoint small.npz has no token for a rule of "
+         "seed seed-00007; train it on this corpus"),
     ],
     ids=["noise-norm-from-config", "n-scales", "budget", "max-cases", "seed", "checkpoint-version",
-         "checkpoint-hyperparameter", "checkpoint-not-finite", "checkpoint-other-grammar"],
+         "checkpoint-version-2", "checkpoint-hyperparameter", "checkpoint-not-finite",
+         "checkpoint-other-grammar", "checkpoint-vocabulary"],
 )
 def test_fuzz_checks_its_settings_before_it_connects(
     pipeline, tmp_path, monkeypatch, capsys, config, extra, message
@@ -939,6 +962,11 @@ def test_fuzz_checks_its_settings_before_it_connects(
     save("bogus.npz", dict(header, hp=dict(header["hp"], bogus=1)))  # not a Hyperparams field
     save("other.npz", dict(header, grammar_hash="0" * 64))
     save("nan.npz", header, enc_W=np.full_like(arrays["enc_W"], np.nan))
+    save("v2.npz", dict(header, version=2))
+    # as if trained on a corpus whose largest rule id is one less
+    v = header["vocab_size"] - 1
+    save("small.npz", dict(header, vocab_size=v), enc_emb=arrays["enc_emb"][:v],
+         dec_emb=arrays["dec_emb"][:v], out_W=arrays["out_W"][:, :v], out_b=arrays["out_b"][:v])
     argv = [
         "fuzz", "--config", "c.cfg", "--target", DEAD_URL, "--seeds-dir", pipeline["seeds_dir"],
         "--strategy", "learned", "--checkpoint", pipeline["checkpoint"], "--out", "s",
@@ -1027,6 +1055,22 @@ def test_distill_command(pipeline, live_target, tmp_path, capsys):
         kept = fh.read().split()
     assert kept == ["seed-00001", "seed-00002", "seed-00003", "seed-00004", "seed-00007"]
     assert capsys.readouterr().out == "distilled 14 seeds to 5 (union 29 blocks) -> %s\n" % out
+
+
+def test_distill_output_is_not_read_back_as_a_seed(pipeline, live_target, ref_grammar, tmp_path):
+    # without an index, a corpus is its seed-*.txt files; the default
+    # output, distilled.txt in the corpus directory, is not one of them
+    seeds_dir = tmp_path / "seeds"
+    seeds_dir.mkdir()
+    for name in os.listdir(pipeline["seeds_dir"]):
+        if name != "index.txt":
+            (seeds_dir / name).write_bytes((Path(pipeline["seeds_dir"]) / name).read_bytes())
+    before = load_corpus(str(seeds_dir), ref_grammar)
+    assert len(before) == 14
+    argv = ["distill", "--target", live_target.base_url, "--seeds-dir", str(seeds_dir)]
+    assert cli.main(argv) == 0
+    assert (seeds_dir / "distilled.txt").exists()
+    assert load_corpus(str(seeds_dir), ref_grammar) == before
 
 
 def test_replay_command_round_trip(

@@ -62,8 +62,9 @@ def test_request_wire_multi_line_body_sticks_together():
 
 def test_extract_resource_id_paths():
     assert ex.extract_resource_id({"id": 42}, "id") == "42"
-    assert ex.extract_resource_id({"a": {"b": "x"}}, "a.b") == "x"
-    assert ex.extract_resource_id({"items": [{"id": 5}]}, "items.0.id") == "5"
+    assert ex.extract_resource_id({"branch": "x"}, "branch") == "x"
+    assert ex.extract_resource_id({"id": 1.5}, "id") == "1.5"
+    assert ex.extract_resource_id({"id": {"a": 1}}, "id") == "{'a': 1}"
     assert ex.extract_resource_id({"on": True}, "on") == "true"
     assert ex.extract_resource_id({"on": False}, "on") == "false"
 
@@ -72,9 +73,8 @@ def test_extract_resource_id_misses():
     assert ex.extract_resource_id({"id": None}, "id") is None
     assert ex.extract_resource_id({"id": 1}, "nope") is None
     assert ex.extract_resource_id(None, "id") is None
-    assert ex.extract_resource_id({"id": 1}, "id.deeper") is None
-    assert ex.extract_resource_id({"items": [1]}, "items.5") is None
-    assert ex.extract_resource_id({"items": [1]}, "items.x") is None
+    assert ex.extract_resource_id([{"id": 1}], "id") is None  # keys are top-level only
+    assert ex.extract_resource_id("id", "id") is None
 
 
 # ----------------------------------------------------------- target config
@@ -109,8 +109,6 @@ def test_two_request_chain_resolves_dependency(ref_grammar, target_cfg):
     assert project_id is not None
     assert "/api/projects/%s/" % project_id in result.records[1].request_text
     assert marker_text("project-id") not in result.records[1].request_text
-    assert result.resolved_bindings["project-id"] == project_id
-    assert "branch-name" in result.resolved_bindings
 
 
 def test_per_request_coverage_windows(ref_grammar, target_cfg):
@@ -485,18 +483,18 @@ def test_malformed_manifest_is_a_transport_error(body):
 
 
 def test_answer_json_cannot_take_extracts_nothing(ref_grammar):
-    # past Python's int-string limit: json.loads raises ValueError
-    url, thread = _canned_server([_ok(b'{"id": %s}' % (b"1" * 5000))])
+    # past Python's int-string limit: json.loads raises ValueError, so the
+    # project id binds nothing and the next request keeps its marker
+    url, _heads, stop = _path_server({None: _ok(b'{"id": %s}' % (b"1" * 5000))})
     cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
     try:
-        tc = _mkcase(ref_grammar, ("create-project",), [["testString"]])
+        tc = _mkcase(ref_grammar, ("create-project", "create-branch"), [["testString"], ["master"]])
         result = ex.execute_test_case(tc, ref_grammar, cfg)
     finally:
         cfg.close()
-    assert (result.verdict, result.statuses) == ("pass", [200])
-    assert "project-id" not in result.resolved_bindings
-    thread.join(timeout=5)
-    assert not thread.is_alive()
+        stop()
+    assert (result.verdict, result.statuses) == ("pass", [200, 200])
+    assert marker_text("project-id") in result.records[1].request_text
 
 
 def _path_server(answers):

@@ -301,19 +301,26 @@ def test_apply_plan_cross_side_pins_payload(ref_grammar, two_seed_sequences):
 
 
 def test_apply_plan_dependency_leaf_never_takes_payload(
-    ref_grammar, two_seed_sequences
+    ref_grammar, overfit_model, two_seed_sequences
 ):
+    # no planner targets a dependency leaf, so every mutant leaves it as
+    # the seed has it: its value is whatever the binding resolves to
     g = ref_grammar
     x = two_seed_sequences[1]
-    dep_ord = next(
-        o for o in range(x.n_leaves()) if x.leaf_rule(o, g).lhs in DEPENDENCY_KINDS
-    )
-    rule = x.leaf_rule(dep_ord, g)
-    pos = x.leaf_index[dep_ord]
-    plan = mut.MutationPlan("s", dep_ord, rule.rule_id, "case1", byte_noise=[(0, 0x58)])
-    m = mut.apply_plan(x, plan, g)
-    assert m.tokens[pos] == rule.rule_id
-    assert pos not in m.payloads
+    dep = [
+        x.leaf_index[o] for o in range(x.n_leaves()) if x.leaf_rule(o, g).lhs in DEPENDENCY_KINDS
+    ]
+    assert dep
+    rng = np.random.default_rng(0)
+    plans = [mut.mutate_tree_random(x, g, rng, "s")[1] for _ in range(200)]
+    for _ in range(5):
+        pr = mut.perturb_and_select(overfit_model, x, rng)
+        plans += mut.plan_learned_mutations(x, pr, g, "s", rng)
+    assert any(p.case != mut.CASE_TREE for p in plans)
+    for plan in plans:
+        assert x.leaf_index[plan.target_leaf] not in dep
+        m = mut.apply_plan(x, plan, g)
+        assert all(m.tokens[pos] == x.tokens[pos] and pos not in m.payloads for pos in dep)
 
 
 def test_apply_plan_leaves_input_untouched(ref_grammar, two_seed_sequences):
