@@ -40,10 +40,11 @@ from .execution import (
     TargetConfig,
     TransportError,
     execute_test_case,
+    load_transcript,
     replay_transcript,
     reset_target_state,
 )
-from .grammar import load_grammar, packaged_reference_grammar
+from .grammar import GrammarError, load_grammar, packaged_reference_grammar
 from .parsing import ParseError, TestCase
 from .seedgen import check_seed_settings, generate_seeds, load_corpus, write_corpus
 from .session import BUG_DIR, BUGS_JSON, CSV_HEADER, EVENTS_CSV, MUTATION_LOG, SESSION_JSON
@@ -339,10 +340,10 @@ def _unreachable(target, exc) -> CliError:
 
 
 def _connect(target) -> int:
-    """Reset the target's state, clear its coverage and return its
-    coverage width.  The target clears its bitmap with each window it
-    sends, so this one clear per session only guards against a target
-    that holds blocks from before it."""
+    """Reset the target's state, which checks that it answers, clear its
+    coverage and return its coverage width.  The target clears its bitmap
+    with each window it sends, so this one clear per session only guards
+    against a target that holds blocks from before it."""
     try:
         reset_target_state(target)
         reset_coverage(target)
@@ -352,11 +353,11 @@ def _connect(target) -> int:
 
 
 def _run_case(g, target, width, tc, case_id, transform=None):
-    """Reset target state, then execute ``tc`` with the coverage window
-    that each answer carries (a missing or malformed one is a
-    ``CoverageDataError``).  Returns the result and the union of its
-    windows, whose width must be the manifest's."""
-    reset_target_state(target)
+    """Execute ``tc`` from a reset target state, the reset pipelined ahead
+    of its first request, with the coverage window that each answer
+    carries (a missing or malformed one is a ``CoverageDataError``).
+    Returns the result and the union of its windows, whose width must be
+    the manifest's."""
     result = execute_test_case(
         tc,
         g,
@@ -364,6 +365,7 @@ def _run_case(g, target, width, tc, case_id, transform=None):
         case_id=case_id,
         request_text_transform=transform,
         per_request_bitmaps=fetch_and_reset_coverage,
+        reset_state=True,
     )
     bitmap = CoverageBitmap.empty(width)
     for rec in result.records:
@@ -487,6 +489,12 @@ def cmd_replay(args) -> int:
         raise CliError("transcript not found: %s" % args.transcript) from None
     except OSError as exc:
         raise CliError("cannot read transcript: %s" % exc) from None
+    try:
+        recorded = load_transcript(text)
+    except GrammarError as exc:
+        raise CliError("bad transcript %s: %s" % (args.transcript, exc)) from None
+    if not recorded:
+        raise CliError("transcript %s holds no recorded request" % args.transcript)
     try:
         if not args.no_reset:
             reset_target_state(target)

@@ -9,9 +9,13 @@ libraries that normalise methods, paths and headers.
 A ``TargetConfig`` owns two keep-alive connections, each opened on
 first use and closed by ``TargetConfig.close``: the case connection,
 which carries every test case, replay and seed validation sent with
-that config, and the control connection for side-channel calls (state
-reset, coverage manifest and clear).  They stay apart so that mutated case bytes can never
-misframe a side-channel call.  Both are a ``_CaseConnection``: a request
+that config, and the control connection for the other side-channel
+calls (coverage manifest and clear, a state reset outside a case).
+A case's state reset rides the case connection, pipelined in the same
+send just ahead of its first request.  That cannot misframe: the reset
+goes first on a socket whose last exchange ended on a framed answer,
+or on a fresh one, and ``request_wire`` frames every case request
+itself.  Both connections are a ``_CaseConnection``: a request
 that fails on a reused socket is resent once on a fresh one; a failure
 on a fresh socket is final.  A round trip returns the response's
 ``X-Coverage-Window`` value, the coverage window the target attaches to
@@ -48,10 +52,16 @@ NO_RESPONSE_STATUS = 0
 # the target answers each API request with that request's coverage
 # window in this response header (see ``coverage``)
 COVERAGE_WINDOW_HEADER = "X-Coverage-Window"
+STATE_RESET = ("POST", "/__reset__")
 
 
 class TransportError(Exception):
     """Connection-level failure (refused, timeout, unexpected close)."""
+
+
+class StateResetError(TransportError):
+    """A state reset sent ahead of a case got no 200 answer: the target
+    cannot run the case at all."""
 
 
 @dataclass
@@ -95,7 +105,7 @@ class RequestRecord:
     status: int
     reason: str
     response_body: str
-    latency_s: float
+    latency_s: float  # a case's first one includes its pipelined state reset
     bitmap: object = None  # CoverageBitmap window, attached on request
 
 
@@ -124,22 +134,29 @@ def _open_connection(cfg: TargetConfig) -> socket.socket:
         raise TransportError("connect failed: %s" % exc) from exc
 
 
-def _recv_response(sock: socket.socket):
-    """Read one HTTP response; returns (status, reason, body_text, closing,
-    window), where ``window`` is its ``X-Coverage-Window`` value or None.
+def _recv(sock: socket.socket) -> bytes:
+    """The next bytes on ``sock``, b"" at EOF."""
+    try:
+        return sock.recv(65536)
+    except OSError as exc:
+        raise TransportError("recv failed: %s" % exc) from exc
+
+
+def _recv_response(sock: socket.socket, rest: bytes = b""):
+    """Read one HTTP response, starting with ``rest``, bytes already read
+    from ``sock``; returns (status, reason, body_text, closing, window,
+    rest), where ``window`` is its ``X-Coverage-Window`` value or None and
+    ``rest`` the bytes read past the response.
 
     Interim 1xx responses other than 101 are skipped.  The body is framed
     as RFC 9112 section 6.3 says: none for 1xx, 204 and 304; chunked;
     Content-Length; else up to EOF (close-delimited).  ``closing`` is True
-    when the socket must not carry another request: ``Connection: close``,
-    a close-delimited body, a 101, or bytes read past the response."""
+    when the server will not read another request on the socket:
+    ``Connection: close``, a close-delimited body or a 101."""
 
     def more(where):
         """The next bytes; at EOF b"" if ``where`` is None, else an error."""
-        try:
-            chunk = sock.recv(65536)
-        except OSError as exc:
-            raise TransportError("recv failed: %s" % exc) from exc
+        chunk = _recv(sock)
         if not chunk and where is not None:
             raise TransportError("connection closed %s" % where)
         return chunk
@@ -175,7 +192,6 @@ def _recv_response(sock: socket.socket):
             headers[key.strip().lower()] = val.strip()
         return int(first[1]), first[2] if len(first) > 2 else "", headers
 
-    rest = b""
     status, reason, headers = head()
     while 100 <= status < 200 and status != 101:
         status, reason, headers = head()
@@ -201,7 +217,7 @@ def _recv_response(sock: socket.socket):
             rest += chunk
         body, closing = rest, True
     window = headers.get(COVERAGE_WINDOW_HEADER.lower())
-    return status, reason, body.decode("latin-1"), closing or bool(rest), window
+    return status, reason, body.decode("latin-1"), closing, window, rest
 
 
 def request_wire(text: str, host: str) -> bytes:
@@ -233,37 +249,73 @@ class _CaseConnection:
     fails on a reused socket (the server may have dropped it) is resent
     once on a fresh socket; a failure on a fresh socket is raised.  A
     failed exchange closes the socket, and after a response that leaves
-    it unusable (see ``_recv_response``) the next request opens a new one,
-    so a request never reads an answer meant for another.  ``roundtrip``
-    returns (status, reason, body, ``X-Coverage-Window`` value or None)."""
+    it unusable (see ``_recv_response``, and bytes read past the last
+    answer expected) the next request opens a new one, so a request never
+    reads an answer meant for another.
+
+    ``roundtrip(wire, reset)`` returns (status, reason, body,
+    ``X-Coverage-Window`` value or None).  A non-empty ``reset``, a state
+    reset's bytes, goes in the same send just ahead of ``wire`` (HTTP/1.1
+    pipelining, RFC 9112 section 9.3.2), and its answer is read first.
+    Until that answer is a 200 a failure on a fresh socket raises
+    ``StateResetError``; the reset makes resending the pair idempotent.
+    When the reset's answer closes the connection, the server did not read
+    ``wire`` (RFC 9112 section 9.6), which goes alone on a fresh socket."""
 
     def __init__(self, cfg: TargetConfig):
         self.cfg = cfg
         self.sock = None
         self.stale = False
 
-    def roundtrip(self, wire: bytes):
+    def roundtrip(self, wire: bytes, reset: bytes = b""):
         if self.sock is not None and not self.stale:
             try:
-                return self._exchange(wire)
+                return self._exchange(wire, reset)
             except TransportError:
                 pass  # reused socket: resend once on a fresh one
         self.close()
-        self.sock = _open_connection(self.cfg)
-        return self._exchange(wire)
+        return self._exchange(wire, reset)
 
-    def _exchange(self, wire: bytes):
+    def _exchange(self, wire: bytes, reset: bytes):
         try:
-            self.sock.sendall(wire)
-            status, reason, body, closing, window = _recv_response(self.sock)
-        except OSError as exc:
-            self.close()
-            raise TransportError("send failed: %s" % exc) from exc
+            if reset:
+                rest = self._reset_ahead_of(wire, reset)
+            else:
+                self._send(wire)
+                rest = b""
+            status, reason, body, closing, window, rest = _recv_response(self.sock, rest)
         except BaseException:  # an interrupted exchange leaves its answer unread
             self.close()
             raise
-        self.stale = closing
+        self.stale = closing or bool(rest)
         return status, reason, body, window
+
+    def _reset_ahead_of(self, wire: bytes, reset: bytes) -> bytes:
+        """Send ``reset`` and ``wire`` together and read the reset's answer;
+        returns the bytes read past it, the start of ``wire``'s answer."""
+        try:
+            self._send(reset + wire)
+            status, _reason, _body, closing, _window, rest = _recv_response(self.sock)
+        except TransportError as exc:
+            raise StateResetError(str(exc)) from exc
+        if status != 200:
+            raise StateResetError("state reset returned %d" % status)
+        if not (closing or rest):
+            rest = _recv(self.sock)
+            closing = not rest  # EOF right after the reset's answer
+        if not closing:
+            return rest
+        self.close()
+        self._send(wire)
+        return b""
+
+    def _send(self, wire: bytes) -> None:
+        if self.sock is None:
+            self.sock = _open_connection(self.cfg)
+        try:
+            self.sock.sendall(wire)
+        except OSError as exc:
+            raise TransportError("send failed: %s" % exc) from exc
 
     def close(self):
         if self.sock is not None:
@@ -274,25 +326,32 @@ class _CaseConnection:
             self.sock = None
 
 
-def http_request(cfg: TargetConfig, method: str, path: str):
-    """One bodyless request outside any test case (reset/coverage
-    channels), sent on ``cfg``'s control connection.
-
-    Returns (status, response_body_text).
-    """
+def _side_channel_wire(cfg: TargetConfig, method: str, path: str) -> bytes:
+    """A bodyless side-channel request (state reset, coverage channels)
+    with ``cfg``'s auth header."""
     lines = [
         "%s %s %s" % (method, path, HTTP_VERSION),
         "Host: %s" % cfg.host,
         "%s: %s" % (cfg.auth_header, cfg.auth_value),
         "Content-Length: 0",
     ]
-    wire = "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n"
+    return "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n"
+
+
+def http_request(cfg: TargetConfig, method: str, path: str):
+    """One bodyless request outside any test case (the coverage channels,
+    and a state reset outside ``execute_test_case``), sent on ``cfg``'s
+    control connection.
+
+    Returns (status, response_body_text).
+    """
+    wire = _side_channel_wire(cfg, method, path)
     status, _reason, body_text, _window = cfg._control.roundtrip(wire)
     return status, body_text
 
 
 def reset_target_state(cfg: TargetConfig) -> None:
-    status, _ = http_request(cfg, "POST", "/__reset__")
+    status, _ = http_request(cfg, *STATE_RESET)
     if status != 200:
         raise TransportError("state reset returned %d" % status)
 
@@ -380,9 +439,14 @@ def execute_test_case(
     request_text_transform=None,
     per_request_bitmaps=None,
     stop_at_non_2xx: bool = False,
+    reset_state: bool = False,
 ) -> ExecutionResult:
     """Send every request of ``tc`` in order on ``cfg``'s case connection,
     resolving dependencies.  The connection stays open for the next case.
+
+    With ``reset_state`` the target's state reset rides ahead of the first
+    request, in the same send (see ``_CaseConnection``); a reset that gets
+    no 200 answer raises ``StateResetError`` instead of recording the case.
 
     ``request_text_transform(text, request_index) -> text`` lets the
     byte-level strategy corrupt the rendered request just before the
@@ -403,6 +467,7 @@ def execute_test_case(
     resolver = _Resolver(tc.seq, g, bindings)
     records: list[RequestRecord] = []
     transport_failed = False
+    reset = _side_channel_wire(cfg, *STATE_RESET) if reset_state else b""
     for idx, view in enumerate(tc.requests):
         resolver.sent_producer_values = {}
         text = render_request(view, resolver.value_of)
@@ -411,7 +476,9 @@ def execute_test_case(
         wire = request_wire(text, cfg.host)
         t0 = time.monotonic()
         try:
-            status, reason, body, window = cfg._case.roundtrip(wire)
+            status, reason, body, window = cfg._case.roundtrip(wire, reset)
+        except StateResetError:
+            raise
         except (TransportError, OSError) as exc:
             records.append(
                 RequestRecord(
@@ -424,6 +491,7 @@ def execute_test_case(
             )
             transport_failed = True
             break
+        reset = b""
         records.append(
             RequestRecord(
                 request_text=text,
@@ -455,12 +523,34 @@ def execute_test_case(
 # -- transcripts ------------------------------------------------------------
 
 
+def _request_lines(text: str) -> list[str]:
+    """A request text as escaped transcript lines that ``load_transcript``
+    reads back byte for byte.  A newline that would leave an empty line,
+    which ends a block, is escaped into its neighbour; so are a space that
+    ends a line, which ``canonicalize`` strips, and the first byte of a
+    line that reads as a status line."""
+    lines = text.split("\n")
+    out = [escape(lines[0])]
+    for ln in lines[1:]:
+        if ln and out[-1]:
+            out.append(escape(ln))
+        else:
+            out[-1] += "\\n" + escape(ln)
+    for i, ln in enumerate(out):
+        if ln.endswith(" "):
+            out[i] = ln = ln[:-1] + "\\x20"
+        if _STATUS_LINE_RE.match(ln):
+            out[i] = "\\x%02x" % ord(ln[0]) + ln[1:]
+    return out
+
+
 def write_transcript(result: ExecutionResult) -> str:
     """Serialise a result as seed-format request blocks plus status and
-    body lines.  Each line is escaped, so payload bytes survive."""
+    body lines.  Each line is escaped, so payload bytes survive; every
+    block has a status line, ``000`` for a request that got no answer."""
     blocks = []
     for rec in result.records:
-        lines = [escape(ln) for ln in rec.request_text.split("\n")]
+        lines = _request_lines(rec.request_text)
         if rec.status == NO_RESPONSE_STATUS:
             lines.append("HTTP/1.1 000 %s" % (rec.reason or "NoResponse"))
         else:
@@ -479,21 +569,20 @@ class TranscriptEntry:
 
 
 def load_transcript(text: str) -> list[TranscriptEntry]:
+    """The recorded requests of a transcript: each block's lines up to its
+    status line, unescaped.  A block without a status line, or with none
+    before it, is not a recorded request.  Raises ``GrammarError`` for a
+    malformed escape."""
     entries = []
     for block in canonicalize(text).split("\n\n"):
-        lines = block.split("\n")
-        status = NO_RESPONSE_STATUS
         request_lines = []
-        for ln in lines:
+        for ln in block.split("\n"):
             m = _STATUS_LINE_RE.match(ln)
             if m:
-                status = int(m.group(1))
+                if request_lines:
+                    entries.append(TranscriptEntry("\n".join(request_lines), int(m.group(1))))
                 break
             request_lines.append(unescape(ln))
-        if request_lines:
-            entries.append(
-                TranscriptEntry(request_text="\n".join(request_lines), status=status)
-            )
     return entries
 
 

@@ -187,7 +187,8 @@ def generate_seeds(
     log=None,
 ) -> SeedCorpus:
     """Enumerate and instantiate seeds; optionally keep only seeds whose
-    execution against ``validate_cfg`` yields all-2xx responses.
+    execution against ``validate_cfg``, from a reset target state, yields
+    all-2xx responses.
 
     Each chain's first combination is built by ``build_case``; the others
     refill its derivation (``_refill``).  Validation stops a candidate at
@@ -195,7 +196,7 @@ def generate_seeds(
     gets the statuses up to that answer.  Only kept seeds are rendered."""
     check_seed_settings(max_len, dict_values_per_type, budget)
     if validate_cfg is not None:
-        from .execution import execute_test_case, reset_target_state
+        from .execution import execute_test_case
 
     seeds: list[Seed] = []
     validated = 0
@@ -210,10 +211,9 @@ def generate_seeds(
                 case = _refill(first, _chain_leaves(g, chain, combo))
             if validate_cfg is not None:
                 validated += 1
-                reset_target_state(validate_cfg)
                 result = execute_test_case(
                     case, g, validate_cfg, case_id="validate-%d" % validated,
-                    stop_at_non_2xx=True,
+                    stop_at_non_2xx=True, reset_state=True,
                 )
                 ok = bool(result.statuses) and all(
                     200 <= s < 300 for s in result.statuses

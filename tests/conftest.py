@@ -9,7 +9,7 @@ from restfuzz import coverage, execution
 from restfuzz.execution import TargetConfig
 from restfuzz.grammar import load_grammar, packaged_reference_grammar
 from restfuzz.seedgen import build_case, enumerate_chains, generate_seeds, write_corpus
-from restfuzz.target import serve
+from restfuzz.target import _Response, serve
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 DATA_DIR = os.path.join(TESTS_DIR, "data")
@@ -50,8 +50,8 @@ def connection_counts(monkeypatch):
         counts["opened"] += 1
         return connect(*args, **kwargs)
 
-    def counted_recv(sock):
-        response = recv_response(sock)
+    def counted_recv(sock, rest=b""):
+        response = recv_response(sock, rest)
         counts["closing"] += response[3]
         return response
 
@@ -75,6 +75,26 @@ def windowed_request(cfg, method, path, body=""):
     carried."""
     status, _reason, text, window = cfg._case.roundtrip(request_wire(cfg, method, path, body))
     return status, text, coverage.fetch_and_reset_coverage(window)
+
+
+def count_target_resets(monkeypatch, srv, refuse_after=None) -> list:
+    """Counts the state resets ``srv`` serves, whichever connection
+    carries them: a one-item list.  Past ``refuse_after`` resets, each
+    gets a 503 instead."""
+    served = [0]
+    channels = dict(srv._SIDE_CHANNELS)
+    key = ("/__reset__", "POST")  # (path, method)
+    reset = channels[key]
+
+    def counted(target):
+        served[0] += 1
+        if refuse_after is not None and served[0] > refuse_after:
+            return _Response(503, {"message": "busy"})
+        return reset(target)
+
+    channels[key] = counted
+    monkeypatch.setattr(srv, "_SIDE_CHANNELS", channels)
+    return served
 
 
 def peek_coverage(cfg) -> int:

@@ -21,7 +21,7 @@ from restfuzz.execution import execute_test_case, reset_target_state, write_tran
 from restfuzz.seedgen import build_case, load_corpus
 from restfuzz.target import serve
 
-from .conftest import TESTS_DIR, chain_by_names, peek_coverage
+from .conftest import TESTS_DIR, chain_by_names, count_target_resets, peek_coverage
 from .test_execution import _ok, _path_server
 
 DEAD_URL = "http://127.0.0.1:9"  # discard port; nothing listens there
@@ -509,11 +509,16 @@ def test_fuzz_calls_benchmark_hooks_through_cli(
     for name in BENCHMARK_HOOKS:
         assert callable(cli.__dict__.get(name)), name
         monkeypatch.setattr(cli, name, counting(name, cli.__dict__[name]))
+    served = count_target_resets(monkeypatch, live_target)
+    control = _count_control_resets(monkeypatch)
     out = str(tmp_path / "s")
     assert _fuzz(pipeline, live_target, strategy, out, extra=["--max-cases", "7"]) == 0
     assert calls["execute_test_case"] == 7
     assert calls["reset_coverage"] == 1  # once per session, when it connects
-    assert calls["reset_target_state"] == 8  # plus the reachability check
+    assert calls["reset_target_state"] == 1  # the reachability check
+    # one state reset per case reaches the target, riding the case
+    # connection; only the reachability check uses the control connection
+    assert served[0] == 7 + 1 and control[0] == 1
     assert calls["fetch_and_reset_coverage"] >= 7
     factory = "_%s_case_stream" % strategy
     assert calls["load_grammar"] == calls["load_corpus"] == calls[factory] == 1
@@ -522,6 +527,43 @@ def test_fuzz_calls_benchmark_hooks_through_cli(
     # as the visited seed's id
     params = list(inspect.signature(mutation.plan_learned_mutations).parameters)
     assert params[:5] == ["x", "pr", "g", "seed_id", "rng"]
+
+
+def _count_control_resets(monkeypatch) -> list:
+    """Counts the state resets sent on the control connection."""
+    sent = [0]
+    send = execution.http_request
+
+    def counted(cfg, method, path):
+        sent[0] += (method, path) == execution.STATE_RESET
+        return send(cfg, method, path)
+
+    monkeypatch.setattr(execution, "http_request", counted)
+    return sent
+
+
+@pytest.mark.parametrize("command", ["fuzz", "distill"])
+def test_each_case_starts_from_a_reset_target(
+    pipeline, live_target, command, tmp_path, monkeypatch
+):
+    served = count_target_resets(monkeypatch, live_target)
+    control = _count_control_resets(monkeypatch)
+    cases = []
+    execute = cli.execute_test_case
+
+    def counted(*args, **kwargs):
+        cases.append(execute(*args, **kwargs))
+        return cases[-1]
+
+    monkeypatch.setattr(cli, "execute_test_case", counted)
+    argv = [command, "--target", live_target.base_url, "--seeds-dir", pipeline["seeds_dir"]]
+    if command == "fuzz":
+        argv += ["--strategy", "byte", "--max-cases", "30", "--out", str(tmp_path / "s")]
+    else:
+        argv += ["--out", str(tmp_path / "kept.txt")]
+    assert cli.main(argv) == 0
+    assert len(cases) == (30 if command == "fuzz" else 14)
+    assert served[0] == len(cases) + 1 and control[0] == 1
 
 
 def test_fuzz_session_reuses_its_connections(pipeline, live_target, tmp_path, monkeypatch):
@@ -554,6 +596,7 @@ def test_fuzz_session_reads_coverage_only_for_responses_without_a_window(
     # every case answer carries its coverage window, so the side channel
     # is read only by the session's one coverage reset
     counts = dict.fromkeys(["resets", "coverage_reads", "control", "windowed", "windowless"], 0)
+    served = count_target_resets(monkeypatch, live_target)
     send, recv, reset = execution.http_request, execution._recv_response, cli.reset_coverage
 
     def counted_send(cfg, method, path):
@@ -561,8 +604,8 @@ def test_fuzz_session_reads_coverage_only_for_responses_without_a_window(
         counts["coverage_reads"] += (method, path) == ("POST", "/__coverage__/reset")
         return send(cfg, method, path)
 
-    def counted_recv(sock):
-        response = recv(sock)
+    def counted_recv(sock, rest=b""):
+        response = recv(sock, rest)
         counts["windowless" if response[4] is None else "windowed"] += 1
         return response
 
@@ -575,7 +618,11 @@ def test_fuzz_session_reads_coverage_only_for_responses_without_a_window(
     monkeypatch.setattr(cli, "reset_coverage", counted_reset)
     out = str(tmp_path / "s")
     assert _fuzz(pipeline, live_target, "byte", out, extra=["--max-cases", "20"]) == 0
-    case_windowless = counts["windowless"] - counts["control"]  # control answers carry none
+    # control answers carry none, nor do the state resets that ride ahead
+    # of each case's first request (all but the connect-time one)
+    case_resets = served[0] - 1
+    assert case_resets == 20
+    case_windowless = counts["windowless"] - counts["control"] - case_resets
     assert counts["windowed"] > 0 and case_windowless == 0
     assert counts["coverage_reads"] == counts["resets"] == 1
 
@@ -654,8 +701,8 @@ def test_blocks_of_an_unanswered_request_never_reach_the_next_case(
         results.append(execute(tc, g, cfg, case_id, request_text_transform=transform, **kwargs))
         return results[-1]
 
-    def answer_lost(conn, wire):
-        answer = roundtrip(conn, wire)
+    def answer_lost(conn, wire, reset=b""):
+        answer = roundtrip(conn, wire, reset)
         if b"no colon here" in wire:
             raise execution.TransportError("answer lost")
         return answer
@@ -745,6 +792,58 @@ def test_distill_reports_a_lost_target(pipeline, tmp_path, monkeypatch, capsys):
         srv.stop()
     assert rc == 1
     assert "error: target unreachable at %s" % srv.base_url in capsys.readouterr().err
+
+
+def test_fuzz_keeps_artifacts_when_a_state_reset_is_refused(
+    pipeline, tmp_path, monkeypatch, capsys
+):
+    # the connect-time reset and two cases' resets get a 200, the third
+    # case's a 503: the session ends there, as when the target is lost
+    srv = serve()
+    count_target_resets(monkeypatch, srv, refuse_after=3)
+    out = tmp_path / "s"
+    try:
+        rc = cli.main(
+            [
+                "fuzz", "--target", srv.base_url, "--seeds-dir", pipeline["seeds_dir"],
+                "--strategy", "byte", "--max-cases", "10", "--seed", "1", "--out", str(out),
+            ]
+        )
+    finally:
+        srv.stop()
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: target unreachable at %s (state reset returned 503)\n" % srv.base_url
+    meta = json.loads((out / cli.SESSION_JSON).read_text())
+    assert meta["tests_executed"] == 2
+    assert len((out / cli.EVENTS_CSV).read_text().splitlines()) == 1 + 2
+    assert len(json.loads((out / cli.BUGS_JSON).read_text())) == meta["bugs_found"]
+
+
+def test_seeds_reports_a_target_lost_mid_validation(tmp_path, monkeypatch, capsys):
+    srv = serve()
+    calls = 0
+    execute = execution.execute_test_case
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        result = execute(*args, **kwargs)
+        calls += 1
+        if calls == 3:
+            srv.stop()
+        return result
+
+    monkeypatch.setattr(execution, "execute_test_case", counted)
+    out = tmp_path / "seeds"
+    try:
+        rc = cli.main(["seeds", "--target", srv.base_url, "--seeds-dir", str(out),
+                       "--max-len", "2"])
+    finally:
+        srv.stop()
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed validation needs a reachable target (connect failed")
+    assert calls == 3
 
 
 def test_fuzz_rejects_a_coverage_window_wider_than_the_manifest(pipeline, tmp_path, capsys):
@@ -1105,6 +1204,30 @@ def test_replay_missing_transcript(tmp_path, capsys):
     rc = cli.main(["replay", str(tmp_path / "none.txt")])
     assert rc == 1
     assert "transcript not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("", "holds no recorded request"),
+        ("hello world\n", "holds no recorded request"),
+        ("GET / HTTP/1.1\n\nHTTP/1.1 200 OK\n", "holds no recorded request"),
+        ("GET /\\q HTTP/1.1\nHTTP/1.1 200 OK\n", "bad transcript"),
+    ],
+    ids=["empty", "text", "status-line-alone", "bad-escape"],
+)
+def test_replay_sends_nothing_for_a_file_without_a_recorded_request(
+    live_target, tmp_path, monkeypatch, capsys, content, message
+):
+    path = tmp_path / "t.txt"
+    path.write_text(content, encoding="latin-1")
+    opened = []
+    monkeypatch.setattr(socket, "create_connection", lambda *args, **kwargs: opened.append(args))
+    rc = cli.main(["replay", "--target", live_target.base_url, str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == "" and opened == []
+    assert re.fullmatch(r"error: [^\n]*%s[^\n]*\n" % re.escape(str(path)), captured.err)
+    assert message in captured.err
 
 
 def test_report_command(pipeline, live_target, tmp_path, capsys):

@@ -6,12 +6,14 @@ import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from restfuzz import coverage as cov
 from restfuzz import execution as ex
-from restfuzz.parsing import marker_text
-from restfuzz.seedgen import build_case
+from restfuzz import mutation as mu
+from restfuzz.parsing import marker_text, render_request
+from restfuzz.seedgen import build_case, generate_seeds
 from restfuzz.target import serve
 
 from .conftest import chain_by_names, peek_coverage
@@ -409,34 +411,56 @@ def test_failure_on_a_fresh_socket_is_not_resent(monkeypatch):
     assert not thread.is_alive()
 
 
-def _dropping_server(bodies_per_connection):
-    """Serve one connection per list of bodies, in turn: answer one request
-    per body with a keep-alive 200, then close without saying so."""
+def _read_request(conn, buf):
+    """The next request's head from ``conn``, its body skipped, and the
+    bytes after it: ``(head, rest)``; None at EOF.  Pipelined requests
+    stay in ``rest``."""
+    while b"\r\n\r\n" not in buf:
+        chunk = conn.recv(4096)
+        if not chunk:
+            return None
+        buf += chunk
+    head, buf = buf.split(b"\r\n\r\n", 1)
+    length = int(head.split(b"Content-Length: ", 1)[1].split(b"\r\n", 1)[0])
+    while len(buf) < length:
+        chunk = conn.recv(4096)
+        if not chunk:
+            return None
+        buf += chunk
+    return head, buf[length:]
+
+
+def _dropping_server(answers_per_connection):
+    """Serve one connection per list of answers, in turn: answer one
+    request per answer, then close without saying so.  Returns the base
+    URL, the thread and, per connection, the request lines it read."""
     srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     srv.bind(("127.0.0.1", 0))
-    srv.listen(len(bodies_per_connection))
+    srv.listen(len(answers_per_connection))
+    lines = []
 
     def serve():
-        for bodies in bodies_per_connection:
+        for answers in answers_per_connection:
             conn, _ = srv.accept()
+            lines.append([])
             with conn:
                 conn.settimeout(5)
-                for body in bodies:
-                    buf = b""
-                    while b"\r\n\r\n" not in buf:
-                        buf += conn.recv(4096)
-                    conn.sendall(
-                        b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
-                    )
+                buf = b""
+                for answer in answers:
+                    if (read := _read_request(conn, buf)) is None:
+                        break
+                    head, buf = read
+                    lines[-1].append(head.split(b"\r\n", 1)[0].decode("latin-1"))
+                    conn.sendall(answer)
         srv.close()
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
-    return "http://127.0.0.1:%d" % srv.getsockname()[1], thread
+    return "http://127.0.0.1:%d" % srv.getsockname()[1], thread, lines
 
 
 def test_control_connection_is_kept_alive_and_reopened_once_when_dropped(monkeypatch):
-    url, thread = _dropping_server([[b"one", b"two"], [b"three"]])
+    url, thread, _lines = _dropping_server([[_ok(b"one"), _ok(b"two")], [_ok(b"three")]])
     opened = _count_connections(monkeypatch)
     cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
     try:
@@ -512,17 +536,8 @@ def _path_server(answers):
         with conn:
             conn.settimeout(5)
             buf = b""
-            while True:
-                while b"\r\n\r\n" not in buf:
-                    chunk = conn.recv(4096)
-                    if not chunk:
-                        return
-                    buf += chunk
-                head, buf = buf.split(b"\r\n\r\n", 1)
-                length = int(head.split(b"Content-Length: ", 1)[1].split(b"\r\n", 1)[0])
-                while len(buf) < length:
-                    buf += conn.recv(4096)
-                buf = buf[length:]
+            while (read := _read_request(conn, buf)) is not None:
+                head, buf = read
                 heads.append(head.decode("latin-1"))
                 path = head.split(b" ", 2)[1].decode("latin-1")
                 conn.sendall(answers[path if path in answers else None])
@@ -637,7 +652,7 @@ def test_case_connection_dropped_between_cases_is_reopened_once(ref_grammar, mon
 
 def test_case_after_a_transport_failure_starts_on_a_fresh_socket(ref_grammar, monkeypatch):
     # the first connection is closed before it answers; the second answers
-    url, thread = _dropping_server([[], [b'{"id": 7}', b"{}"]])
+    url, thread, _lines = _dropping_server([[], [_ok(b'{"id": 7}'), _ok(b"{}")]])
     cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
     opened = _count_connections(monkeypatch)
     try:
@@ -676,6 +691,124 @@ def test_close_closes_both_connections(ref_grammar):
         srv.stop()
 
 
+# --------------------------------------------------- pipelined state reset
+
+_RESET_OK = _ok(b'{"ok": true}')
+_CREATED = b'HTTP/1.1 201 Created\r\nContent-Length: 9\r\n\r\n{"id": 7}'
+_PAIR = ["POST /__reset__ HTTP/1.1", "POST /api/projects HTTP/1.1"]
+
+
+def _reset_case(g, cfg, names=("create-project",)):
+    values = [["testString"], ["master"], ["feature1", "create", "feature1"]]
+    tc = _mkcase(g, names, values[: len(names)])
+    return ex.execute_test_case(tc, g, cfg, reset_state=True)
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        [_RESET_OK + _CREATED],
+        [_RESET_OK[:20], _RESET_OK[20:] + _CREATED[:10], _CREATED[10:]],
+    ],
+    ids=["one-read", "reset-answer-split"],
+)
+def test_a_reset_rides_ahead_of_the_first_request(ref_grammar, parts, monkeypatch):
+    url, thread = _canned_server(parts)
+    opened = _count_connections(monkeypatch)
+    cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
+    try:
+        result = _reset_case(ref_grammar, cfg)
+        assert not cfg._case.stale  # nothing was read past the request's answer
+    finally:
+        cfg.close()
+    assert (result.statuses, result.records[0].response_body) == ([201], '{"id": 7}')
+    assert len(opened) == 1
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize(
+    "parts, match",
+    [
+        ([b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\n\r\n"],
+         "state reset returned 503"),
+        ([], "connection closed before response head"),
+    ],
+    ids=["non-200", "no-answer"],
+)
+def test_a_reset_without_a_200_answer_leaves_execute_test_case(ref_grammar, parts, match):
+    url, thread = _canned_server(parts)
+    cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
+    try:
+        with pytest.raises(ex.StateResetError, match=match):
+            _reset_case(ref_grammar, cfg)
+    finally:
+        cfg.close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_a_reset_on_a_dead_target_leaves_execute_test_case(ref_grammar):
+    cfg = ex.TargetConfig(base_url="http://127.0.0.1:%d" % _dead_port(), timeout_ms=500)
+    try:
+        with pytest.raises(ex.StateResetError, match="connect failed"):
+            _reset_case(ref_grammar, cfg)
+    finally:
+        cfg.close()
+
+
+@pytest.mark.parametrize("closing", [b"Connection: close\r\n", b""], ids=["header", "eof"])
+def test_a_reset_answer_that_closes_sends_the_request_alone(ref_grammar, closing, monkeypatch):
+    # RFC 9112 section 9.6: the server did not read what followed the reset
+    url, thread, lines = _dropping_server([[_ok(b"{}", closing)], [_CREATED]])
+    opened = _count_connections(monkeypatch)
+    cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
+    try:
+        result = _reset_case(ref_grammar, cfg)
+    finally:
+        cfg.close()
+    assert result.statuses == [201]
+    assert lines == [_PAIR[:1], _PAIR[1:]]
+    assert len(opened) == 2
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_a_reused_socket_dropped_before_the_reset_answer_resends_the_pair_once(
+    ref_grammar, monkeypatch
+):
+    url, thread, lines = _dropping_server([[_RESET_OK, _CREATED], [_RESET_OK, _CREATED]])
+    opened = _count_connections(monkeypatch)
+    cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
+    try:
+        statuses = [_reset_case(ref_grammar, cfg).statuses for _ in range(2)]
+    finally:
+        cfg.close()
+    assert statuses == [[201], [201]]
+    assert lines == [_PAIR, _PAIR]
+    assert len(opened) == 2
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("closing", [b"Connection: close\r\n", b""], ids=["header", "eof"])
+def test_a_target_that_closes_after_every_answer_runs_a_case(ref_grammar, closing, monkeypatch):
+    answers = [b"{}", b'{"id": 7}', b'{"branch": "b"}', b"{}"]
+    url, thread, lines = _dropping_server([[_ok(body, closing)] for body in answers])
+    opened = _count_connections(monkeypatch)
+    cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
+    try:
+        result = _reset_case(ref_grammar, cfg, ("create-project", "create-branch", "create-commit"))
+    finally:
+        cfg.close()
+    assert result.statuses == [200, 200, 200]
+    assert "/api/projects/7/" in result.records[1].request_text
+    assert [len(read) for read in lines] == [1, 1, 1, 1] and lines[0] == _PAIR[:1]
+    assert len(opened) == 4
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
 # ------------------------------------------------------------ transcripts
 
 
@@ -697,6 +830,44 @@ def test_transcript_round_trip_with_raw_payload_bytes(ref_grammar, target_cfg):
     assert entries[0].request_text == result.records[0].request_text
     assert entries[0].status == result.statuses[0]
     assert "A\xffB\x01" in entries[0].request_text
+
+
+def _round_trip(texts):
+    """The request texts and statuses of a transcript of ``texts``, each
+    answered 500, as read back."""
+    records = [ex.RequestRecord(text, 500, "Internal Server Error", "{}\n\n x ", 0.0)
+               for text in texts]
+    entries = ex.load_transcript(ex.write_transcript(ex.ExecutionResult("c", records, "bug_500")))
+    return [(e.request_text, e.status) for e in entries]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "POST /api/projects/1/repository/commits HTTP/1.\n\nPRIVATE-TOKEN: x",
+        "GET /api/projects HTTP/1.1\nPRIVATE-TOKEN: x \n",
+        "\n\nGET / HTTP/1.1  \n\n",
+        "HTTP/1.1 200 OK\nX: 1",
+        "GET / HTTP/1.1\n\\n \\x20\r\t",
+    ],
+    ids=["empty-line", "trailing-space", "edge-newlines", "status-lookalike", "escapes"],
+)
+def test_transcript_keeps_what_canonicalize_would_merge_or_strip(text):
+    assert _round_trip([text, "GET / HTTP/1.1"]) == [(text, 500), ("GET / HTTP/1.1", 500)]
+
+
+def test_byte_flipped_requests_round_trip_through_a_transcript(ref_grammar):
+    g = ref_grammar
+    texts = [render_request(view, lambda i, tc=tc: tc.seq.leaf_value(i, g))
+             for tc in (seed.case for seed in generate_seeds(g, max_len=3).seeds)
+             for view in tc.requests]
+    rng = np.random.default_rng(5)
+    flipped = []
+    for _ in range(40):
+        for text in texts:
+            flipped.append(mu.mutate_bytes(text, rng))
+            flipped.append(mu.apply_byte_noise(text, mu.draw_byte_noise(len(text), rng)))
+    assert _round_trip(flipped) == [(text, 500) for text in flipped]
 
 
 def test_transcript_records_transport_failures(ref_grammar):

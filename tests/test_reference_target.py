@@ -627,7 +627,7 @@ def test_probe_table_pins_status_message_and_blocks():
             with socket.create_connection((srv.host, srv.port), timeout=5) as sock:
                 sock.sendall(_probe_wire(request, srv.token))
                 sock.shutdown(socket.SHUT_WR)
-                got_status, reason, body, _closing, window = _recv_response(sock)
+                got_status, reason, body, _closing, window, _rest = _recv_response(sock)
             assert (window is None) == (not want), request
             got = set()
             if window is not None:
@@ -728,7 +728,7 @@ def test_every_api_answer_carries_its_own_window(live_target, target_cfg):
                 % (method, path, live_target.token)
             ).encode("latin-1")
         )
-        status, _reason, body, _closing, window = _recv_response(sock)
+        status, _reason, body, _closing, window, _rest = _recv_response(sock)
         return status, body, window
 
     with socket.create_connection((live_target.host, live_target.port), timeout=5) as sock:

@@ -23,7 +23,7 @@ from restfuzz.seedgen import (
     write_corpus,
 )
 
-from .conftest import data_path
+from .conftest import count_target_resets, data_path
 
 TINY = """\
 [alphabet http-methods]
@@ -264,7 +264,8 @@ def test_seed_validation_keeps_one_case_connection(ref_grammar, live_target, con
     finally:
         cfg.close()
     assert len(corpus.seeds) == 14
-    assert connection_counts["opened"] <= 2 + connection_counts["closing"]
+    # the state resets ride the case connection too: no control connection
+    assert connection_counts["opened"] <= 1 + connection_counts["closing"]
 
 
 # sha256 over each file of the validated quick-start corpus (max_len=3,
@@ -340,25 +341,21 @@ def test_validation_stops_each_candidate_at_its_first_non_2xx_answer(
 ):
     counts = {"resets": 0, "sent": 0}
     results = []
-    reset = execution.reset_target_state
     execute = execution.execute_test_case
-
-    def counted_reset(cfg):
-        counts["resets"] += 1
-        reset(cfg)
+    served = count_target_resets(monkeypatch, live_target)
 
     def kept_execute(*args, **kwargs):
         results.append(execute(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(execution, "reset_target_state", counted_reset)
     monkeypatch.setattr(execution, "execute_test_case", kept_execute)
     cfg = TargetConfig(base_url=live_target.base_url)
     roundtrip = cfg._case.roundtrip
 
-    def counted_roundtrip(wire):
+    def counted_roundtrip(wire, reset=b""):
         counts["sent"] += 1
-        return roundtrip(wire)
+        counts["resets"] += bool(reset)  # riding ahead of a first request
+        return roundtrip(wire, reset)
 
     monkeypatch.setattr(cfg._case, "roundtrip", counted_roundtrip)
     try:
@@ -366,7 +363,7 @@ def test_validation_stops_each_candidate_at_its_first_non_2xx_answer(
     finally:
         cfg.close()
     assert len(corpus.seeds) == 14
-    assert corpus.validated == len(results) == counts["resets"] == 74
+    assert corpus.validated == len(results) == counts["resets"] == served[0] == 74
     # every request of every candidate would be 210
     assert counts["sent"] == sum(len(r.statuses) for r in results) == 130
     dropped = 0
