@@ -340,12 +340,12 @@ def _unreachable(target, exc) -> CliError:
 
 
 def _connect(target) -> int:
-    """Reset the target's state, which checks that it answers, clear its
-    coverage and return its coverage width.  The target clears its bitmap
-    with each window it sends, so this one clear per session only guards
-    against a target that holds blocks from before it."""
+    """Clear the target's coverage, which checks that it answers, and
+    return its coverage width.  The target clears its bitmap with each
+    window it sends, so this one clear per session only guards against a
+    target that holds blocks from before it.  Its state is reset by each
+    case (see ``_run_case``)."""
     try:
-        reset_target_state(target)
         reset_coverage(target)
         return len(fetch_manifest(target))
     except (TransportError, OSError) as exc:
@@ -365,7 +365,6 @@ def _run_case(g, target, width, tc, case_id, transform=None):
         case_id=case_id,
         request_text_transform=transform,
         per_request_bitmaps=fetch_and_reset_coverage,
-        reset_state=True,
     )
     bitmap = CoverageBitmap.empty(width)
     for rec in result.records:

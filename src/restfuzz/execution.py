@@ -11,13 +11,15 @@ first use and closed by ``TargetConfig.close``: the case connection,
 which carries every test case, replay and seed validation sent with
 that config, and the control connection for the other side-channel
 calls (coverage manifest and clear, a state reset outside a case).
-A case's state reset rides the case connection, pipelined in the same
-send just ahead of its first request.  That cannot misframe: the reset
-goes first on a socket whose last exchange ended on a framed answer,
-or on a fresh one, and ``request_wire`` frames every case request
-itself.  Both connections are a ``_CaseConnection``: a request
-that fails on a reused socket is resent once on a fresh one; a failure
-on a fresh socket is final.  A round trip returns the response's
+Each case's state reset rides the case connection, pipelined in the
+same send just ahead of its first request; only when that connection is
+lost without an answer does a lone reset go on the control connection.
+That cannot misframe: the reset goes first on a socket whose last
+exchange ended on a framed answer, or on a fresh one, and
+``request_wire`` frames every case request itself.  Both connections
+are a ``_CaseConnection``: a request that fails on a reused socket is
+resent once on a fresh one; a failure on a fresh socket is final, but
+for the lone reset above.  A round trip returns the response's
 ``X-Coverage-Window`` value, the coverage window the target attaches to
 every API answer, for ``coverage.fetch_and_reset_coverage``.
 Every request/response pair is recorded in a replayable transcript
@@ -256,11 +258,17 @@ class _CaseConnection:
     ``roundtrip(wire, reset)`` returns (status, reason, body,
     ``X-Coverage-Window`` value or None).  A non-empty ``reset``, a state
     reset's bytes, goes in the same send just ahead of ``wire`` (HTTP/1.1
-    pipelining, RFC 9112 section 9.3.2), and its answer is read first.
-    Until that answer is a 200 a failure on a fresh socket raises
-    ``StateResetError``; the reset makes resending the pair idempotent.
-    When the reset's answer closes the connection, the server did not read
-    ``wire`` (RFC 9112 section 9.6), which goes alone on a fresh socket."""
+    pipelining, RFC 9112 section 9.3.2), and its answer is read first: one
+    that is not a 200 raises ``StateResetError``, and the reset makes
+    resending the pair from a reused socket idempotent.  When the reset's
+    answer says ``Connection: close`` the server did not read ``wire``
+    (RFC 9112 section 9.6), which goes alone on a fresh socket.  When a
+    fresh socket ends with no answer past the reset's (none at all, or EOF
+    right after it), either the target is down or ``wire`` killed the
+    connection, run or not.  A lone state reset on the control connection
+    tells them apart: it raises ``StateResetError`` when it fails, and
+    otherwise ``wire`` goes alone on a fresh socket, from that reset
+    state."""
 
     def __init__(self, cfg: TargetConfig):
         self.cfg = cfg
@@ -270,16 +278,16 @@ class _CaseConnection:
     def roundtrip(self, wire: bytes, reset: bytes = b""):
         if self.sock is not None and not self.stale:
             try:
-                return self._exchange(wire, reset)
+                return self._exchange(wire, reset, fresh=False)
             except TransportError:
                 pass  # reused socket: resend once on a fresh one
         self.close()
-        return self._exchange(wire, reset)
+        return self._exchange(wire, reset, fresh=True)
 
-    def _exchange(self, wire: bytes, reset: bytes):
+    def _exchange(self, wire: bytes, reset: bytes, fresh: bool):
         try:
             if reset:
-                rest = self._reset_ahead_of(wire, reset)
+                rest = self._reset_ahead_of(wire, reset, fresh)
             else:
                 self._send(wire)
                 rest = b""
@@ -290,24 +298,37 @@ class _CaseConnection:
         self.stale = closing or bool(rest)
         return status, reason, body, window
 
-    def _reset_ahead_of(self, wire: bytes, reset: bytes) -> bytes:
+    def _reset_ahead_of(self, wire: bytes, reset: bytes, fresh: bool) -> bytes:
         """Send ``reset`` and ``wire`` together and read the reset's answer;
-        returns the bytes read past it, the start of ``wire``'s answer."""
+        returns the bytes read past it, the start of ``wire``'s answer, or
+        b"" once ``wire`` went alone on a fresh socket."""
         try:
             self._send(reset + wire)
             status, _reason, _body, closing, _window, rest = _recv_response(self.sock)
-        except TransportError as exc:
-            raise StateResetError(str(exc)) from exc
+            if status == 200 and not (closing or rest):
+                rest = _recv(self.sock)
+                if not rest:
+                    raise TransportError("connection closed after the state reset's answer")
+        except TransportError:
+            if not fresh:
+                raise
+            self.close()
+            self._lone_reset()
+            self._send(wire)
+            return b""
         if status != 200:
             raise StateResetError("state reset returned %d" % status)
-        if not (closing or rest):
-            rest = _recv(self.sock)
-            closing = not rest  # EOF right after the reset's answer
-        if not closing:
-            return rest
-        self.close()
-        self._send(wire)
-        return b""
+        if closing:
+            self.close()
+            self._send(wire)
+            return b""
+        return rest
+
+    def _lone_reset(self) -> None:
+        try:
+            reset_target_state(self.cfg)
+        except TransportError as exc:
+            raise StateResetError(str(exc)) from exc
 
     def _send(self, wire: bytes) -> None:
         if self.sock is None:
@@ -340,7 +361,7 @@ def _side_channel_wire(cfg: TargetConfig, method: str, path: str) -> bytes:
 
 def http_request(cfg: TargetConfig, method: str, path: str):
     """One bodyless request outside any test case (the coverage channels,
-    and a state reset outside ``execute_test_case``), sent on ``cfg``'s
+    and a state reset that rides no case request), sent on ``cfg``'s
     control connection.
 
     Returns (status, response_body_text).
@@ -439,14 +460,15 @@ def execute_test_case(
     request_text_transform=None,
     per_request_bitmaps=None,
     stop_at_non_2xx: bool = False,
-    reset_state: bool = False,
 ) -> ExecutionResult:
     """Send every request of ``tc`` in order on ``cfg``'s case connection,
-    resolving dependencies.  The connection stays open for the next case.
+    from a reset target state, resolving dependencies.  The connection
+    stays open for the next case.
 
-    With ``reset_state`` the target's state reset rides ahead of the first
-    request, in the same send (see ``_CaseConnection``); a reset that gets
-    no 200 answer raises ``StateResetError`` instead of recording the case.
+    The target's state reset rides ahead of the first request, in the same
+    send (see ``_CaseConnection``); a reset that the target refuses, or
+    that gets no answer even alone, raises ``StateResetError`` instead of
+    recording the case.
 
     ``request_text_transform(text, request_index) -> text`` lets the
     byte-level strategy corrupt the rendered request just before the
@@ -467,7 +489,7 @@ def execute_test_case(
     resolver = _Resolver(tc.seq, g, bindings)
     records: list[RequestRecord] = []
     transport_failed = False
-    reset = _side_channel_wire(cfg, *STATE_RESET) if reset_state else b""
+    reset = _side_channel_wire(cfg, *STATE_RESET)
     for idx, view in enumerate(tc.requests):
         resolver.sent_producer_values = {}
         text = render_request(view, resolver.value_of)

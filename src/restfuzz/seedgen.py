@@ -213,7 +213,7 @@ def generate_seeds(
                 validated += 1
                 result = execute_test_case(
                     case, g, validate_cfg, case_id="validate-%d" % validated,
-                    stop_at_non_2xx=True, reset_state=True,
+                    stop_at_non_2xx=True,
                 )
                 ok = bool(result.statuses) and all(
                     200 <= s < 300 for s in result.statuses

@@ -26,7 +26,7 @@ from .test_execution import _ok, _path_server
 
 DEAD_URL = "http://127.0.0.1:9"  # discard port; nothing listens there
 # names the benchmark's tracer and case counter patch in ``cli``; a fuzz
-# session must keep calling them through the module's globals
+# session must call them through the module's globals
 BENCHMARK_HOOKS = (
     "execute_test_case",
     "fetch_and_reset_coverage",
@@ -515,10 +515,11 @@ def test_fuzz_calls_benchmark_hooks_through_cli(
     assert _fuzz(pipeline, live_target, strategy, out, extra=["--max-cases", "7"]) == 0
     assert calls["execute_test_case"] == 7
     assert calls["reset_coverage"] == 1  # once per session, when it connects
-    assert calls["reset_target_state"] == 1  # the reachability check
-    # one state reset per case reaches the target, riding the case
-    # connection; only the reachability check uses the control connection
-    assert served[0] == 7 + 1 and control[0] == 1
+    # the tracer's state-reset span stays empty: one state reset per case
+    # reaches the target, riding the case connection, and none goes on the
+    # control connection
+    assert calls["reset_target_state"] == 0
+    assert served[0] == 7 and control[0] == 0
     assert calls["fetch_and_reset_coverage"] >= 7
     factory = "_%s_case_stream" % strategy
     assert calls["load_grammar"] == calls["load_corpus"] == calls[factory] == 1
@@ -563,7 +564,7 @@ def test_each_case_starts_from_a_reset_target(
         argv += ["--out", str(tmp_path / "kept.txt")]
     assert cli.main(argv) == 0
     assert len(cases) == (30 if command == "fuzz" else 14)
-    assert served[0] == len(cases) + 1 and control[0] == 1
+    assert served[0] == len(cases) and control[0] == 0
 
 
 def test_fuzz_session_reuses_its_connections(pipeline, live_target, tmp_path, monkeypatch):
@@ -619,8 +620,8 @@ def test_fuzz_session_reads_coverage_only_for_responses_without_a_window(
     out = str(tmp_path / "s")
     assert _fuzz(pipeline, live_target, "byte", out, extra=["--max-cases", "20"]) == 0
     # control answers carry none, nor do the state resets that ride ahead
-    # of each case's first request (all but the connect-time one)
-    case_resets = served[0] - 1
+    # of each case's first request
+    case_resets = served[0]
     assert case_resets == 20
     case_windowless = counts["windowless"] - counts["control"] - case_resets
     assert counts["windowed"] > 0 and case_windowless == 0
@@ -797,10 +798,10 @@ def test_distill_reports_a_lost_target(pipeline, tmp_path, monkeypatch, capsys):
 def test_fuzz_keeps_artifacts_when_a_state_reset_is_refused(
     pipeline, tmp_path, monkeypatch, capsys
 ):
-    # the connect-time reset and two cases' resets get a 200, the third
-    # case's a 503: the session ends there, as when the target is lost
+    # two cases' resets get a 200, the third case's a 503: the session
+    # ends there, as when the target is lost
     srv = serve()
-    count_target_resets(monkeypatch, srv, refuse_after=3)
+    count_target_resets(monkeypatch, srv, refuse_after=2)
     out = tmp_path / "s"
     try:
         rc = cli.main(
@@ -906,7 +907,6 @@ def test_byte_flips_land_on_the_sent_text(ref_grammar, target_cfg):
     g = ref_grammar
     chain = chain_by_names(g, 2, ("create-project", "create-branch"))
     tc = build_case(g, chain, [["testString"], ["master"]])
-    reset_target_state(target_cfg)
     sent = [r.request_text for r in execute_test_case(tc, g, target_cfg).records]
     assert len(sent) == 2 and "{{producer:" not in sent[1]  # consumer slot resolved
     stream = cli._byte_case_stream([("seed-0", tc)], np.random.default_rng(0))
@@ -1175,9 +1175,6 @@ def test_distill_output_is_not_read_back_as_a_seed(pipeline, live_target, ref_gr
 def test_replay_command_round_trip(
     ref_grammar, live_target, target_cfg, tmp_path, capsys
 ):
-    from restfuzz.execution import reset_target_state
-
-    reset_target_state(target_cfg)
     tc = build_case(
         ref_grammar,
         chain_by_names(ref_grammar, 2, ("create-project",)),

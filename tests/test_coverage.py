@@ -298,7 +298,6 @@ def test_a_request_rejected_before_routing_carries_its_window(
     def break_second_header(text, i):
         return text.replace("\n", "\nno colon here\n", 1) if i == 1 else text
 
-    ex.reset_target_state(target_cfg)
     del side_channel_log[:]
     result = ex.execute_test_case(
         tc,
@@ -329,7 +328,6 @@ def test_another_clients_requests_never_reach_a_case_window(
         return text
 
     try:
-        ex.reset_target_state(target_cfg)
         result = ex.execute_test_case(
             tc,
             ref_grammar,

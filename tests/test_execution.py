@@ -14,9 +14,9 @@ from restfuzz import execution as ex
 from restfuzz import mutation as mu
 from restfuzz.parsing import marker_text, render_request
 from restfuzz.seedgen import build_case, generate_seeds
-from restfuzz.target import serve
+from restfuzz.target import ReferenceTarget, serve
 
-from .conftest import chain_by_names, peek_coverage
+from .conftest import chain_by_names, count_target_resets, peek_coverage
 
 
 def _mkcase(g, names, values):
@@ -98,7 +98,6 @@ def test_target_config_validation():
 
 
 def test_two_request_chain_resolves_dependency(ref_grammar, target_cfg):
-    ex.reset_target_state(target_cfg)
     tc = _mkcase(
         ref_grammar,
         ("create-project", "create-branch"),
@@ -114,7 +113,6 @@ def test_two_request_chain_resolves_dependency(ref_grammar, target_cfg):
 
 
 def test_per_request_coverage_windows(ref_grammar, target_cfg):
-    ex.reset_target_state(target_cfg)
     manifest = cov.fetch_manifest(target_cfg)
     idx = {name: i for i, name in enumerate(manifest)}
     tc = _mkcase(
@@ -142,7 +140,6 @@ def test_per_request_coverage_windows(ref_grammar, target_cfg):
 
 
 def test_unresolved_consumer_renders_marker(ref_grammar, target_cfg):
-    ex.reset_target_state(target_cfg)
     tc = build_case(ref_grammar, ("create-branch",), [["master"]])
     result = ex.execute_test_case(tc, ref_grammar, target_cfg)
     assert marker_text("project-id") in result.records[0].request_text
@@ -156,7 +153,6 @@ def test_live_binding_beats_a_consumer_payload(ref_grammar, target_cfg):
         pos for pos in tc.seq.leaf_index if ref_grammar.rules[tc.seq.tokens[pos]].lhs == "consumer"
     )
     tc.seq.payloads[consumer] = "no-such-project"
-    ex.reset_target_state(target_cfg)
     result = ex.execute_test_case(tc, ref_grammar, target_cfg)
     # no earlier answer bound project-id: the payload goes on the wire
     assert "/api/projects/no-such-project/" in result.records[0].request_text
@@ -171,7 +167,6 @@ def test_live_binding_beats_a_consumer_payload(ref_grammar, target_cfg):
         pos for pos in tc.seq.leaf_index if ref_grammar.rules[tc.seq.tokens[pos]].lhs == "consumer"
     )
     tc.seq.payloads[consumer] = "no-such-project"
-    ex.reset_target_state(target_cfg)
     result = ex.execute_test_case(tc, ref_grammar, target_cfg)
     # the project created first binds project-id, and the binding wins
     assert "no-such-project" not in result.records[1].request_text
@@ -189,16 +184,13 @@ def test_stop_at_non_2xx_ends_the_case_after_the_first_failing_answer(ref_gramma
         if ref_grammar.rules[tc.seq.tokens[pos]].value == "/repository/branches"
     )
     tc.seq.payloads[branches] = "/repository/nowhere"  # no such route
-    ex.reset_target_state(target_cfg)
     assert ex.execute_test_case(tc, ref_grammar, target_cfg).statuses == [201, 404, 200]
-    ex.reset_target_state(target_cfg)
     result = ex.execute_test_case(tc, ref_grammar, target_cfg, stop_at_non_2xx=True)
     assert result.statuses == [201, 404]
     assert result.verdict == "pass"
 
 
 def test_latest_extraction_wins(ref_grammar, target_cfg):
-    ex.reset_target_state(target_cfg)
     tc = build_case(
         ref_grammar,
         ("create-project", "create-project", "create-branch"),
@@ -214,7 +206,6 @@ def test_latest_extraction_wins(ref_grammar, target_cfg):
 
 
 def test_request_text_transform_hook(ref_grammar, target_cfg):
-    ex.reset_target_state(target_cfg)
     tc = _mkcase(
         ref_grammar,
         ("create-project", "create-branch"),
@@ -237,7 +228,6 @@ def test_request_text_transform_hook(ref_grammar, target_cfg):
 
 
 def test_execution_result_statuses_and_latency(ref_grammar, target_cfg):
-    ex.reset_target_state(target_cfg)
     tc = _mkcase(ref_grammar, ("create-project",), [["testString"]])
     result = ex.execute_test_case(tc, ref_grammar, target_cfg, case_id="one")
     assert result.case_id == "one"
@@ -257,14 +247,24 @@ def _dead_port() -> int:
     return port
 
 
+def _losing_server():
+    """A target that answers a case's state reset and closes, then loses
+    the request sent after it: the base URL and the thread."""
+    url, thread, _lines = _dropping_server([[_ok(b"{}", b"Connection: close\r\n")], [b""]])
+    return url, thread
+
+
 def test_transport_error_verdict(ref_grammar):
-    cfg = ex.TargetConfig(base_url="http://127.0.0.1:%d" % _dead_port(), timeout_ms=500)
+    url, thread = _losing_server()
+    cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
     tc = _mkcase(ref_grammar, ("create-project",), [["testString"]])
     result = ex.execute_test_case(tc, ref_grammar, cfg)
     assert result.verdict == "transport_error"
     assert result.statuses == [ex.NO_RESPONSE_STATUS]
     assert result.records[0].reason  # carries the failure message
     cfg.close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def test_reset_raises_on_dead_target():
@@ -432,8 +432,9 @@ def _read_request(conn, buf):
 
 def _dropping_server(answers_per_connection):
     """Serve one connection per list of answers, in turn: answer one
-    request per answer, then close without saying so.  Returns the base
-    URL, the thread and, per connection, the request lines it read."""
+    request per answer (an empty answer sends nothing), then close without
+    saying so.  Returns the base URL, the thread and, per connection, the
+    request lines it read."""
     srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     srv.bind(("127.0.0.1", 0))
     srv.listen(len(answers_per_connection))
@@ -568,7 +569,7 @@ def _windowed_case(g, api_answer):
     """Run a one-request case with per-request windows against a server
     that answers the API with ``api_answer``.  Returns the result and the
     request lines."""
-    url, heads, stop = _path_server({"/api/projects": api_answer})
+    url, heads, stop = _path_server({"/__reset__": _RESET_OK, "/api/projects": api_answer})
     cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
     try:
         tc = _mkcase(g, ("create-project",), [["testString"]])
@@ -587,7 +588,7 @@ def test_an_answer_without_a_window_is_a_coverage_data_error(ref_grammar):
 def test_fetch_takes_a_carried_window_without_a_request(ref_grammar):
     result, lines = _windowed_case(ref_grammar, _ok(b'{"id": 1}', b"X-Coverage-Window: 8:82\r\n"))
     assert result.records[0].bitmap.indices() == [1, 7]
-    assert lines == ["POST /api/projects HTTP/1.1"]
+    assert lines == _PAIR
 
 
 @pytest.mark.parametrize(
@@ -624,7 +625,6 @@ def test_cases_share_one_connection(ref_grammar, monkeypatch):
     opened = _count_connections(monkeypatch)
     try:
         for _ in range(3):
-            ex.reset_target_state(cfg)
             result = _run_two_request_case(ref_grammar, cfg)
             assert result.statuses == [201, 201]
             ex.reset_target_state(cfg)
@@ -651,8 +651,11 @@ def test_case_connection_dropped_between_cases_is_reopened_once(ref_grammar, mon
 
 
 def test_case_after_a_transport_failure_starts_on_a_fresh_socket(ref_grammar, monkeypatch):
-    # the first connection is closed before it answers; the second answers
-    url, thread, _lines = _dropping_server([[], [_ok(b'{"id": 7}'), _ok(b"{}")]])
+    # the first case's request is lost on the socket after its reset's;
+    # the next case opens another
+    url, thread, _lines = _dropping_server(
+        [[_RESET_CLOSE], [b""], [_RESET_OK, _ok(b'{"id": 7}'), _ok(b"{}")]]
+    )
     cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
     opened = _count_connections(monkeypatch)
     try:
@@ -665,7 +668,7 @@ def test_case_after_a_transport_failure_starts_on_a_fresh_socket(ref_grammar, mo
         assert "/api/projects/7/" in result.records[1].request_text
     finally:
         cfg.close()
-    assert len(opened) == 2
+    assert len(opened) == 3
     thread.join(timeout=5)
     assert not thread.is_alive()
 
@@ -694,14 +697,16 @@ def test_close_closes_both_connections(ref_grammar):
 # --------------------------------------------------- pipelined state reset
 
 _RESET_OK = _ok(b'{"ok": true}')
+_RESET_CLOSE = _ok(b"{}", b"Connection: close\r\n")
+_REFUSED = b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\n\r\n"
 _CREATED = b'HTTP/1.1 201 Created\r\nContent-Length: 9\r\n\r\n{"id": 7}'
 _PAIR = ["POST /__reset__ HTTP/1.1", "POST /api/projects HTTP/1.1"]
 
 
-def _reset_case(g, cfg, names=("create-project",)):
-    values = [["testString"], ["master"], ["feature1", "create", "feature1"]]
+def _reset_case(g, cfg, names=("create-project",), value="testString"):
+    values = [[value], ["master"], ["feature1", "create", "feature1"]]
     tc = _mkcase(g, names, values[: len(names)])
-    return ex.execute_test_case(tc, g, cfg, reset_state=True)
+    return ex.execute_test_case(tc, g, cfg)
 
 
 @pytest.mark.parametrize(
@@ -728,22 +733,19 @@ def test_a_reset_rides_ahead_of_the_first_request(ref_grammar, parts, monkeypatc
 
 
 @pytest.mark.parametrize(
-    "parts, match",
-    [
-        ([b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\n\r\n"],
-         "state reset returned 503"),
-        ([], "connection closed before response head"),
-    ],
-    ids=["non-200", "no-answer"],
+    "answers, read",
+    [([[_REFUSED]], [_PAIR[:1]]), ([[b"", b""], [_REFUSED]], [_PAIR, _PAIR[:1]])],
+    ids=["non-200", "no-answer-then-a-lone-reset-refused"],
 )
-def test_a_reset_without_a_200_answer_leaves_execute_test_case(ref_grammar, parts, match):
-    url, thread = _canned_server(parts)
+def test_a_reset_without_a_200_answer_leaves_execute_test_case(ref_grammar, answers, read):
+    url, thread, lines = _dropping_server(answers)
     cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
     try:
-        with pytest.raises(ex.StateResetError, match=match):
+        with pytest.raises(ex.StateResetError, match="state reset returned 503"):
             _reset_case(ref_grammar, cfg)
     finally:
         cfg.close()
+    assert lines == read
     thread.join(timeout=5)
     assert not thread.is_alive()
 
@@ -757,10 +759,61 @@ def test_a_reset_on_a_dead_target_leaves_execute_test_case(ref_grammar):
         cfg.close()
 
 
-@pytest.mark.parametrize("closing", [b"Connection: close\r\n", b""], ids=["header", "eof"])
-def test_a_reset_answer_that_closes_sends_the_request_alone(ref_grammar, closing, monkeypatch):
+@pytest.mark.parametrize(
+    "first", [[b"", b""], [_RESET_OK, b""]], ids=["no-answer", "eof-after-the-reset-answer"]
+)
+def test_a_request_that_kills_the_connection_is_a_000_record(ref_grammar, first, monkeypatch):
+    # the target cannot be told from a dead one until a lone reset on the
+    # control connection is answered; the request then goes alone from
+    # that reset state, is lost again, and the next case runs
+    url, thread, lines = _dropping_server([first, [_RESET_OK], [b""], [_RESET_OK, _CREATED]])
+    opened = _count_connections(monkeypatch)
+    cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
+    try:
+        lost = _reset_case(ref_grammar, cfg)
+        result = _reset_case(ref_grammar, cfg)
+    finally:
+        cfg.close()
+    assert (lost.verdict, lost.statuses) == ("transport_error", [ex.NO_RESPONSE_STATUS])
+    assert result.statuses == [201]
+    assert lines == [_PAIR, _PAIR[:1], _PAIR[1:], _PAIR]
+    assert len(opened) == 4
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_a_request_that_kills_the_reference_target_connection_is_a_000_record(
+    ref_grammar, monkeypatch, capsys
+):
+    # the target queues the reset's answer, then faults on the request and
+    # closes the connection without sending either
+    answer_one = ReferenceTarget._answer_one
+
+    def fault_on_nil(self, buf, eof):
+        if buf.startswith(b"POST /api/projects ") and b"nil" in buf:
+            raise RuntimeError("worker died")
+        return answer_one(self, buf, eof)
+
+    monkeypatch.setattr(ReferenceTarget, "_answer_one", fault_on_nil)
+    srv = serve()
+    served = count_target_resets(monkeypatch, srv)
+    cfg = ex.TargetConfig(base_url=srv.base_url, timeout_ms=2000)
+    try:
+        lost = _reset_case(ref_grammar, cfg, value="nil")
+        result = _reset_case(ref_grammar, cfg)
+    finally:
+        cfg.close()
+        srv.stop()
+    assert (lost.verdict, lost.statuses) == ("transport_error", [ex.NO_RESPONSE_STATUS])
+    assert result.statuses == [201]
+    # the lost pair's reset, the lone one, and the next case's
+    assert served[0] == 3
+    assert "worker died" in capsys.readouterr().err
+
+
+def test_a_reset_answer_that_says_close_sends_the_request_alone(ref_grammar, monkeypatch):
     # RFC 9112 section 9.6: the server did not read what followed the reset
-    url, thread, lines = _dropping_server([[_ok(b"{}", closing)], [_CREATED]])
+    url, thread, lines = _dropping_server([[_RESET_CLOSE], [_CREATED]])
     opened = _count_connections(monkeypatch)
     cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
     try:
@@ -793,7 +846,10 @@ def test_a_reused_socket_dropped_before_the_reset_answer_resends_the_pair_once(
 
 @pytest.mark.parametrize("closing", [b"Connection: close\r\n", b""], ids=["header", "eof"])
 def test_a_target_that_closes_after_every_answer_runs_a_case(ref_grammar, closing, monkeypatch):
-    answers = [b"{}", b'{"id": 7}', b'{"branch": "b"}', b"{}"]
+    # after an EOF the client cannot tell whether the first request ran,
+    # so a lone reset goes ahead of it; after ``Connection: close`` it did not
+    resets = [b"{}"] if closing else [b"{}", b"{}"]
+    answers = resets + [b'{"id": 7}', b'{"branch": "b"}', b"{}"]
     url, thread, lines = _dropping_server([[_ok(body, closing)] for body in answers])
     opened = _count_connections(monkeypatch)
     cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
@@ -803,8 +859,9 @@ def test_a_target_that_closes_after_every_answer_runs_a_case(ref_grammar, closin
         cfg.close()
     assert result.statuses == [200, 200, 200]
     assert "/api/projects/7/" in result.records[1].request_text
-    assert [len(read) for read in lines] == [1, 1, 1, 1] and lines[0] == _PAIR[:1]
-    assert len(opened) == 4
+    assert [read[0] for read in lines[: len(resets) + 1]] == [_PAIR[0]] * len(resets) + [_PAIR[1]]
+    assert [len(read) for read in lines] == [1] * len(answers)
+    assert len(opened) == len(answers)
     thread.join(timeout=5)
     assert not thread.is_alive()
 
@@ -813,7 +870,6 @@ def test_a_target_that_closes_after_every_answer_runs_a_case(ref_grammar, closin
 
 
 def test_transcript_round_trip_with_raw_payload_bytes(ref_grammar, target_cfg):
-    ex.reset_target_state(target_cfg)
     tc = _mkcase(ref_grammar, ("create-project",), [["testString"]])
     seq = tc.seq
     str_ord = next(
@@ -871,16 +927,18 @@ def test_byte_flipped_requests_round_trip_through_a_transcript(ref_grammar):
 
 
 def test_transcript_records_transport_failures(ref_grammar):
-    cfg = ex.TargetConfig(base_url="http://127.0.0.1:%d" % _dead_port(), timeout_ms=500)
+    url, thread = _losing_server()
+    cfg = ex.TargetConfig(base_url=url, timeout_ms=2000)
     tc = _mkcase(ref_grammar, ("create-project",), [["testString"]])
     result = ex.execute_test_case(tc, ref_grammar, cfg)
     entries = ex.load_transcript(ex.write_transcript(result))
     assert entries[0].status == ex.NO_RESPONSE_STATUS
     cfg.close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def test_replay_reproduces_after_reset(ref_grammar, target_cfg):
-    ex.reset_target_state(target_cfg)
     tc = _mkcase(
         ref_grammar,
         ("create-project", "create-branch"),
@@ -895,7 +953,6 @@ def test_replay_reproduces_after_reset(ref_grammar, target_cfg):
 
 
 def test_replay_flags_status_drift(ref_grammar, target_cfg):
-    ex.reset_target_state(target_cfg)
     tc = _mkcase(ref_grammar, ("create-project",), [["testString"]])
     result = ex.execute_test_case(tc, ref_grammar, target_cfg)
     transcript = ex.write_transcript(result).replace("HTTP/1.1 201", "HTTP/1.1 500")
@@ -906,7 +963,6 @@ def test_replay_flags_status_drift(ref_grammar, target_cfg):
 
 
 def test_replay_pads_missing_responses_on_dead_target(ref_grammar, target_cfg):
-    ex.reset_target_state(target_cfg)
     tc = _mkcase(
         ref_grammar,
         ("create-project", "create-branch"),

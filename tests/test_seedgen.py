@@ -8,7 +8,7 @@ import os
 import pytest
 
 from restfuzz import execution
-from restfuzz.execution import TargetConfig, execute_test_case, reset_target_state
+from restfuzz.execution import TargetConfig, execute_test_case
 from restfuzz.grammar import load_grammar, loads
 from restfuzz.parsing import canonicalize, render
 from restfuzz.seedgen import (
@@ -235,7 +235,6 @@ def test_validated_corpus_is_all_2xx(ref_grammar, target_cfg, validated_corpus_d
                 commit_bearing += 1
     assert commit_bearing == 1
     for seed_id, case in loaded:
-        reset_target_state(target_cfg)
         result = execute_test_case(case, ref_grammar, target_cfg, case_id=seed_id)
         assert result.verdict == "pass", (seed_id, result.statuses)
         assert all(200 <= s < 300 for s in result.statuses), (
